@@ -16,7 +16,7 @@ from .parse import parse_bipoly, parse_fqpoly
 from .context import AlgebraContext, KElement
 from .ideals import (FracIdeal, Order, ideal_sum, ideal_product, ideal_colon,
                      multiplicator_ring, index_ideal, ideal_contains, ideal_eq)
-from .amatrix import hnf, snf_elementary_divisors
+from .amatrix import hnf
 from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,
                      maximal_order, primes_above_in_max, infinity_order)

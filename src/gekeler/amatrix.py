@@ -6,7 +6,7 @@ below its row pivot's degree, obtained by unimodular column operations;
 two matrices have equal column span over A iff their HNFs are identical.
 """
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .fqpoly import FqPoly, NEG_INF
 
 
@@ -37,18 +37,6 @@ def mat_mul(a, b):
                 if not bk[j].is_zero():
                     oi[j] = oi[j] + aik * bk[j]
     return out
-
-
-def mat_scale(m, c):
-    return [[e * c for e in row] for row in m]
-
-
-def mat_transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def _swap_cols(m, i, j):
@@ -260,76 +248,3 @@ def adjugate(mat):
             out[j][i] = cof
     return out
 
-
-def snf_elementary_divisors(mat):
-    """Elementary divisors d_1 | d_2 | ... of a nonsingular square matrix.
-
-    All divisors monic; their product is the monic associate of det(mat).
-    """
-    n = len(mat)
-    field = mat[0][0].field
-    d = det(mat)
-    if d.is_zero():
-        raise InputError("matrix is singular; SNF divisors undefined here")
-    m = [list(row) for row in mat]
-
-    def min_entry(k):
-        best = None
-        pos = None
-        for i in range(k, n):
-            for j in range(k, n):
-                e = m[i][j]
-                if e.is_zero():
-                    continue
-                if best is None or e.degree < best:
-                    best = e.degree
-                    pos = (i, j)
-        return pos
-
-    divisors = []
-    for k in range(n):
-        while True:
-            pos = min_entry(k)
-            i0, j0 = pos
-            if i0 != k:
-                m[k], m[i0] = m[i0], m[k]
-            if j0 != k:
-                for row in m:
-                    row[k], row[j0] = row[j0], row[k]
-            piv = m[k][k]
-            dirty = False
-            for j in range(k + 1, n):
-                q = m[k][j] // piv
-                if not q.is_zero():
-                    for i in range(k, n):
-                        m[i][j] = m[i][j] - m[i][k] * q
-                if not m[k][j].is_zero():
-                    dirty = True
-            for i in range(k + 1, n):
-                q = m[i][k] // piv
-                if not q.is_zero():
-                    for j in range(k, n):
-                        m[i][j] = m[i][j] - m[k][j] * q
-                if not m[i][k].is_zero():
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix
-            fix = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if not m[i][j].divmod(piv)[1].is_zero():
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            for j in range(k, n):
-                m[k][j] = m[k][j] + m[fix][j]
-        divisors.append(m[k][k].monic())
-    # enforce the divisibility chain (already guaranteed by the pivot rule)
-    for a, b in zip(divisors, divisors[1:]):
-        if not b.divmod(a)[1].is_zero():  # pragma: no cover
-            raise InternalCheckError("SNF divisor chain broken")
-    return divisors

@@ -89,12 +89,9 @@ def _hensel_lift_list(f, p, target, local):
 
     g0 = prod_mod_p(left)
     h0 = prod_mod_p(right)
-    dd, uu, vv = _generic_xgcd(R, g0, h0)
+    dd, uu, vv = gpoly.xgcd(R, g0, h0)
     if gpoly.deg(dd) != 0:  # pragma: no cover - factors are coprime
         raise InternalCheckError("Hensel halves not coprime")
-    c = R.inv(dd[0])
-    uu = gpoly.scale(R, uu, c)
-    vv = gpoly.scale(R, vv, c)
     g, h = _hensel_pair(
         f.reduce_coeffs_mod(p ** target),
         _lift_generic(field, R, g0), _lift_generic(field, R, h0),
@@ -102,18 +99,6 @@ def _hensel_lift_list(f, p, target, local):
         p, target)
     return (_hensel_lift_list(g, p, target, left)
             + _hensel_lift_list(h, p, target, right))
-
-
-def _generic_xgcd(F, a, b):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [F.one()], []
-    t0, t1 = [], [F.one()]
-    while r1:
-        q, r = gpoly.divmod_poly(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, gpoly.sub(F, s0, gpoly.mul(F, q, s1))
-        t0, t1 = t1, gpoly.sub(F, t0, gpoly.mul(F, q, t1))
-    return r0, s0, t0
 
 
 def factor_squarefree_bivariate(f, seed=0):

@@ -134,13 +134,6 @@ class BiPoly:
             out.append(FqPoly(new_field, [fn(e) for e in c.coeffs]))
         return BiPoly(new_field, out)
 
-    def eval_x_fqpoly(self, val):
-        """Evaluate x := val with val in A (used for resultant checks)."""
-        out = FqPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            out = out * val + c
-        return out
-
     def to_str(self, tvar="T", xvar="x"):
         if not self.coeffs:
             return "0"

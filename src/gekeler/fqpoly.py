@@ -3,10 +3,13 @@
 The coefficient tuple lists coefficients by increasing degree; the zero
 polynomial is the empty tuple and its degree is the sentinel NEG_INF,
 which compares below every integer so degree bounds never need a special
-case.  Values are immutable and hashable.
+case.  Values are immutable and hashable.  The arithmetic is gpoly's: each
+operator passes the coefficient tuples to gpoly and wraps the normalised
+tuple it returns without scanning or copying it again.
 """
 
 from .errors import InputError
+from . import gpoly
 
 NEG_INF = float("-inf")
 
@@ -15,11 +18,8 @@ class FqPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        self.coeffs = gpoly.normalize(coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -39,10 +39,6 @@ class FqPoly:
     def gen(field):
         """The variable itself (T)."""
         return FqPoly(field, (0, 1))
-
-    @staticmethod
-    def from_int_coeffs(field, ints):
-        return FqPoly(field, [field.from_int(c) for c in ints])
 
     # -- basic structure --------------------------------------------------
 
@@ -83,46 +79,25 @@ class FqPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return FqPoly(F, out)
+        return _wrap(self.field, gpoly.add(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        F = self.field
-        return FqPoly(F, [F.neg(c) for c in self.coeffs])
+        return _wrap(self.field, gpoly.neg(self.field, self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _wrap(self.field, gpoly.sub(self.field, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly(F, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return FqPoly(F, out)
+        return _wrap(self.field, gpoly.mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c):
-        F = self.field
-        if c == 0:
-            return FqPoly(F, ())
-        return FqPoly(F, [F.mul(a, c) for a in self.coeffs])
+        return _wrap(self.field, gpoly.scale(self.field, self.coeffs, c))
 
     def shift(self, k):
         """Multiply by T^k."""
         if not self.coeffs:
             return self
-        return FqPoly(self.field, (0,) * k + self.coeffs)
+        return _wrap(self.field, (0,) * k + self.coeffs)
 
     def __pow__(self, n):
         out = FqPoly.one(self.field)
@@ -135,26 +110,8 @@ class FqPoly:
         return out
 
     def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FqPoly(F, ()), self
-        quot = [0] * (dq + 1)
-        inv_lead = F.inv(other.lead())
-        ob = other.coeffs
-        db = len(ob) - 1
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            c = F.mul(c, inv_lead)
-            quot[i - db] = c
-            for j, bj in enumerate(ob):
-                rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, bj))
-        return FqPoly(F, quot), FqPoly(F, rem)
+        quot, rem = gpoly.divmod_poly(self.field, self.coeffs, other.coeffs)
+        return _wrap(self.field, quot), _wrap(self.field, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -174,29 +131,10 @@ class FqPoly:
     def monic(self):
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def eval(self, x):
-        """Evaluate at a field element."""
-        F = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
-        return out
+        return _wrap(self.field, gpoly.monic(self.field, self.coeffs))
 
     def derivative(self):
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(i % F.p, self.coeffs[i]))
-        return FqPoly(F, out)
-
-    def compose(self, other):
-        """self(other(T))."""
-        out = FqPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            out = out * other + FqPoly.const(self.field, c)
-        return out
+        return _wrap(self.field, gpoly.derivative(self.field, self.coeffs))
 
     # -- rendering --------------------------------------------------------
 
@@ -226,28 +164,23 @@ class FqPoly:
         return f"FqPoly({self.to_str()})"
 
 
+def _wrap(field, coeffs):
+    """FqPoly around a gpoly result, which is already a normalised tuple."""
+    out = object.__new__(FqPoly)
+    out.field = field
+    out.coeffs = coeffs
+    return out
+
+
 def poly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _wrap(a.field, gpoly.gcd(a.field, a.coeffs, b.coeffs))
 
 
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, u, v) with g = u*a + v*b, g monic or zero."""
     F = a.field
-    r0, r1 = a, b
-    s0, s1 = FqPoly.one(F), FqPoly.zero(F)
-    t0, t1 = FqPoly.zero(F), FqPoly.one(F)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lead())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    return tuple(_wrap(F, c) for c in gpoly.xgcd(F, a.coeffs, b.coeffs))
 
 
 def poly_lcm(a, b):
@@ -267,14 +200,8 @@ def gcd_list(polys, field):
 
 
 def powmod(base, n, modulus):
-    out = FqPoly.one(base.field)
-    base = base % modulus
-    while n:
-        if n & 1:
-            out = (out * base) % modulus
-        base = (base * base) % modulus
-        n >>= 1
-    return out
+    F = base.field
+    return _wrap(F, gpoly.powmod(F, base.coeffs, n, modulus.coeffs))
 
 
 def factor_fq_univariate(g, seed=0):
@@ -283,41 +210,13 @@ def factor_fq_univariate(g, seed=0):
     Returns [(monic irreducible FqPoly, multiplicity), ...]; the product
     of the factors with multiplicity is monic(g).
     """
-    from . import gpoly
-    out = []
-    for coeffs, mult in gpoly.factor(g.field, list(g.coeffs), seed=seed):
-        out.append((FqPoly(g.field, coeffs), mult))
-    return out
+    return [(_wrap(g.field, tuple(coeffs)), mult)
+            for coeffs, mult in gpoly.factor(g.field, g.coeffs, seed=seed)]
 
 
 def is_irreducible(f):
     """Rabin irreducibility test for a nonconstant polynomial over F_q."""
-    if f.degree < 1:
-        return False
-    d = int(f.degree)
-    if d == 1:
-        return True
-    F = f.field
-    q = F.q
-    x = FqPoly.gen(F)
-    if powmod(x, q ** d, f) != x % f:
-        return False
-    dd = d
-    primes = []
-    e = 2
-    while e * e <= dd:
-        if dd % e == 0:
-            primes.append(e)
-            while dd % e == 0:
-                dd //= e
-        e += 1
-    if dd > 1:
-        primes.append(dd)
-    for ell in primes:
-        h = powmod(x, q ** (d // ell), f) - x
-        if not poly_gcd(f, h).is_one():
-            return False
-    return True
+    return gpoly.is_irreducible(f.field, f.coeffs)
 
 
 def monic_irreducibles(field, degree):
@@ -330,15 +229,8 @@ def monic_irreducibles(field, degree):
             coeffs.append(n % q)
             n //= q
         coeffs.append(1)
-        f = FqPoly(field, coeffs)
-        if is_irreducible(f):
-            yield f
-
-
-def primes_up_to(field, max_degree):
-    """Monic irreducibles of degree <= max_degree in (degree, encoding) order."""
-    for d in range(1, max_degree + 1):
-        yield from monic_irreducibles(field, d)
+        if gpoly.is_irreducible(field, coeffs):
+            yield _wrap(field, tuple(coeffs))
 
 
 def poly_order_key(p):

@@ -11,19 +11,13 @@ plenty at the field sizes this package ever touches.
 """
 
 from .errors import InputError, InternalCheckError
+from . import gpoly
 
 _FIELD_CACHE = {}
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return gpoly.prime_divisors(n) == [n]
 
 
 class GF:
@@ -52,97 +46,23 @@ class GF:
             n //= self.p
         return out
 
-    def _modp_poly_mul(self, a, b):
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def _modp_poly_rem(self, a, m):
-        p = self.p
-        a = list(a)
-        dm = len(m) - 1
-        inv_lead = pow(m[-1], p - 2, p)
-        while len(a) - 1 >= dm and a:
-            if a[-1] == 0:
-                a.pop()
-                continue
-            c = (a[-1] * inv_lead) % p
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    def _modp_poly_gcd(self, a, b):
-        p = self.p
-        a, b = list(a), list(b)
-        while b:
-            a = self._modp_poly_rem(a, b + [])
-            a, b = b, a
-        return a
-
-    def _modp_is_irreducible(self, m):
-        # Rabin: m (degree d) is irreducible iff x^(p^d) = x mod m and
-        # gcd(x^(p^(d/l)) - x, m) = 1 for every prime l | d.
-        d = len(m) - 1
-        if d == 1:
-            return True
-        x = [0, 1]
-
-        def frob(poly):
-            # poly -> poly^p mod m
-            acc = [1]
-            base = poly
-            k = self.p
-            while k:
-                if k & 1:
-                    acc = self._modp_poly_rem(self._modp_poly_mul(acc, base), m)
-                base = self._modp_poly_rem(self._modp_poly_mul(base, base), m)
-                k >>= 1
-            return acc
-
-        powers = [x]
-        cur = x
-        for _ in range(d):
-            cur = frob(cur)
-            powers.append(cur)
-        if powers[d] != x:
-            return False
-        for ell in set(_prime_divisors(d)):
-            diff = list(powers[d // ell])
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % self.p
-            while diff and diff[-1] == 0:
-                diff.pop()
-            g = self._modp_poly_gcd(m, diff)
-            if len(g) - 1 > 0:
-                return False
-        return True
-
     def _least_irreducible_modulus(self):
-        e = self.e
-        for low in range(self.p ** e):
-            m = tuple(self._poly_digits(low, e)) + (1,)
-            if self._modp_is_irreducible(list(m)):
+        Fp = gf(self.p)
+        for low in range(self.p ** self.e):
+            m = tuple(self._poly_digits(low, self.e)) + (1,)
+            if gpoly.is_irreducible(Fp, m):
                 return m
         raise InternalCheckError("no irreducible modulus found")  # pragma: no cover
 
     def _build_tables(self):
         q, p, e = self.q, self.p, self.e
-        m = list(self.modulus)
+        Fp = gf(p)
+        m = self.modulus
 
         def mul_raw(a, b):
             da = self._poly_digits(a, e)
             db = self._poly_digits(b, e)
-            prod = self._modp_poly_rem(self._modp_poly_mul(da, db), m)
+            prod = gpoly.rem(Fp, gpoly.mul(Fp, da, db), m)
             n = 0
             for c in reversed(prod):
                 n = n * p + c
@@ -150,7 +70,6 @@ class GF:
 
         # find a multiplicative generator
         for g in range(2, q):
-            seen = 1
             cur = g
             n = 1
             while cur != 1:
@@ -219,9 +138,6 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -270,20 +186,6 @@ class GF:
         return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def gf(p, e=1):
     """Shared, cached field instance for (p, e)."""
     key = (p, e)
@@ -294,17 +196,15 @@ def gf(p, e=1):
 
 def gf_of_order(q):
     """Field with exactly q elements; q must be a prime power."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                break
-            return gf(p, e)
-    raise InputError(f"{q} is not a prime power")
+    primes = gpoly.prime_divisors(q)
+    if len(primes) != 1:
+        raise InputError(f"{q} is not a prime power")
+    p = primes[0]
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return gf(p, e)
 
 
 _EMBED_CACHE = {}
@@ -324,20 +224,15 @@ def embedding(sub, sup):
     key = (sub.p, sub.e, sup.e)
     if key in _EMBED_CACHE:
         return _EMBED_CACHE[key]
-    # image of each F_p digit place: powers of the chosen root
+    # the modulus has F_p digits c < p, which are the same ints in sup
     root = None
     for cand in range(sup.q):
-        acc = 0
-        power = 1
-        for c in sub.modulus:
-            if c:
-                acc = sup.add(acc, sup.mul(c % sup.p, power))
-            power = sup.mul(power, cand)
-        if acc == 0:
+        if gpoly.eval_poly(sup, sub.modulus, cand) == 0:
             root = cand
             break
     if root is None:  # pragma: no cover - roots exist whenever e1 | e2
         raise InternalCheckError("modulus has no root in the extension")
+    # image of each F_p digit place: powers of the chosen root
     powers = [1]
     for _ in range(sub.e - 1):
         powers.append(sup.mul(powers[-1], root))

@@ -1,8 +1,11 @@
-"""Generic dense polynomial arithmetic and factorization over a finite field.
+"""Dense polynomial arithmetic and factorization over a finite field.
 
-Polynomials are plain lists/tuples of element values of a field object
-following the gf.GF protocol (GF itself, or residue.ResidueField), by
-increasing degree with no trailing zeros.  Factorization is squarefree
+This is the one polynomial kernel of the package: fqpoly.FqPoly, the
+residue fields A/p and the moduli of GF(p^e) all run on it.  Polynomials
+are tuples of element values of a field object following the gf.GF
+protocol (GF itself, or residue.ResidueField), by increasing degree with
+no trailing zeros; inputs may be lists or tuples, and every polynomial
+returned is such a normalised tuple.  Factorization is squarefree
 decomposition, then distinct-degree splitting, then equal-degree
 splitting; the equal-degree stage draws candidates from a seeded PRNG so
 every run is reproducible.
@@ -17,7 +20,7 @@ def normalize(c):
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
-    return list(c[:n])
+    return tuple(c[:n]) if n < len(c) else tuple(c)
 
 
 def deg(c):
@@ -34,16 +37,19 @@ def add(F, a, b):
 
 
 def neg(F, a):
-    return [F.neg(x) for x in a]
+    return tuple([F.neg(x) for x in a])
 
 
 def sub(F, a, b):
-    return add(F, a, neg(F, b))
+    out = list(a) + [F.zero()] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] = F.sub(out[i], x)
+    return normalize(out)
 
 
 def mul(F, a, b):
     if not a or not b:
-        return []
+        return ()
     out = [F.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -55,17 +61,17 @@ def mul(F, a, b):
 
 def scale(F, a, c):
     if not c:
-        return []
+        return ()
     return normalize([F.mul(x, c) for x in a])
 
 
 def divmod_poly(F, a, b):
     if not b:
-        raise ZeroDivisionError("generic polynomial division by zero")
-    rem = list(a)
+        raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], normalize(rem)
+    if len(a) - 1 < db:
+        return (), normalize(a)
+    rem = list(a)
     inv_lead = F.inv(b[-1])
     quot = [F.zero()] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
@@ -85,19 +91,35 @@ def rem(F, a, b):
 
 def monic(F, a):
     if not a or a[-1] == F.one():
-        return list(a)
+        return normalize(a)
     return scale(F, a, F.inv(a[-1]))
 
 
 def gcd(F, a, b):
-    a, b = list(a), list(b)
+    """Monic gcd; gcd(0, 0) = 0."""
     while b:
         a, b = b, rem(F, a, b)
     return monic(F, a)
 
 
+def xgcd(F, a, b):
+    """Extended gcd: (g, u, v) with g = u*a + v*b, g monic or zero."""
+    r0, r1 = normalize(a), normalize(b)
+    s0, s1 = (F.one(),), ()
+    t0, t1 = (), (F.one(),)
+    while r1:
+        q, r = divmod_poly(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(F, s0, mul(F, q, s1))
+        t0, t1 = t1, sub(F, t0, mul(F, q, t1))
+    if not r0:
+        return r0, s0, t0
+    c = F.inv(r0[-1])
+    return scale(F, r0, c), scale(F, s0, c), scale(F, t0, c)
+
+
 def powmod(F, base, n, modulus):
-    out = [F.one()]
+    out = (F.one(),)
     base = rem(F, base, modulus)
     while n:
         if n & 1:
@@ -123,6 +145,26 @@ def eval_poly(F, a, x):
     return out
 
 
+def prime_divisors(n):
+    """Distinct prime divisors of an integer n >= 1, increasing."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def elt_key(c):
+    """Sort key of a field element: an int, or a residue coefficient tuple."""
+    return c if isinstance(c, int) else (len(c), c)
+
+
 def _pth_root_poly(F, a):
     """Inverse Frobenius on coefficients of a polynomial in x^p."""
     p = F.char
@@ -138,8 +180,7 @@ def squarefree_decomposition(F, f):
     out = {}
 
     def accumulate(g, m):
-        key = tuple(g)
-        out[key] = out.get(key, 0) + m
+        out[g] = out.get(g, 0) + m
 
     def walk(f, mult):
         fp = derivative(F, f)
@@ -161,17 +202,16 @@ def squarefree_decomposition(F, f):
             walk(_pth_root_poly(F, c), mult * F.char)
 
     walk(monic(F, f), 1)
-    return [(list(k), m) for k, m in out.items()]
+    return list(out.items())
 
 
 def distinct_degree(F, f):
     """Squarefree monic f -> list of (product of irreducibles of degree d, d)."""
     q = F.order
     out = []
-    x = [F.zero(), F.one()]
-    h = list(x)
+    x = (F.zero(), F.one())
+    h = x
     d = 0
-    f = list(f)
     while deg(f) >= 1:
         d += 1
         if 2 * d > deg(f):
@@ -214,12 +254,12 @@ def equal_degree(F, f, d, rng):
             break
         if q % 2 == 1:
             s = powmod(F, r, (q ** d - 1) // 2, f)
-            g = gcd(F, f, sub(F, s, [F.one()]))
+            g = gcd(F, f, sub(F, s, (F.one(),)))
         else:
             # trace map for characteristic 2
             k = d * (q.bit_length() - 1)
-            s = list(r)
-            acc = list(r)
+            s = r
+            acc = r
             for _ in range(k - 1):
                 acc = powmod(F, acc, 2, f)
                 s = add(F, s, acc)
@@ -246,49 +286,25 @@ def factor(F, f, seed=0):
     for sqf, m in squarefree_decomposition(F, f):
         for prod, d in distinct_degree(F, sqf):
             for irr in equal_degree(F, prod, d, rng):
-                result.append((monic(F, irr), m))
-    result.sort(key=lambda t: (len(t[0]), [_elt_key(c) for c in reversed(t[0])]))
+                result.append((list(monic(F, irr)), m))
+    result.sort(key=lambda t: (len(t[0]), [elt_key(c) for c in reversed(t[0])]))
     return result
 
 
-def _elt_key(c):
-    return c if isinstance(c, int) else (len(c), c)
-
-
 def is_irreducible(F, f):
-    """Rabin test over a generic field."""
+    """Rabin test: f of degree n is irreducible iff x^(q^n) = x mod f and
+    gcd(x^(q^(n/l)) - x, f) = 1 for every prime l | n."""
     n = deg(f)
     if n < 1:
         return False
     if n == 1:
         return True
     q = F.order
-    x = [F.zero(), F.one()]
+    x = (F.zero(), F.one())
     if powmod(F, x, q ** n, f) != rem(F, x, f):
         return False
-    nn = n
-    primes = []
-    d = 2
-    while d * d <= nn:
-        if nn % d == 0:
-            primes.append(d)
-            while nn % d == 0:
-                nn //= d
-        d += 1
-    if nn > 1:
-        primes.append(nn)
-    for ell in primes:
+    for ell in prime_divisors(n):
         h = sub(F, powmod(F, x, q ** (n // ell), f), x)
         if deg(gcd(F, f, h)) > 0:
             return False
     return True
-
-
-def roots(F, f, seed=0):
-    """Roots in F of a nonzero polynomial, sorted by element key."""
-    out = []
-    for fac, _ in factor(F, f, seed=seed):
-        if deg(fac) == 1:
-            out.append(F.neg(fac[0]))
-    out.sort(key=_elt_key)
-    return out

@@ -199,7 +199,7 @@ class FracIdeal:
     def index_in(self, sub):
         """[self : sub] for sub subseteq self, as a monic element of A.
 
-        The index ideal is the product of the elementary divisors of the
+        The index ideal is generated by the determinant of the
         change-of-basis matrix.
         """
         self._check_ctx(sub)
@@ -215,11 +215,7 @@ class FracIdeal:
                     f"generator {witness.to_str()} lies outside the bigger lattice")
             x_cols.append(sol)
         x = [[x_cols[j][i] for j in range(r)] for i in range(r)]
-        divisors = amatrix.snf_elementary_divisors(x)
-        out = FqPoly.one(self.ctx.field)
-        for d in divisors:
-            out = out * d
-        return out.monic()
+        return amatrix.det(x).monic()
 
     def is_multiplicatively_closed(self):
         den2 = self.den * self.den
@@ -252,13 +248,12 @@ class FracIdeal:
 class Order:
     """An A-order in K, wrapped around its lattice."""
 
-    __slots__ = ("ideal", "_mult_table")
+    __slots__ = ("ideal",)
 
     def __init__(self, ideal, check=True):
         if check and not ideal.is_order_lattice():
             raise InputError("lattice is not a ring containing 1")
         self.ideal = ideal
-        self._mult_table = None
 
     @staticmethod
     def monogenic(ctx):
@@ -283,17 +278,6 @@ class Order:
 
     def contains(self, other):
         return self.ideal.contains(other.ideal)
-
-    def index_in_self(self, sub):
-        return self.ideal.index_in(sub.ideal)
-
-    def multiplication_table(self):
-        """Products of basis elements, as KElements (cached)."""
-        if self._mult_table is None:
-            basis = self.basis_elements()
-            self._mult_table = tuple(
-                tuple(a * b for b in basis) for a in basis)
-        return self._mult_table
 
     def to_json_dict(self):
         return self.ideal.to_json_dict()

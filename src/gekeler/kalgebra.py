@@ -157,21 +157,16 @@ def split_local_components(alg):
         z, m, parts = split
         for part in parts:
             cof = gpoly.divmod_poly(k, m, part)[0]
-            g, u, _ = _xgcd(k, cof, part)
+            g, u, _ = gpoly.xgcd(k, cof, part)
             if gpoly.deg(g) != 0:  # pragma: no cover - parts are coprime
                 raise InternalCheckError("primary parts not coprime")
-            u = gpoly.scale(k, u, k.inv(g[0]))
             e_new = alg.mul(alg.eval_poly(u, z, identity=eps),
                             alg.eval_poly(cof, z, identity=eps))
             if alg.mul(e_new, e_new) != e_new:  # pragma: no cover
                 raise InternalCheckError("split produced a non-idempotent")
             work.append(e_new)
-    final.sort(key=lambda v: [_ek(c) for c in v])
+    final.sort(key=lambda v: [gpoly.elt_key(c) for c in v])
     return final
-
-
-def _ek(c):
-    return c if isinstance(c, int) else (len(c), c)
 
 
 def _primary_parts(k, m):
@@ -181,22 +176,10 @@ def _primary_parts(k, m):
         key = tuple(fac)
         parts[key] = parts.get(key, 0) + mult
     out = []
-    for key in sorted(parts, key=lambda t: (len(t), [_ek(c) for c in t])):
-        fac = list(key)
-        power = [k.one()]
-        for _ in range(parts[key]):
+    for fac in sorted(parts,
+                      key=lambda t: (len(t), [gpoly.elt_key(c) for c in t])):
+        power = (k.one(),)
+        for _ in range(parts[fac]):
             power = gpoly.mul(k, power, fac)
         out.append(power)
     return out
-
-
-def _xgcd(k, a, b):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [k.one()], []
-    t0, t1 = [], [k.one()]
-    while r1:
-        q, r = gpoly.divmod_poly(k, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, gpoly.sub(k, s0, gpoly.mul(k, q, s1))
-        t0, t1 = t1, gpoly.sub(k, t0, gpoly.mul(k, q, t1))
-    return r0, s0, t0

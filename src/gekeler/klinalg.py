@@ -52,15 +52,6 @@ def in_span(k, basis_rref, pivots, vec):
     return all(e == k.zero() for e in v)
 
 
-def reduce_mod_span(k, basis_rref, pivots, vec):
-    v = list(vec)
-    for row, piv in zip(basis_rref, pivots):
-        c = v[piv]
-        if c != k.zero():
-            v = [k.sub(v[j], k.mul(c, row[j])) for j in range(len(v))]
-    return tuple(v)
-
-
 def kernel(k, rows):
     """Basis of the right kernel of an m x n matrix."""
     if not rows:
@@ -120,12 +111,6 @@ def matmul_vec(k, rows, vec):
                 acc = k.add(acc, k.mul(a, b))
         out.append(acc)
     return tuple(out)
-
-
-def mat_pow_apply(k, rows, vec, n):
-    for _ in range(n):
-        vec = matmul_vec(k, rows, vec)
-    return vec
 
 
 def intersect_spans(k, basis1, basis2):

@@ -2,12 +2,14 @@
 
 Exposes the same element protocol as gf.GF (zero/one/add/mul/inv/...),
 with element values being the coefficient tuples of the canonical
-representatives of degree < deg p.  This lets every generic polynomial
-routine run over A/p exactly as it runs over F_q.
+representatives of degree < deg p, which are gpoly polynomials over F_q:
+the field operations are gpoly's, reduced mod p.  This lets every generic
+polynomial routine run over A/p exactly as it runs over F_q.
 """
 
 from .errors import InputError
-from .fqpoly import FqPoly, poly_xgcd, is_irreducible
+from .fqpoly import FqPoly, is_irreducible
+from . import gpoly
 
 
 class ResidueField:
@@ -38,42 +40,27 @@ class ResidueField:
         return (poly % self.p).coeffs
 
     def add(self, a, b):
-        F = self.base
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        n = len(out)
-        while n and out[n - 1] == 0:
-            n -= 1
-        return tuple(out[:n])
+        return gpoly.add(self.base, a, b)
 
     def neg(self, a):
-        F = self.base
-        return tuple(F.neg(c) for c in a)
+        return gpoly.neg(self.base, a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return gpoly.sub(self.base, a, b)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        prod = self.lift(a) * self.lift(b)
-        if prod.degree < self.d:
-            return prod.coeffs
-        return (prod % self.p).coeffs
+        prod = gpoly.mul(self.base, a, b)
+        if len(prod) <= self.d:
+            return prod
+        return gpoly.rem(self.base, prod, self.p.coeffs)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in residue field")
-        g, u, _ = poly_xgcd(self.lift(a), self.p)
-        if not g.is_one():  # pragma: no cover - p is irreducible
+        g, u, _ = gpoly.xgcd(self.base, a, self.p.coeffs)
+        if g != (1,):  # pragma: no cover - p is irreducible
             raise ZeroDivisionError("non-invertible residue")
-        return (u % self.p).coeffs
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return u
 
     def pow(self, a, n):
         if n < 0:
@@ -95,10 +82,7 @@ class ResidueField:
             for _ in range(d):
                 coeffs.append(m % q)
                 m //= q
-            k = len(coeffs)
-            while k and coeffs[k - 1] == 0:
-                k -= 1
-            yield tuple(coeffs[:k])
+            yield gpoly.normalize(coeffs)
 
     def from_int(self, n):
         c = self.base.from_int(n)

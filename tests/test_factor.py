@@ -96,6 +96,34 @@ def test_factor_over_residue_field():
     assert all(m == 1 and gpoly.deg(g) == 1 for g, m in fac)
 
 
+def test_xgcd_bezout_with_monic_gcd():
+    # over GF(9) and over a degree-2 residue field, the two kinds of field
+    # the Hensel split and the idempotent split run xgcd over
+    F3 = gf(3)
+    T = FqPoly.gen(F3)
+    R = ResidueField(T ** 2 + FqPoly.one(F3))
+    rng = random.Random(43)
+    for F in (gf(3, 2), R):
+        els = list(F.elements())
+        for _ in range(40):
+            common = gpoly.normalize([rng.choice(els) for _ in range(2)])
+            a = gpoly.mul(F, common, gpoly.normalize(
+                [rng.choice(els) for _ in range(4)]))
+            b = gpoly.mul(F, common, gpoly.normalize(
+                [rng.choice(els) for _ in range(3)]))
+            g, u, v = gpoly.xgcd(F, a, b)
+            assert g == gpoly.add(F, gpoly.mul(F, u, a), gpoly.mul(F, v, b))
+            assert g == gpoly.gcd(F, a, b)
+            if a or b:
+                assert g[-1] == F.one()
+            else:
+                assert g == ()
+        for a in els:
+            if a:
+                assert F.mul(a, F.inv(a)) == F.one()
+    assert all(len(R.inv(a)) <= R.d for a in R.elements() if a)
+
+
 def test_residue_field_is_a_field():
     F = gf(2)
     T = FqPoly.gen(F)

@@ -116,3 +116,22 @@ def test_powmod_matches_naive():
     for _ in range(10):
         naive = (naive * base) % mod
     assert powmod(base, 10, mod) == naive
+
+
+def test_operator_results_are_normalised():
+    # operators wrap gpoly's tuples without re-normalising them
+    rng = random.Random(41)
+    for p, e in ((3, 1), (2, 2), (3, 2)):
+        F = gf(p, e)
+        for _ in range(60):
+            a = rand_poly(F, 4, rng)
+            # b shares a's top coefficients, so a - b and a + (-b) cancel
+            b = a + rand_poly(F, 2, rng)
+            c = rand_poly(F, 3, rng)
+            results = [a + b, a - b, b - a, a + (-b), a * c, -a, a.monic()]
+            if not c.is_zero():
+                results.extend(a.divmod(c))
+            for res in results:
+                assert isinstance(res.coeffs, tuple)
+                assert not res.coeffs or res.coeffs[-1] != 0
+                assert res == FqPoly(F, list(res.coeffs))

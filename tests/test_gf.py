@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gekeler.gf import GF, gf, gf_of_order, embedding
@@ -32,6 +34,29 @@ def test_modulus_is_deterministic_least():
     assert GF(3, 2).modulus == gf(3, 2).modulus
 
 
+# moduli of every GF(p^e), e > 1, with p^e <= 256; rendered elements of
+# the non-prime fields depend on them
+MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1),
+    64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1), 121: (1, 0, 1),
+    125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1), 169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
+
+
+def test_moduli_of_all_small_extension_fields():
+    got = {}
+    for q in range(2, 257):
+        try:
+            F = gf_of_order(q)
+        except InputError:
+            continue
+        if F.e > 1:
+            got[q] = F.modulus
+    assert got == MODULI
+
+
 def test_gf_of_order():
     assert gf_of_order(9) is gf(3, 2)
     assert gf_of_order(8) is gf(2, 3)
@@ -39,6 +64,16 @@ def test_gf_of_order():
         gf_of_order(6)
     with pytest.raises(InputError):
         gf_of_order(1)
+
+
+def test_gf_of_order_large_prime_is_fast():
+    p = 1_000_000_007
+    t0 = time.perf_counter()
+    F = gf_of_order(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert (F.p, F.e) == (p, 1)
+    with pytest.raises(InputError):
+        gf_of_order(2 * p)
 
 
 def test_embedding_is_a_field_hom():

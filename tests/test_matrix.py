@@ -81,36 +81,25 @@ def test_hnf_rejects_rank_deficient():
         amatrix.hnf([[T, z], [z, z]])
 
 
-def test_snf_examples():
+def test_index_is_monic_det_of_change_of_basis_random():
+    # small = big * m, so [big : small] is generated by det(m)
+    from gekeler.context import AlgebraContext
+    from gekeler.ideals import FracIdeal, index_ideal
+    from gekeler.parse import parse_bipoly
     F = gf(3)
-    T = FqPoly.gen(F)
-    z = FqPoly.zero(F)
-    assert [d.to_str() for d in
-            amatrix.snf_elementary_divisors([[T, z], [z, T ** 2]])] == ["T", "T^2"]
-    eye = amatrix.mat_identity(F, 4)
-    assert all(d.is_one() for d in amatrix.snf_elementary_divisors(eye))
-    with pytest.raises(InputError):
-        amatrix.snf_elementary_divisors([[T, T], [T, T]])
-
-
-def test_snf_det_product_and_chain_random():
-    F = gf(3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+    one = FqPoly.one(F)
     rng = random.Random(31)
     done = 0
     while done < 30:
+        b = [[rand_poly(F, 2, rng) for _ in range(2)] for _ in range(2)]
         m = [[rand_poly(F, 2, rng) for _ in range(2)] for _ in range(2)]
-        d = amatrix.det(m)
-        if d.is_zero():
+        if amatrix.det(b).is_zero() or amatrix.det(m).is_zero():
             continue
         done += 1
-        divs = amatrix.snf_elementary_divisors(m)
-        prod = FqPoly.one(F)
-        for dv in divs:
-            assert dv.is_monic()
-            prod = prod * dv
-        assert prod == d.monic()
-        for a, b in zip(divs, divs[1:]):
-            assert a.divides(b)
+        big = FracIdeal(ctx, b, one)
+        small = FracIdeal(ctx, amatrix.mat_mul(b, m), one)
+        assert index_ideal(big, small) == amatrix.det(m).monic()
 
 
 def test_kernel_is_exact():
