@@ -14,8 +14,7 @@ from .bipoly import BiPoly, discriminant, infinity_model
 from .bifactor import is_irreducible_bivariate
 from .parse import parse_bipoly, parse_fqpoly
 from .context import AlgebraContext, KElement
-from .ideals import (FracIdeal, Order, ideal_sum, ideal_product, ideal_colon,
-                     multiplicator_ring, index_ideal, ideal_contains, ideal_eq)
+from .ideals import FracIdeal, Order, multiplicator_ring, index_ideal
 from .amatrix import hnf
 from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,

@@ -196,14 +196,6 @@ def discriminant(f):
     return d.monic()
 
 
-def is_separable(f):
-    """gcd(f, df/dx) = 1 over F_q(T); for irreducible f this is df/dx != 0."""
-    fx = f.derivative_x()
-    if fx.is_zero():
-        return False
-    return not resultant_x(f, fx).is_zero()
-
-
 def infinity_model(f):
     """Monic integral model at infinity.
 

@@ -11,15 +11,12 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .errors import InputError, InternalCheckError, InseparableError
+from .errors import InputError, InternalCheckError
 from .gf import gf_of_order
 from .fqpoly import is_irreducible
 from .parse import parse_bipoly, parse_fqpoly
-from .bipoly import is_separable
-from .bifactor import is_irreducible_bivariate
 from .context import AlgebraContext
 from .ideals import Order
 from .primes import kummer_dedekind, singular_primes, discriminant_of_f
@@ -49,7 +46,6 @@ def _build_parser():
                         help="monic irreducible of F_q[T]")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("primes", help="splitting / singular primes of R")
@@ -76,20 +72,11 @@ def _build_parser():
 
 
 def _parse_job(args, need_prime=False):
-    q = args.q
-    field = gf_of_order(q)
-    f = parse_bipoly(field, args.f)
-    if f.deg_x < 1 or not f.is_monic_in_x():
-        raise InputError("f must be monic in x of degree >= 1")
-    if f.derivative_x().is_zero():
-        raise InseparableError()
-    if not is_irreducible_bivariate(f, seed=args.seed):
-        raise InputError("f reducible over F_q(T)")
-    if not is_separable(f):
-        raise InseparableError()
-    ctx = AlgebraContext(field, f, seed=args.seed, check=False)
+    field = gf_of_order(args.q)
+    ctx = AlgebraContext(field, parse_bipoly(field, args.f), seed=args.seed)
+    ctx.require_separable()
     p = None
-    if getattr(args, "prime", None) is not None:
+    if args.prime is not None:
         p = parse_fqpoly(field, args.prime)
         if not p.is_monic() or not is_irreducible(p):
             raise InputError(f"--prime {args.prime!r} is not a monic irreducible")
@@ -98,7 +85,7 @@ def _parse_job(args, need_prime=False):
     return ctx, p
 
 
-def _echo(args, ctx):
+def _echo(args, ctx, p):
     out = {
         "command": args.command,
         "version": __version__,
@@ -106,14 +93,14 @@ def _echo(args, ctx):
         "f": ctx.f.to_str(),
         "seed": args.seed,
     }
-    if getattr(args, "prime", None) is not None:
-        out["prime"] = parse_fqpoly(ctx.field, args.prime).to_str()
+    if p is not None:
+        out["prime"] = p.to_str()
     return out
 
 
 def _run_primes(args):
     ctx, p = _parse_job(args)
-    report = _echo(args, ctx)
+    report = _echo(args, ctx, p)
     if p is not None:
         split = kummer_dedekind(Order.monogenic(ctx), p)
         report.update(split.to_json_dict())
@@ -125,21 +112,21 @@ def _run_primes(args):
 
 def _run_overorders(args):
     ctx, p = _parse_job(args, need_prime=True)
-    report = _echo(args, ctx)
+    report = _echo(args, ctx, p)
     report["orders"] = p_overorders(ctx, p).to_json_list()
     return report
 
 
 def _run_icm(args):
     ctx, p = _parse_job(args, need_prime=True)
-    report = _echo(args, ctx)
+    report = _echo(args, ctx, p)
     report.update(local_icm(ctx, p).to_json_dict())
     return report
 
 
 def _run_ratio(args):
     ctx, p = _parse_job(args, need_prime=True)
-    report = _echo(args, ctx)
+    report = _echo(args, ctx, p)
     report.update(gekeler_ratio(ctx, p).to_json_dict())
     if args.level is not None:
         report["level"] = args.level
@@ -148,61 +135,25 @@ def _run_ratio(args):
     return report
 
 
-def _worker_ratio(payload):
-    q, fstr, seed, pstr = payload
-    field = gf_of_order(q)
-    ctx = AlgebraContext(field, parse_bipoly(field, fstr), seed=seed, check=False)
-    p = parse_fqpoly(field, pstr)
-    return format_fraction(gekeler_ratio(ctx, p).value)
-
-
 def _run_product(args):
-    ctx, _ = _parse_job(args)
-    report = _echo(args, ctx)
+    ctx, p = _parse_job(args)
+    report = _echo(args, ctx, p)
     pr = gekeler_product(ctx)
     report.update(pr.to_json_dict())
     if args.check_depth is not None:
-        if args.jobs > 1:
-            partials = _parallel_partials(args, ctx, pr.value)
-        else:
-            partials = []
-            for d, val in partial_products(ctx, args.check_depth):
-                gap = abs(math.log(float(val / pr.value)))
-                partials.append({"depth": d,
-                                 "value": format_fraction(val),
-                                 "log_gap": f"{gap:.6f}"})
+        partials = []
+        for d, val in partial_products(ctx, args.check_depth):
+            gap = abs(math.log(float(val / pr.value)))
+            partials.append({"depth": d,
+                             "value": format_fraction(val),
+                             "log_gap": f"{gap:.6f}"})
         report["check"] = partials
     return report
 
 
-def _parallel_partials(args, ctx, limit_value):
-    """Per-prime local ratios in a worker pool, merged in canonical order."""
-    from multiprocessing import Pool
-    from .fqpoly import monic_irreducibles
-    jobs = []
-    for d in range(1, args.check_depth + 1):
-        for p in monic_irreducibles(ctx.field, d):
-            jobs.append((d, (args.q, ctx.f.to_str(), args.seed, p.to_str())))
-    with Pool(processes=args.jobs) as pool:
-        values = pool.map(_worker_ratio, [payload for _, payload in jobs])
-    acc = Fraction(1)
-    partials = []
-    idx = 0
-    for d in range(1, args.check_depth + 1):
-        while idx < len(jobs) and jobs[idx][0] == d:
-            num, den = values[idx].split("/")
-            acc *= Fraction(int(num), int(den))
-            idx += 1
-        gap = abs(math.log(float(acc / limit_value)))
-        partials.append({"depth": d,
-                         "value": format_fraction(acc),
-                         "log_gap": f"{gap:.6f}"})
-    return partials
-
-
 def _run_zeta(args):
-    ctx, _ = _parse_job(args)
-    report = _echo(args, ctx)
+    ctx, p = _parse_job(args)
+    report = _echo(args, ctx, p)
     lp = l_polynomial(ctx)
     report["m"] = constant_field_degree(ctx)
     report["g"] = genus(ctx)
@@ -212,7 +163,7 @@ def _run_zeta(args):
 
 def _run_oracle(args):
     ctx, p = _parse_job(args)
-    report = _echo(args, ctx)
+    report = _echo(args, ctx, p)
     report["what"] = args.what
     if args.what == "commutant":
         report["dimension"] = oracle_mod.commutant_dimension(ctx)

@@ -24,6 +24,8 @@ class AlgebraContext:
         self.tvar = tvar
         self.xvar = xvar
         self.separable = not f.derivative_x().is_zero()
+        # results derived from f (orders, splittings, places), keyed by kind
+        self.cache = {}
         if check and not is_irreducible_bivariate(f, seed=seed):
             raise ReducibleError(f"f = {f.to_str(tvar, xvar)} is reducible over "
                                  f"F_{field.q}({tvar})")

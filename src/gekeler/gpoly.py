@@ -72,13 +72,14 @@ def divmod_poly(F, a, b):
     if len(a) - 1 < db:
         return (), normalize(a)
     rem = list(a)
-    inv_lead = F.inv(b[-1])
+    inv_lead = None if b[-1] == F.one() else F.inv(b[-1])
     quot = [F.zero()] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if not c:
             continue
-        c = F.mul(c, inv_lead)
+        if inv_lead is not None:
+            c = F.mul(c, inv_lead)
         quot[i - db] = c
         for j, y in enumerate(b):
             rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, y))

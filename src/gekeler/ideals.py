@@ -286,18 +286,6 @@ class Order:
         return f"Order({self.ideal!r})"
 
 
-def ideal_sum(i, j):
-    return i + j
-
-
-def ideal_product(i, j):
-    return i * j
-
-
-def ideal_colon(i, j):
-    return i.colon(j)
-
-
 def multiplicator_ring(i):
     """(I : I) as an Order."""
     return Order(i.colon(i), check=False)
@@ -306,15 +294,6 @@ def multiplicator_ring(i):
 def index_ideal(big, small):
     """[big : small] for small subseteq big."""
     return big.index_in(small)
-
-
-def ideal_contains(i, j):
-    return i.contains(j)
-
-
-def ideal_eq(i, j):
-    i._check_ctx(j)
-    return i == j
 
 
 def principal_ideal(order, z):

@@ -50,7 +50,7 @@ def p_saturation(ctx, p):
 def p_overorders(ctx, p):
     """All p-overorders of R, canonically sorted; contains R and O."""
     ctx.require_separable()
-    _require_prime(p)
+    _require_prime(ctx, p)
     base = Order.monogenic(ctx)
     sat = p_saturation(ctx, p)
     if sat.ideal == base.ideal:

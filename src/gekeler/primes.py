@@ -1,8 +1,10 @@
 """Prime splitting, discriminants, singular primes, and maximal orders.
 
 Splitting of a prime p in the monogenic order goes through Kummer-
-Dedekind with the remainder criterion for regularity; splitting in the
-maximal order decomposes the finite algebra O_K/pO_K into local factors.
+Dedekind with the remainder criterion for regularity.  Splitting in the
+maximal order is Kummer-Dedekind again at the primes not dividing the
+index [O_K:R] (Dedekind's criterion); only at the finitely many index
+primes does it decompose the finite algebra O_K/pO_K into local factors.
 The maximal order itself is obtained by radical saturation at the primes
 whose square divides disc(f), validated by the conductor-discriminant
 identity.
@@ -16,8 +18,8 @@ from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
 from .context import AlgebraContext
 from .ideals import FracIdeal, Order, index_ideal
-from .kalgebra import FiniteAlgebra, split_local_components
 from . import gpoly
+from . import kalgebra
 from . import klinalg
 from . import amatrix
 
@@ -56,15 +58,13 @@ class SplittingReport:
         }
 
 
-def _require_prime(p):
-    if not p.is_monic() or not is_irreducible(p):
-        raise InputError(f"{p.to_str()} is not a monic irreducible of F_q[T]")
-
-
-def _cache(ctx):
-    if not hasattr(ctx, "_primes_cache"):
-        ctx._primes_cache = {}
-    return ctx._primes_cache
+def _require_prime(ctx, p):
+    """Reject p unless it is a monic irreducible; tested once per context."""
+    key = ("prime", p)
+    if key not in ctx.cache:
+        if not p.is_monic() or not is_irreducible(p):
+            raise InputError(f"{p.to_str()} is not a monic irreducible of F_q[T]")
+        ctx.cache[key] = True
 
 
 def kummer_dedekind(order, p):
@@ -77,11 +77,10 @@ def kummer_dedekind(order, p):
     ctx = order.ctx
     if order.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("Kummer-Dedekind splitting needs the monogenic order")
-    _require_prime(p)
+    _require_prime(ctx, p)
     key = ("kd", p)
-    cache = _cache(ctx)
-    if key in cache:
-        return cache[key]
+    if key in ctx.cache:
+        return ctx.cache[key]
     k = ResidueField(p, check=False)
     _, fbar = ctx.f.reduce_mod(p)
     factors = gpoly.factor(k, fbar, seed=ctx.seed)
@@ -109,7 +108,7 @@ def kummer_dedekind(order, p):
         raise InternalCheckError("sum of e*f does not match the rank")
     primes.sort(key=lambda q: q.ideal.canonical_key())
     report = SplittingReport(p, tuple(primes))
-    cache[key] = report
+    ctx.cache[key] = report
     return report
 
 
@@ -175,7 +174,7 @@ def algebra_mod_p(order, p):
     if one_coords is None:  # pragma: no cover
         raise InternalCheckError("order does not contain 1")
     one = tuple(k.project(c) for c in one_coords)
-    return k, FiniteAlgebra(k, struct, one)
+    return k, kalgebra.FiniteAlgebra(k, struct, one)
 
 
 def lattice_from_subspace(order, p, vectors):
@@ -207,9 +206,8 @@ def p_radical(order, p):
 def maximal_order(ctx):
     """Integral closure O_K of A in K by p-saturation at primes of disc(f)."""
     ctx.require_separable()
-    cache = _cache(ctx)
-    if "max_order" in cache:
-        return cache["max_order"]
+    if "max_order" in ctx.cache:
+        return ctx.cache["max_order"]
     disc = discriminant(ctx.f)
     base = Order.monogenic(ctx)
     result = base
@@ -231,16 +229,15 @@ def maximal_order(ctx):
     idx = index_ideal(result.ideal, base.ideal)
     if order_discriminant(result) * idx * idx != disc:
         raise InternalCheckError("conductor-discriminant identity failed")
-    cache["max_order"] = result
+    ctx.cache["max_order"] = result
     return result
 
 
 def singular_primes(ctx):
     """Monic irreducible p of A lying below a singular prime of R."""
     ctx.require_separable()
-    cache = _cache(ctx)
-    if "singular" in cache:
-        return cache["singular"]
+    if "singular" in ctx.cache:
+        return ctx.cache["singular"]
     disc = discriminant(ctx.f)
     base = Order.monogenic(ctx)
     out = []
@@ -250,22 +247,42 @@ def singular_primes(ctx):
         if any(not q.regular for q in report.primes):
             out.append(p)
     out.sort(key=poly_order_key)
-    cache["singular"] = out
+    ctx.cache["singular"] = out
     return out
 
 
 def primes_above_in_max(ctx, p):
-    """Splitting of p in O_K via local decomposition of O_K/pO_K."""
+    """Splitting of p in O_K.
+
+    When every Kummer-Dedekind prime P of R above p is regular, p does not
+    divide [O_K:R], so R and O_K agree at p and the primes of O_K above p
+    are the P*O_K with the same e and f.  Only at the index primes is
+    O_K/pO_K decomposed into local factors.
+    """
     ctx.require_separable()
-    _require_prime(p)
-    cache = _cache(ctx)
+    _require_prime(ctx, p)
     key = ("max_split", p)
-    if key in cache:
-        return cache[key]
+    if key in ctx.cache:
+        return ctx.cache[key]
+    kd = kummer_dedekind(Order.monogenic(ctx), p)
+    if all(q.regular for q in kd.primes):
+        ok = maximal_order(ctx).ideal
+        primes = sorted((PrimeAbove(p, q.ideal * ok, q.e, q.f_res, True)
+                         for q in kd.primes),
+                        key=lambda q: q.ideal.canonical_key())
+        report = SplittingReport(p, tuple(primes))
+    else:
+        report = _primes_above_by_algebra(ctx, p)
+    ctx.cache[key] = report
+    return report
+
+
+def _primes_above_by_algebra(ctx, p):
+    """Splitting of p in O_K via local decomposition of O_K/pO_K."""
     order = maximal_order(ctx)
     k, alg = algebra_mod_p(order, p)
     nil = alg.nilradical_basis()
-    idempotents = split_local_components(alg)
+    idempotents = kalgebra.split_local_components(alg)
     comp_bases = []
     for eps in idempotents:
         vecs = [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)]
@@ -294,23 +311,18 @@ def primes_above_in_max(ctx, p):
     if sum(q.e * q.f_res for q in primes) != ctx.r:
         raise InternalCheckError("sum of e*f over O_K primes is not r")
     primes.sort(key=lambda q: q.ideal.canonical_key())
-    report = SplittingReport(p, tuple(primes))
-    cache[key] = report
-    return report
+    return SplittingReport(p, tuple(primes))
 
 
 def infinity_context(ctx):
     """Context for the monic integral model at infinity (T = 1/U)."""
     ctx.require_separable()
-    cache = _cache(ctx)
-    if "inf_ctx" not in cache:
+    if "inf_ctx" not in ctx.cache:
         from .bipoly import infinity_model
-        g, e = infinity_model(ctx.f)
-        ictx = AlgebraContext(ctx.field, g, seed=ctx.seed, check=False,
-                              tvar="U", xvar="y")
-        ictx._rescale_exponent = e
-        cache["inf_ctx"] = ictx
-    return cache["inf_ctx"]
+        g, _ = infinity_model(ctx.f)
+        ctx.cache["inf_ctx"] = AlgebraContext(ctx.field, g, seed=ctx.seed,
+                                              check=False, tvar="U", xvar="y")
+    return ctx.cache["inf_ctx"]
 
 
 def infinity_order(ctx):

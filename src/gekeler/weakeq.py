@@ -59,8 +59,8 @@ def _window_candidates(ctx):
     (S:O_K) <= I <= O_K, and (R:O_K) <= (S:O_K), so this single window
     covers all of them.  Cached per context, sorted canonically.
     """
-    if hasattr(ctx, "_window_cache"):
-        return ctx._window_cache
+    if "window" in ctx.cache:
+        return ctx.cache["window"]
     base = Order.monogenic(ctx)
     ok = maximal_order(ctx)
     conductor = base.ideal.colon(ok.ideal)
@@ -75,8 +75,9 @@ def _window_candidates(ctx):
         for sub in invariant_subspaces(ctx.field, quo.dim, mats):
             lattices.append(quo.pullback(sub))
     lattices.sort(key=lambda l: l.canonical_key())
-    ctx._window_cache = [(lat, lat.colon(lat)) for lat in lattices]
-    return ctx._window_cache
+    window = [(lat, lat.colon(lat)) for lat in lattices]
+    ctx.cache["window"] = window
+    return window
 
 
 def weak_classes(base, s_order):
@@ -84,11 +85,9 @@ def weak_classes(base, s_order):
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("weak class search needs the monogenic base order")
-    if not hasattr(ctx, "_weak_cache"):
-        ctx._weak_cache = {}
-    cache_key = s_order.canonical_key()
-    if cache_key in ctx._weak_cache:
-        return ctx._weak_cache[cache_key]
+    cache_key = ("weak", s_order.canonical_key())
+    if cache_key in ctx.cache:
+        return ctx.cache[cache_key]
     ok = maximal_order(ctx)
     if not (s_order.ideal.contains(base.ideal)
             and ok.ideal.contains(s_order.ideal)):
@@ -114,14 +113,14 @@ def weak_classes(base, s_order):
         if rep is None:  # pragma: no cover - every class meets the S-window
             raise InternalCheckError("no representative inside the S-window")
         reps.append(WeakClassRep(rep, s_order))
-    ctx._weak_cache[cache_key] = reps
+    ctx.cache[cache_key] = reps
     return reps
 
 
 def locally_weakly_equivalent(i, j, p):
     """I_p ~ J_p: the product (I:J)(J:I) meets R outside every prime above p."""
     ctx = i.ctx
-    _require_prime(p)
+    _require_prime(ctx, p)
     prod = i.colon(j) * j.colon(i)
     base = Order.monogenic(ctx)
     inside = prod.intersect(base.ideal)
@@ -144,7 +143,7 @@ def local_weak_classes(base, s_order, p):
 def local_icm(ctx, p, force_full=False):
     """ICM of the completion at p as a disjoint union of local weak classes."""
     ctx.require_separable()
-    _require_prime(p)
+    _require_prime(ctx, p)
     base = Order.monogenic(ctx)
     if not force_full and p not in singular_primes(ctx):
         cls = WeakClassRep(base.ideal, base)

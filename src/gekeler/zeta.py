@@ -81,9 +81,8 @@ def _poly_roots_complex(coeffs, iterations=600):
 def constant_field_degree(ctx):
     """Degree m of the full constant field F_{q^m} of K."""
     ctx.require_separable()
-    cache = _zcache(ctx)
-    if "m" in cache:
-        return cache["m"]
+    if "m" in ctx.cache:
+        return ctx.cache["m"]
     r = ctx.r
     field = ctx.field
     divisors = sorted((i for i in range(1, r + 1) if r % i == 0), reverse=True)
@@ -97,21 +96,14 @@ def constant_field_degree(ctx):
         if count_irreducible_factors(fi, seed=ctx.seed) == i:
             m = i
             break
-    cache["m"] = m
+    ctx.cache["m"] = m
     return m
-
-
-def _zcache(ctx):
-    if not hasattr(ctx, "_zeta_cache"):
-        ctx._zeta_cache = {}
-    return ctx._zeta_cache
 
 
 def genus(ctx):
     """Genus over the full constant field, from the two discriminants."""
-    cache = _zcache(ctx)
-    if "g" in cache:
-        return cache["g"]
+    if "g" in ctx.cache:
+        return ctx.cache["g"]
     m = constant_field_degree(ctx)
     d_fin = order_discriminant(maximal_order(ctx))
     d_inf = order_discriminant(infinity_order(ctx))
@@ -128,7 +120,7 @@ def genus(ctx):
     if g.denominator != 1 or g < 0:
         raise InternalCheckError(
             f"genus formula gave {g}; splitting or model data is inconsistent")
-    cache["g"] = int(g)
+    ctx.cache["g"] = int(g)
     return int(g)
 
 
@@ -136,10 +128,9 @@ def count_places(ctx, d):
     """Number of places of K of F_q-degree d (finite and infinite)."""
     if d < 1:
         raise InputError("place degree must be >= 1")
-    cache = _zcache(ctx)
     key = ("places", d)
-    if key in cache:
-        return cache[key]
+    if key in ctx.cache:
+        return ctx.cache[key]
     m = constant_field_degree(ctx)
     count = 0
     if d % m == 0:
@@ -168,21 +159,20 @@ def count_places(ctx, d):
             if q.f_res == d:
                 raise InternalCheckError(
                     "found an infinite place of degree not divisible by m")
-    cache[key] = count
+    ctx.cache[key] = count
     return count
 
 
 def l_polynomial(ctx):
     """The zeta numerator L_K over the full constant field F_{q^m}."""
-    cache = _zcache(ctx)
-    if "L" in cache:
-        return cache["L"]
+    if "L" in ctx.cache:
+        return ctx.cache["L"]
     m = constant_field_degree(ctx)
     g = genus(ctx)
     qm = ctx.field.q ** m
     if g == 0:
         out = LPolynomial(m, 0, (1,), qm)
-        cache["L"] = out
+        ctx.cache["L"] = out
         return out
     # point counts over F_{q^m}^j from places of F_{q^m}-degree dividing j
     n_counts = []
@@ -204,7 +194,7 @@ def l_polynomial(ctx):
     for i in range(g - 1, -1, -1):
         a.append(qm ** (g - i) * a[i])
     out = LPolynomial(m, g, tuple(a), qm)
-    cache["L"] = out
+    ctx.cache["L"] = out
     return out
 
 

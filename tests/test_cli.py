@@ -120,15 +120,6 @@ def test_product_check_depth():
     assert rep["check"][0]["value"] == "9/8"
 
 
-def test_worker_pool_matches_sequential():
-    seq = run_cli(["product", "--q", "3", "--f", "x^2 - T",
-                   "--check-depth", "2"])
-    par = run_cli(["product", "--q", "3", "--f", "x^2 - T",
-                   "--check-depth", "2", "--jobs", "2"])
-    assert seq[0] == par[0] == 0
-    assert seq[1] == par[1]
-
-
 def test_oracle_subcommands():
     code, out, _ = run_cli(["oracle", "commutant", "--q", "3", "--f", "1 - x + x^3"])
     assert json.loads(out)["dimension"] == 3

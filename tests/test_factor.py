@@ -149,3 +149,31 @@ def test_squarefree_decomposition_char_p_branch():
         f = gpoly.mul(F, f, base)
     fac = gpoly.factor(F, f)
     assert sorted(m for _, m in fac) == [3, 3, 3]
+
+
+class _NoInverse:
+    """A field whose inv raises; every other operation is the wrapped one."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def inv(self, a):
+        raise AssertionError("inverted the leading coefficient of a monic divisor")
+
+
+def test_divmod_by_monic_divisor_does_not_invert():
+    F3 = gf(3)
+    T = FqPoly.gen(F3)
+    rng = random.Random(11)
+    for base in (gf(3, 2), ResidueField(T ** 2 + FqPoly.one(F3))):
+        F = _NoInverse(base)
+        els = list(base.elements())
+        for _ in range(30):
+            b = gpoly.normalize([rng.choice(els) for _ in range(3)] + [base.one()])
+            a = gpoly.normalize([rng.choice(els) for _ in range(7)])
+            quot, rem = gpoly.divmod_poly(F, a, b)
+            assert gpoly.deg(rem) < gpoly.deg(b)
+            assert gpoly.add(base, gpoly.mul(base, quot, b), rem) == a

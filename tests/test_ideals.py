@@ -6,8 +6,7 @@ from conftest import make_ctx
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
 from gekeler.ideals import (FracIdeal, Order, multiplicator_ring, index_ideal,
-                            ideal_sum, ideal_product, ideal_colon,
-                            ideal_contains, ideal_eq, principal_ideal)
+                            principal_ideal)
 from gekeler.errors import InputError, NotContained
 
 
@@ -38,8 +37,8 @@ def test_monogenic_order_examples():
 
 def test_ideal_sum_product_basics():
     ctx, T, R, pi, m, t, ok = cusp_objects()
-    assert ideal_sum(m, m) == m
-    assert ideal_product(m, R.ideal) == m
+    assert m + m == m
+    assert m * R.ideal == m
     a = KElement.from_fqpoly(ctx, T + FqPoly.one(ctx.field))
     b = KElement.from_fqpoly(ctx, T ** 2 + FqPoly.const(ctx.field, 2))
     assert principal_ideal(R, a) * principal_ideal(R, b) == principal_ideal(R, a * b)
@@ -57,17 +56,17 @@ def test_cusp_m_squared_vs_hand_hnf():
 def test_colon_properties():
     ctx, T, R, pi, m, t, ok = cusp_objects()
     # (I:I) contains R and is a ring
-    mm = ideal_colon(m, m)
+    mm = m.colon(m)
     assert mm.contains(R.ideal)
     assert mm.is_order_lattice()
     # cusp: (m : m) = O_K
     assert mm == ok
     assert mm.contains_element(t)
     # (R:R) = R
-    assert ideal_colon(R.ideal, R.ideal) == R.ideal
+    assert R.ideal.colon(R.ideal) == R.ideal
     # colon containment (I:J) * J <= I
     for i, j in [(R.ideal, m), (m, R.ideal), (m, m), (ok, m)]:
-        assert i.contains(ideal_colon(i, j) * j)
+        assert i.contains(i.colon(j) * j)
 
 
 def test_index_ideal_examples():
@@ -91,16 +90,16 @@ def test_index_multiplicativity():
 
 def test_contains_and_eq():
     ctx, T, R, pi, m, t, ok = cusp_objects()
-    assert ideal_contains(m, m)
-    assert ideal_contains(ok, R.ideal)
-    assert not ideal_contains(R.ideal, ok)
+    assert m.contains(m)
+    assert ok.contains(R.ideal)
+    assert not R.ideal.contains(ok)
     TR = R.ideal.scale(KElement.from_fqpoly(ctx, T))
-    assert ideal_contains(R.ideal, TR)
-    assert not ideal_contains(TR, R.ideal)
-    assert ideal_eq(m, m)
+    assert R.ideal.contains(TR)
+    assert not TR.contains(R.ideal)
+    assert m == m
     # eq agrees with double inclusion
-    assert (ideal_contains(m, m * R.ideal) and ideal_contains(m * R.ideal, m)
-            and ideal_eq(m, m * R.ideal))
+    mr = m * R.ideal
+    assert m.contains(mr) and mr.contains(m) and m == mr
 
 
 def test_context_mismatch_rejected():
@@ -109,9 +108,9 @@ def test_context_mismatch_rejected():
     i1 = FracIdeal.unit_ideal(ctx1)
     i2 = FracIdeal.unit_ideal(ctx2)
     with pytest.raises(InputError):
-        ideal_sum(i1, i2)
+        i1 + i2
     with pytest.raises(InputError):
-        ideal_product(i1, i2)
+        i1 * i2
 
 
 def rand_kelement(ctx, rng, maxdeg=2):

@@ -1,8 +1,12 @@
 import pytest
 
 from conftest import make_ctx
+from property_suite import CONTEXT_POOL
 from gekeler.gf import gf
-from gekeler.fqpoly import FqPoly
+from gekeler.fqpoly import FqPoly, monic_irreducibles
+from gekeler.parse import parse_bipoly
+from gekeler.context import AlgebraContext
+from gekeler import kalgebra
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order, index_ideal
 from gekeler import primes as P
@@ -183,15 +187,39 @@ def test_primes_above_in_max():
         P.primes_above_in_max(ctx, T ** 2 - one)
 
 
-def test_max_splitting_matches_kd_at_regular_primes():
-    ctx = make_ctx(3, "x^2 - T^3")
-    R = Order.monogenic(ctx)
-    F = ctx.field
+def test_max_splitting_matches_algebra_reference():
+    # Dedekind's criterion: every Kummer-Dedekind prime above p is regular
+    # exactly when p does not divide [O_K:R]; on either route the splitting
+    # in O_K must match the decomposition of O_K/pO_K
+    for q, fstr in CONTEXT_POOL:
+        for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
+            R = Order.monogenic(ctx)
+            idx = index_ideal(P.maximal_order(ctx).ideal, R.ideal)
+            for d in (1, 2, 3):
+                for p in monic_irreducibles(ctx.field, d):
+                    kd = P.kummer_dedekind(R, p).primes
+                    assert all(x.regular for x in kd) == (not (idx % p).is_zero())
+                    got = P.primes_above_in_max(ctx, p).primes
+                    ref = P._primes_above_by_algebra(ctx, p).primes
+                    assert ([(x.e, x.f_res, x.ideal) for x in got]
+                            == [(x.e, x.f_res, x.ideal) for x in ref])
+
+
+def test_regular_primes_skip_the_algebra_decomposition(monkeypatch):
+    def refuse(alg):
+        raise AssertionError("local decomposition of O_K/pO_K")
+
+    monkeypatch.setattr(kalgebra, "split_local_components", refuse)
+    F = gf(3)
     T = FqPoly.gen(F)
-    for p in [T - FqPoly.one(F), T + FqPoly.one(F), T ** 2 + FqPoly.one(F)]:
-        kd = sorted((q.e, q.f_res) for q in P.kummer_dedekind(R, p).primes)
-        mx = sorted((q.e, q.f_res) for q in P.primes_above_in_max(ctx, p).primes)
-        assert kd == mx
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))  # nothing cached
+    for d in (1, 2):
+        for p in monic_irreducibles(F, d):
+            if p != T:
+                rep = P.primes_above_in_max(ctx, p)
+                assert sum(x.e * x.f_res for x in rep.primes) == 2
+    with pytest.raises(AssertionError):
+        P.primes_above_in_max(ctx, T)   # the index prime
 
 
 def test_infinite_places():
