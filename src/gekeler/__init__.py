@@ -21,7 +21,7 @@ from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      maximal_order, primes_above_in_max, infinity_order)
 from .overorders import POverorderSet, p_overorders
 from .weakeq import (WeakClassRep, LocalICMReport, weak_classes,
-                     locally_weakly_equivalent, local_weak_classes, local_icm)
+                     locally_weakly_equivalent, local_icm)
 from .zeta import LPolynomial, constant_field_degree, genus, count_places, l_polynomial
 from .ratios import (LocalRatio, ProductReport, orbit_count, gekeler_ratio,
                      gekeler_product, finite_level_ratio, partial_products)

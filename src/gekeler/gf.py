@@ -153,6 +153,10 @@ class GF:
     def elements(self):
         return range(self.q)
 
+    def element(self, n):
+        """The n-th element in ``elements()`` order, 0 <= n < q."""
+        return n
+
     def from_int(self, n):
         """Coefficient-wise reduction of an integer into the prime field."""
         return n % self.p

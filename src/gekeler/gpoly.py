@@ -228,16 +228,8 @@ def distinct_degree(F, f):
 
 
 def _random_poly(F, max_deg, rng):
-    elems = None
-    if F.order <= 4096:
-        elems = list(F.elements())
-    coeffs = []
-    for _ in range(max_deg + 1):
-        if elems is not None:
-            coeffs.append(elems[rng.randrange(len(elems))])
-        else:  # pragma: no cover - huge fields never hit at desk scale
-            coeffs.append(F.from_int(rng.randrange(F.char)))
-    return normalize(coeffs)
+    return normalize([F.element(rng.randrange(F.order))
+                      for _ in range(max_deg + 1)])
 
 
 def equal_degree(F, f, d, rng):

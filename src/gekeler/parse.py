@@ -3,12 +3,15 @@
 Accepts integer coefficients, the variables T and x (or U and y for the
 model at infinity), the extension-field generator a, the operators
 + - * ^ and parentheses, with juxtaposition read as multiplication
-(e.g. ``2T^3``).  Errors carry the offending column.
+(e.g. ``2T^3``) and exponents up to MAX_EXPONENT.  Errors carry the
+offending column.
 """
 
 from .errors import InputError
 from .fqpoly import FqPoly
 from .bipoly import BiPoly
+
+MAX_EXPONENT = 1000   # powers are expanded by repeated multiplication
 
 
 class ParseError(InputError):
@@ -111,6 +114,8 @@ class _Parser:
             t = self.next()
             if t.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", t.pos)
+            if t.value > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", t.pos)
             out = BiPoly.one(self.field)
             for _ in range(t.value):
                 out = out * base

@@ -7,13 +7,13 @@ index [O_K:R] (Dedekind's criterion); only at the finitely many index
 primes does it decompose the finite algebra O_K/pO_K into local factors.
 The maximal order itself is obtained by radical saturation at the primes
 whose square divides disc(f), validated by the conductor-discriminant
-identity.
+identity; the saturation at p is the p-saturation of R.
 """
 
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
-from .fqpoly import FqPoly, is_irreducible, poly_order_key
+from .fqpoly import FqPoly, is_irreducible, monic_irreducibles, poly_order_key
 from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
 from .context import AlgebraContext
@@ -65,6 +65,14 @@ def _require_prime(ctx, p):
         if not p.is_monic() or not is_irreducible(p):
             raise InputError(f"{p.to_str()} is not a monic irreducible of F_q[T]")
         ctx.cache[key] = True
+
+
+def census_primes(ctx, degree):
+    """The monic irreducibles of the given degree, each recorded as verified
+    for ctx: `monic_irreducibles` has tested them already."""
+    for p in monic_irreducibles(ctx.field, degree):
+        ctx.cache[("prime", p)] = True
+        yield p
 
 
 def kummer_dedekind(order, p):
@@ -224,6 +232,7 @@ def maximal_order(ctx):
             sat = grown
         else:  # pragma: no cover
             raise InternalCheckError(f"saturation at {p.to_str()} did not converge")
+        ctx.cache[("sat", p)] = sat
         if sat.ideal != base.ideal:
             result = Order(result.ideal * sat.ideal, check=False)
     idx = index_ideal(result.ideal, base.ideal)
@@ -231,6 +240,16 @@ def maximal_order(ctx):
         raise InternalCheckError("conductor-discriminant identity failed")
     ctx.cache["max_order"] = result
     return result
+
+
+def p_saturation(ctx, p):
+    """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R.
+
+    maximal_order records it for every p whose square divides disc(f); R
+    is p-maximal at every other p.
+    """
+    maximal_order(ctx)
+    return ctx.cache.get(("sat", p), Order.monogenic(ctx))
 
 
 def singular_primes(ctx):

@@ -1,13 +1,16 @@
 """Finite quotients top/bottom of lattices in K, as F_q-spaces with lifts.
 
-Supports the two enumerations the pipeline needs: R-submodules of O/R
-(overorders) and of O_K/(S:O_K) (weak class representatives).  Invariant
-subspaces are found by a closure BFS that reaches every submodule and
-canonicalizes via RREF, so results are deterministic.
+`submodule_lattices` is the one enumeration the pipeline runs: every
+R-module lattice between two lattices, used for R-submodules of O/R
+(overorders) and of O/(R:O) (weak class representatives), where O is the
+p-saturation of R.  Invariant subspaces are found by a closure BFS that
+reaches every submodule and canonicalizes via RREF, so results are
+deterministic.
 """
 
 from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly, poly_lcm
+from .context import KElement
 from . import amatrix
 from . import klinalg
 
@@ -117,6 +120,18 @@ class LatticeQuotient:
                 for rw in range(self.dim)]
 
 
+def submodule_lattices(top, bottom):
+    """Every R-module lattice between bottom and top: the pullbacks of the
+    subspaces of top/bottom invariant under multiplication by T and x."""
+    ctx = top.ctx
+    quo = LatticeQuotient(top, bottom)
+    t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+    pi = KElement.gen(ctx)
+    mats = [quo.action_matrix(t_el), quo.action_matrix(pi)]
+    return [quo.pullback(sub)
+            for sub in invariant_subspaces(ctx.field, quo.dim, mats)]
+
+
 def _all_vectors(q, dim):
     vec = [0] * dim
     for n in range(q ** dim):
@@ -127,10 +142,9 @@ def _all_vectors(q, dim):
         yield tuple(vec)
 
 
-def _closure(field, dim, mats, basis_rows, extra):
-    """Smallest invariant subspace containing span(basis_rows) + extra."""
-    rows = list(basis_rows) + [extra]
-    basis, pivots = klinalg.rref(field, rows)
+def _closure(field, mats, vec):
+    """Smallest invariant subspace containing vec."""
+    basis, pivots = klinalg.rref(field, [vec])
     changed = True
     while changed:
         changed = False
@@ -143,7 +157,7 @@ def _closure(field, dim, mats, basis_rows, extra):
     return basis, pivots
 
 
-def invariant_subspaces(field, dim, mats, limit=None):
+def invariant_subspaces(field, dim, mats):
     """All subspaces of F_q^dim invariant under the given matrices.
 
     Every invariant subspace is a sum of cyclic ones, so the closures of
@@ -151,13 +165,11 @@ def invariant_subspaces(field, dim, mats, limit=None):
     generate is explored by joins, which stay invariant without further
     closing.  Returns RREF row tuples sorted by (dimension, encoding).
     """
-    if dim == 0:
-        return [()]
     atoms = {}
     for vec in _all_vectors(field.q, dim):
         if all(c == 0 for c in vec):
             continue
-        basis, pivots = _closure(field, dim, mats, (), vec)
+        basis, pivots = _closure(field, mats, vec)
         atoms.setdefault(tuple(basis), pivots)
     seen = {(): ()}
     frontier = [((), ())]
@@ -172,7 +184,4 @@ def invariant_subspaces(field, dim, mats, limit=None):
             if key not in seen:
                 seen[key] = tuple(np_)
                 frontier.append((nb, np_))
-                if limit is not None and len(seen) > limit:
-                    raise InputError(
-                        f"more than {limit} invariant subspaces; quotient too big")
     return sorted(seen, key=lambda s: (len(s), s))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .fqpoly import FqPoly, monic_irreducibles
-from .primes import singular_primes, primes_above_in_max
+from .fqpoly import FqPoly
+from .primes import census_primes, singular_primes, primes_above_in_max
 from .weakeq import local_icm
 from .zeta import l_polynomial
 from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_BUDGET
@@ -111,7 +111,7 @@ def partial_products(ctx, max_degree):
     acc = Fraction(1)
     out = []
     for d in range(1, max_degree + 1):
-        for p in monic_irreducibles(ctx.field, d):
+        for p in census_primes(ctx, d):
             acc *= gekeler_ratio(ctx, p).value
         out.append((d, acc))
     return out

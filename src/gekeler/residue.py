@@ -74,15 +74,17 @@ class ResidueField:
             n >>= 1
         return out
 
+    def element(self, n):
+        """The n-th element in ``elements()`` order: base-q digits of n."""
+        q = self.base.q
+        coeffs = []
+        for _ in range(self.d):
+            coeffs.append(n % q)
+            n //= q
+        return gpoly.normalize(coeffs)
+
     def elements(self):
-        q, d = self.base.q, self.d
-        for n in range(self.q):
-            coeffs = []
-            m = n
-            for _ in range(d):
-                coeffs.append(m % q)
-                m //= q
-            yield gpoly.normalize(coeffs)
+        return map(self.element, range(self.q))
 
     def from_int(self, n):
         c = self.base.from_int(n)

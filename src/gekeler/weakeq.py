@@ -1,21 +1,22 @@
-"""Weak equivalence classes and the local ideal class monoid.
+"""Weak equivalence classes and the local ideal class monoid at p.
 
-Representatives of W_S(R) are found inside the window (S:O_K) <= I <= O_K
-by enumerating R-submodules of the finite quotient, keeping those with
-multiplicator ring exactly S, and collapsing by the global weak
-equivalence test 1 in (I:J)(J:I).  The local class monoid at p is the
-disjoint union over the p-overorders of the local collapse of W_S(R),
-since local Picard groups are trivial.
+Let O be the p-saturation of R.  Representatives of the weak classes of
+a p-overorder S are found inside the window (S:O) <= I <= O by
+enumerating the R-module lattices between (R:O) and O, keeping those
+with multiplicator ring exactly S, and collapsing by the weak
+equivalence test 1 in (I:J)(J:I).  These lattices all equal R away from
+p, so that test is weak equivalence at p.  The local class monoid at p
+is the disjoint union of the weak classes over the p-overorders, since
+local Picard groups are trivial.
 """
 
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly
-from .context import KElement
 from .ideals import FracIdeal, Order
-from .quotient import LatticeQuotient, invariant_subspaces
-from .primes import kummer_dedekind, maximal_order, singular_primes, _require_prime
+from .quotient import submodule_lattices
+from .primes import kummer_dedekind, p_saturation, singular_primes, _require_prime
 from .overorders import p_overorders
 
 
@@ -52,47 +53,45 @@ def globally_weakly_equivalent(i, j):
     return (i.colon(j) * j.colon(i)).contains_one()
 
 
-def _window_candidates(ctx):
-    """R-submodule lattices (R:O_K) <= I <= O_K with their multiplicator rings.
+def _window_candidates(ctx, p):
+    """R-module lattices (R:O) <= I <= O, O the p-saturation, with their
+    multiplicator rings.
 
-    Every weak class of every overorder S has a representative with
-    (S:O_K) <= I <= O_K, and (R:O_K) <= (S:O_K), so this single window
-    covers all of them.  Cached per context, sorted canonically.
+    Every weak class of a p-overorder S has a representative with
+    (S:O) <= I <= O, and (R:O) <= (S:O), so this single window covers all
+    of them.  Cached per context and prime, sorted canonically.
     """
-    if "window" in ctx.cache:
-        return ctx.cache["window"]
-    base = Order.monogenic(ctx)
-    ok = maximal_order(ctx)
-    conductor = base.ideal.colon(ok.ideal)
-    quo = LatticeQuotient(ok.ideal, conductor)
-    lattices = []
-    if quo.dim == 0:
-        lattices.append(ok.ideal)
-    else:
-        t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-        pi = KElement.gen(ctx)
-        mats = [quo.action_matrix(t_el), quo.action_matrix(pi)]
-        for sub in invariant_subspaces(ctx.field, quo.dim, mats):
-            lattices.append(quo.pullback(sub))
+    key = ("window", p)
+    if key in ctx.cache:
+        return ctx.cache[key]
+    sat = p_saturation(ctx, p)
+    conductor = FracIdeal.unit_ideal(ctx).colon(sat.ideal)
+    lattices = submodule_lattices(sat.ideal, conductor)
     lattices.sort(key=lambda l: l.canonical_key())
     window = [(lat, lat.colon(lat)) for lat in lattices]
-    ctx.cache["window"] = window
+    ctx.cache[key] = window
     return window
 
 
-def weak_classes(base, s_order):
-    """Pairwise inequivalent representatives of the classes with ring S."""
+def weak_classes(base, s_order, p):
+    """Pairwise inequivalent representatives of the weak classes at p with
+    multiplicator ring S, for a p-overorder S.
+
+    Every window lattice equals R away from p, so global weak equivalence
+    of two of them is weak equivalence of their completions at p.
+    """
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("weak class search needs the monogenic base order")
-    cache_key = ("weak", s_order.canonical_key())
+    _require_prime(ctx, p)
+    cache_key = ("weak", p, s_order.canonical_key())
     if cache_key in ctx.cache:
         return ctx.cache[cache_key]
-    ok = maximal_order(ctx)
+    sat = p_saturation(ctx, p)
     if not (s_order.ideal.contains(base.ideal)
-            and ok.ideal.contains(s_order.ideal)):
-        raise InputError("S must satisfy R subseteq S subseteq O_K")
-    kept = [lat for lat, mult in _window_candidates(ctx)
+            and sat.ideal.contains(s_order.ideal)):
+        raise InputError("S must satisfy R subseteq S subseteq O")
+    kept = [lat for lat, mult in _window_candidates(ctx, p)
             if mult == s_order.ideal]
     groups = []
     for lat in kept:
@@ -102,7 +101,7 @@ def weak_classes(base, s_order):
                 break
         else:
             groups.append([lat])
-    s_conductor = s_order.ideal.colon(ok.ideal)
+    s_conductor = s_order.ideal.colon(sat.ideal)
     reps = []
     for group in groups:
         rep = None
@@ -130,16 +129,6 @@ def locally_weakly_equivalent(i, j, p):
     return True
 
 
-def local_weak_classes(base, s_order, p):
-    """Image of W_S(R) in the weak classes of the completion at p."""
-    classes = weak_classes(base, s_order)
-    reps = []
-    for c in classes:
-        if not any(locally_weakly_equivalent(c.ideal, r.ideal, p) for r in reps):
-            reps.append(c)
-    return reps
-
-
 def local_icm(ctx, p, force_full=False):
     """ICM of the completion at p as a disjoint union of local weak classes."""
     ctx.require_separable()
@@ -151,7 +140,7 @@ def local_icm(ctx, p, force_full=False):
     groups = []
     total = 0
     for s_order in p_overorders(ctx, p).orders:
-        classes = tuple(local_weak_classes(base, s_order, p))
+        classes = tuple(weak_classes(base, s_order, p))
         total += len(classes)
         groups.append((s_order, classes))
     if total < 1:  # pragma: no cover

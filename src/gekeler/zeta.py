@@ -2,19 +2,21 @@
 
 The numerator is computed over the full constant field F_{q^m} from place
 counts of F_q-degree m, 2m, ..., mg via the Newton recursion on the zeta
-series, then completed by the functional equation.  All coefficient
-arithmetic is exact; only the root-magnitude gate is numeric.
+series, then completed by the functional equation.  All arithmetic is
+exact, the root-magnitude (Weil) gate included.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
 from .gf import gf, embedding
-from .fqpoly import FqPoly, monic_irreducibles
+from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
-from .primes import (maximal_order, order_discriminant, primes_above_in_max,
-                     infinity_order, infinite_places)
+from . import gpoly
+from .primes import (census_primes, maximal_order, order_discriminant,
+                     primes_above_in_max, infinity_order, infinite_places)
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,8 @@ class LPolynomial:
                 raise InternalCheckError("functional equation violated")
         if self.value_at(Fraction(1)) <= 0:
             raise InternalCheckError("L(1) must be positive")
-        if g > 0:
-            for root in _poly_roots_complex(self.coeffs):
-                if abs(abs(root) - qm ** -0.5) > 1e-9:
-                    raise InternalCheckError("root off the half-line |t| = q^(-m/2)")
+        if g > 0 and not _weil_roots_ok(self.coeffs, g, qm):
+            raise InternalCheckError("root off the circle |t| = q^(-m/2)")
 
     def value_at(self, t):
         out = Fraction(0)
@@ -48,34 +48,57 @@ class LPolynomial:
         return {"m": self.m, "g": self.g, "L": list(self.coeffs)}
 
 
-def _poly_roots_complex(coeffs, iterations=600):
-    """Durand-Kerner roots of an integer polynomial, deterministic start."""
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    cs = [complex(c) / lead for c in coeffs]
+class _Rationals:
+    """Q with the element protocol of gf.GF, so gpoly runs over Fraction."""
 
-    def val(z):
-        out = 0j
-        for c in reversed(cs):
-            out = out * z + c
-        return out
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
 
-    roots = [(0.4 + 0.9j) ** (k + 1) for k in range(n)]
-    for _ in range(iterations):
-        moved = 0.0
-        for k in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != k:
-                    denom *= roots[k] - roots[j]
-            if denom == 0:  # pragma: no cover
-                denom = 1e-30
-            delta = val(roots[k]) / denom
-            roots[k] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14:
-            break
-    return roots
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+
+def _weil_roots_ok(coeffs, g, qm):
+    """Every root t of L has |t| = qm^(-1/2), decided exactly.
+
+    By the functional equation t^g L(1/t) = h(t + qm/t), where
+    h(y) = a_g + sum_k a_(g-k) D_k(y) and D_k(t + qm/t) = t^k + (qm/t)^k.
+    The roots lie on the circle iff every root y_i of h is real with
+    y_i^2 <= 4 qm, i.e. iff every distinct root of
+    H(u) = h(sqrt u) h(-sqrt u) = +-prod (u - y_i^2) lies in [0, 4 qm].
+    Roots at the two ends are divided out; a Sturm chain of the rest counts
+    its distinct roots inside, and its last term is gcd(H, H').
+    """
+    Q = _Rationals()
+    y = (Fraction(0), Fraction(1))
+    h, d_prev, d_cur = (Fraction(coeffs[g]),), (Fraction(2),), y
+    for k in range(1, g + 1):
+        h = gpoly.add(Q, h, gpoly.scale(Q, d_cur, coeffs[g - k]))
+        d_prev, d_cur = d_cur, gpoly.sub(Q, gpoly.mul(Q, y, d_cur),
+                                         gpoly.scale(Q, d_prev, qm))
+    even, odd = h[0::2], h[1::2]
+    big_h = gpoly.sub(Q, gpoly.mul(Q, even, even),
+                      gpoly.mul(Q, y, gpoly.mul(Q, odd, odd)))
+    bound = 4 * qm
+    for end in (0, bound):
+        while gpoly.eval_poly(Q, big_h, end) == 0:
+            big_h = gpoly.divmod_poly(Q, big_h, (-end, 1))[0]
+    chain = [big_h]
+    nxt = gpoly.normalize([i * c for i, c in enumerate(big_h)][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = gpoly.neg(Q, gpoly.rem(Q, chain[-2], chain[-1]))
+
+    def variations(x):
+        signs = [v > 0 for v in (gpoly.eval_poly(Q, c, x) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(0) - variations(bound) == len(big_h) - len(chain[-1])
 
 
 def constant_field_degree(ctx):
@@ -131,34 +154,20 @@ def count_places(ctx, d):
     key = ("places", d)
     if key in ctx.cache:
         return ctx.cache[key]
-    m = constant_field_degree(ctx)
     count = 0
-    if d % m == 0:
-        for k in range(1, d + 1):
-            if d % k != 0:
-                continue
-            for p in monic_irreducibles(ctx.field, k):
-                for q in primes_above_in_max(ctx, p).primes:
-                    if k * q.f_res == d:
-                        count += 1
-        for q in infinite_places(ctx).primes:
-            if q.f_res == d:
-                count += 1
-    else:
-        # cross-validation of m: a place of degree not divisible by m
-        # would contradict the constant field computation
-        for k in range(1, d + 1):
-            if d % k != 0:
-                continue
-            for p in monic_irreducibles(ctx.field, k):
-                for q in primes_above_in_max(ctx, p).primes:
-                    if k * q.f_res == d:
-                        raise InternalCheckError(
-                            "found a place of degree not divisible by m")
-        for q in infinite_places(ctx).primes:
-            if q.f_res == d:
-                raise InternalCheckError(
-                    "found an infinite place of degree not divisible by m")
+    for k in range(1, d + 1):
+        if d % k != 0:
+            continue
+        for p in census_primes(ctx, k):
+            for q in primes_above_in_max(ctx, p).primes:
+                if k * q.f_res == d:
+                    count += 1
+    for q in infinite_places(ctx).primes:
+        if q.f_res == d:
+            count += 1
+    if count and d % constant_field_degree(ctx):
+        # a place of degree not divisible by m contradicts the constant field
+        raise InternalCheckError("found a place of degree not divisible by m")
     ctx.cache[key] = count
     return count
 
@@ -170,10 +179,6 @@ def l_polynomial(ctx):
     m = constant_field_degree(ctx)
     g = genus(ctx)
     qm = ctx.field.q ** m
-    if g == 0:
-        out = LPolynomial(m, 0, (1,), qm)
-        ctx.cache["L"] = out
-        return out
     # point counts over F_{q^m}^j from places of F_{q^m}-degree dividing j
     n_counts = []
     for j in range(1, g + 1):

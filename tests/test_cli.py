@@ -1,8 +1,11 @@
 import json
 import io
 import contextlib
+import time
 
 from gekeler.cli import main
+from gekeler.gf import gf
+from gekeler.parse import MAX_EXPONENT, parse_fqpoly
 
 
 def run_cli(args):
@@ -52,6 +55,16 @@ def test_parse_error_has_column():
     code, _, err = run_cli(["zeta", "--q", "3", "--f", "x^2 - $"])
     assert code == 2
     assert "column" in err
+
+
+def test_huge_exponent_rejected_at_its_column():
+    t0 = time.monotonic()
+    code, _, err = run_cli(["primes", "--q", "3", "--f", "x^2 - T^99999999"])
+    assert code == 2
+    assert "column 9" in err
+    assert time.monotonic() - t0 < 1
+    # the cap itself still parses
+    assert parse_fqpoly(gf(3), f"T^{MAX_EXPONENT}").degree == MAX_EXPONENT
 
 
 def test_bad_q_rejected():

@@ -177,3 +177,27 @@ def test_divmod_by_monic_divisor_does_not_invert():
             quot, rem = gpoly.divmod_poly(F, a, b)
             assert gpoly.deg(rem) < gpoly.deg(b)
             assert gpoly.add(base, gpoly.mul(base, quot, b), rem) == a
+
+
+def test_factor_draws_coefficients_without_listing_the_field(monkeypatch):
+    F3 = gf(3)
+    T = FqPoly.gen(F3)
+    R = ResidueField(T ** 3 + T.scale(2) + FqPoly.one(F3))   # T^3 - T + 1
+    assert [R.element(n) for n in range(R.order)] == list(R.elements())
+
+    def refuse(self):
+        raise AssertionError("listed the residue field")
+
+    monkeypatch.setattr(ResidueField, "elements", refuse)
+    rng = random.Random(5)
+    for _ in range(5):
+        # three linear factors and a quadratic: equal-degree splitting runs
+        f = (R.one(),)
+        for d in (1, 1, 1, 2):
+            g = tuple(R.element(rng.randrange(R.order)) for _ in range(d))
+            f = gpoly.mul(R, f, g + (R.one(),))
+        prod = (R.one(),)
+        for irr, m in gpoly.factor(R, list(f)):
+            for _ in range(m):
+                prod = gpoly.mul(R, prod, tuple(irr))
+        assert prod == f

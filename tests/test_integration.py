@@ -13,8 +13,10 @@ from gekeler.gf import gf, embedding
 from gekeler.fqpoly import FqPoly
 from gekeler.parse import parse_fqpoly
 from gekeler.zeta import constant_field_degree, genus, l_polynomial
-from gekeler.primes import singular_primes
-from gekeler.weakeq import local_icm
+from gekeler.ideals import Order
+from gekeler.primes import maximal_order, p_saturation, singular_primes
+from gekeler.quotient import submodule_lattices
+from gekeler.weakeq import local_icm, _window_candidates
 from gekeler.ratios import gekeler_product
 
 G_STR = "T^3 - T - 1"
@@ -71,3 +73,19 @@ def test_rank4_constant_field_tower():
     from gekeler.zeta import effective_divisor_counts, zeta_series_coefficients
     assert (effective_divisor_counts(ctx, 2)
             == zeta_series_coefficients(lp, 2) == [1, n1, 70])
+
+
+def test_rank4_tower_window_is_local():
+    # the window at p lies between (R:O) and O, O the p-saturation; the
+    # global window between (R:O_K) and O_K is the product over the three
+    # singular primes
+    ctx = make_ctx(3, F_STR)
+    R = Order.monogenic(ctx).ideal
+    for p in singular_primes(ctx):
+        sat = p_saturation(ctx, p).ideal
+        window = _window_candidates(ctx, p)
+        assert len(window) == 6
+        for lat, _ in window:
+            assert lat.contains(R.colon(sat)) and sat.contains(lat)
+    ok = maximal_order(ctx).ideal
+    assert len(submodule_lattices(ok, R.colon(ok))) == 216

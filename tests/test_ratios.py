@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from conftest import make_ctx
 from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly
@@ -141,3 +143,24 @@ def test_sl_closed_form_is_gated_by_enumeration():
         p = FqPoly.gen(field)
         sl, _, _ = O.brute_sl_count(r, p, n)
         assert sl == O.sl_order_closed_form(r, q, n)
+
+
+def test_census_primes_are_tested_once(monkeypatch):
+    # monic_irreducibles has already tested every prime the census visits
+    from gekeler import primes
+    from gekeler.context import AlgebraContext
+    from gekeler.errors import InputError
+    from gekeler.parse import parse_bipoly
+    F = gf(3)
+    expected = G.partial_products(make_ctx(3, "x^2 - T^3"), 3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+
+    def refuse(p):
+        raise AssertionError(f"tested {p.to_str()} again")
+
+    monkeypatch.setattr(primes, "is_irreducible", refuse)
+    assert G.partial_products(ctx, 3) == expected
+    monkeypatch.undo()
+    T = FqPoly.gen(F)
+    with pytest.raises(InputError):
+        G.gekeler_ratio(ctx, T ** 2 - FqPoly.one(F))

@@ -7,11 +7,11 @@ from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order
-from gekeler.primes import maximal_order, singular_primes
+from gekeler.primes import maximal_order, p_saturation, singular_primes
 from gekeler.overorders import p_overorders
+from gekeler.quotient import submodule_lattices
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
-                            local_weak_classes, local_icm,
-                            globally_weakly_equivalent)
+                            local_icm, globally_weakly_equivalent)
 from gekeler.errors import InputError
 
 
@@ -19,7 +19,7 @@ def test_weak_classes_maximal_order_is_single():
     ctx = make_ctx(3, "x^2 - T^3")
     R = Order.monogenic(ctx)
     ok = maximal_order(ctx)
-    wc = weak_classes(R, ok)
+    wc = weak_classes(R, ok, FqPoly.gen(ctx.field))
     assert len(wc) == 1
     assert wc[0].ideal == ok.ideal
 
@@ -27,32 +27,39 @@ def test_weak_classes_maximal_order_is_single():
 def test_weak_classes_cusp_base_is_single():
     ctx = make_ctx(3, "x^2 - T^3")
     R = Order.monogenic(ctx)
-    wc = weak_classes(R, R)
+    wc = weak_classes(R, R, FqPoly.gen(ctx.field))
     assert len(wc) == 1
     assert wc[0].ideal.colon(wc[0].ideal) == R.ideal
 
 
 def test_weak_class_window_invariant():
-    # every representative satisfies (S:O_K) <= I <= O_K and (I:I) = S
-    for q, fstr in [(3, "x^2 - T^3"), (2, "x^3 - T^4")]:
+    # with O the p-saturation, every representative satisfies
+    # (S:O) <= I <= O and (I:I) = S
+    for q, fstr in [(3, "x^2 - T^3"), (2, "x^3 - T^4"),
+                    (3, "x^2 - T^3*(T + 1)^3")]:
         ctx = make_ctx(q, fstr)
         R = Order.monogenic(ctx)
-        ok = maximal_order(ctx)
-        T = FqPoly.gen(ctx.field)
-        for s in p_overorders(ctx, T).orders:
-            cond = s.ideal.colon(ok.ideal)
-            for rep in weak_classes(R, s):
-                assert rep.ideal.colon(rep.ideal) == s.ideal
-                assert rep.ideal.contains(cond)
-                assert ok.ideal.contains(rep.ideal)
+        for p in singular_primes(ctx):
+            sat = p_saturation(ctx, p)
+            for s in p_overorders(ctx, p).orders:
+                cond = s.ideal.colon(sat.ideal)
+                for rep in weak_classes(R, s, p):
+                    assert rep.ideal.colon(rep.ideal) == s.ideal
+                    assert rep.ideal.contains(cond)
+                    assert sat.ideal.contains(rep.ideal)
 
 
 def test_weak_classes_requires_overorder():
     ctx = make_ctx(3, "x^2 - T^3")
     R = Order.monogenic(ctx)
-    bad = Order(R.ideal.scale_poly(FqPoly.gen(ctx.field)), check=False)
+    T = FqPoly.gen(ctx.field)
+    bad = Order(R.ideal.scale_poly(T), check=False)
     with pytest.raises(InputError):
-        weak_classes(R, bad)
+        weak_classes(R, bad, T)
+    # O_K is not a T-overorder when T + 1 is singular too
+    ctx = make_ctx(3, "x^2 - T^3*(T + 1)^3")
+    with pytest.raises(InputError):
+        weak_classes(Order.monogenic(ctx), maximal_order(ctx), T)
 
 
 def test_local_equivalence_is_equivalence_and_respects_scaling():
@@ -133,16 +140,56 @@ def test_local_equivalence_forces_local_mult_ring_agreement():
                     assert not q.ideal.contains(s2.colon(s1))
 
 
-def test_local_weak_classes_counts():
-    ctx = make_ctx(3, "x^2 - T^3")
-    T = FqPoly.gen(ctx.field)
+def _global_window_classes(ctx, p):
+    """The global-window algorithm, as a reference.
+
+    Enumerates the lattices (R:O_K) <= I <= O_K, collapses those with
+    multiplicator ring S by global weak equivalence, keeps the first
+    lattice of each group that contains (S:O_K), and collapses those
+    representatives again by weak equivalence at p.
+    """
     R = Order.monogenic(ctx)
-    ok = maximal_order(ctx)
-    assert len(local_weak_classes(R, R, T)) == 1
-    assert len(local_weak_classes(R, ok, T)) == 1
-    # local class count never exceeds global
-    for s in (R, ok):
-        assert len(local_weak_classes(R, s, T)) <= len(weak_classes(R, s))
+    ok = maximal_order(ctx).ideal
+    window = sorted(submodule_lattices(ok, R.ideal.colon(ok)),
+                    key=lambda l: l.canonical_key())
+    out = []
+    for s in p_overorders(ctx, p).orders:
+        groups = []
+        for lat in window:
+            if lat.colon(lat) != s.ideal:
+                continue
+            for group in groups:
+                if globally_weakly_equivalent(lat, group[0]):
+                    group.append(lat)
+                    break
+            else:
+                groups.append([lat])
+        cond = s.ideal.colon(ok)
+        reps = [next(lat for lat in group if lat.contains(cond))
+                for group in groups]
+        local = []
+        for lat in reps:
+            if not any(locally_weakly_equivalent(lat, r, p) for r in local):
+                local.append(lat)
+        out.append((s, local))
+    return out
+
+
+@pytest.mark.parametrize("fstr", ["x^2 - T^3*(T + 1)^3", "x^2 - T^2*(T + 1)^3"])
+def test_local_window_matches_global_window_reference(fstr):
+    # several singular primes: the global window is the product of the
+    # local ones, and its two collapses must give the local classes
+    ctx = make_ctx(3, fstr)
+    sing = singular_primes(ctx)
+    assert len(sing) == 2
+    for p in sing:
+        report = local_icm(ctx, p)
+        reference = _global_window_classes(ctx, p)
+        assert report.m_p == sum(len(reps) for _, reps in reference)
+        assert len(report.by_overorder) == len(reference)
+        for (s, classes), (s_ref, reps) in zip(report.by_overorder, reference):
+            assert s == s_ref
+            assert [c.ideal for c in classes] == reps
 
 
 def test_local_icm_values():

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import make_ctx
 from gekeler import zeta as Z
-from gekeler.errors import InputError
+from gekeler.errors import InputError, InternalCheckError
 
 
 def test_constant_field_degree_examples():
@@ -74,8 +75,10 @@ def test_l_polynomial_elliptic():
         assert lp.coeffs[2 * lp.g - i] == (5 ** (lp.g - i)) * lp.coeffs[i]
     # class number positivity
     assert lp.value_at(Fraction(1)) > 0
-    # root magnitudes (numeric)
-    roots = Z._poly_roots_complex(lp.coeffs)
+    # root magnitudes (numeric): the two roots of 1 + a_1 t + 5 t^2
+    a0, a1, a2 = lp.coeffs
+    disc = cmath.sqrt(a1 * a1 - 4 * a0 * a2)
+    roots = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
     for r in roots:
         assert abs(abs(r) - 5 ** -0.5) < 1e-9
 
@@ -102,8 +105,17 @@ def test_genus_zero_iff_l_trivial():
         assert (Z.genus(ctx) == 0) == (lp.coeffs == (1,))
 
 
-def test_durand_kerner_roots():
-    # (t - 2)(t - 3) = t^2 - 5t + 6
-    roots = sorted(Z._poly_roots_complex([6, -5, 1]), key=lambda z: z.real)
-    assert abs(roots[0] - 2) < 1e-9
-    assert abs(roots[1] - 3) < 1e-9
+@pytest.mark.parametrize("q, fstr, expected", [
+    (5, "x^2 - (T^5 + T + 1)", (1, 0, 10, 0, 25)),
+    (4, "x^2 + x + T^5 + a", (1, 0, 8, 0, 16)),
+])
+def test_repeated_root_l_polynomials_pass_the_weil_gate(q, fstr, expected):
+    # (1 + 5t^2)^2 and (1 + 4t^2)^2: double roots on |t| = q^(-1/2)
+    assert Z.l_polynomial(make_ctx(q, fstr)).coeffs == expected
+
+
+def test_weil_gate_rejects_root_off_the_circle():
+    # 1 + t + 5t^2 satisfies the functional equation and L(1) > 0, but its
+    # real Weil polynomial y + 5 has its root outside [-2 sqrt 5, 2 sqrt 5]
+    with pytest.raises(InternalCheckError):
+        Z.LPolynomial(1, 1, (1, 5, 5), 5)
