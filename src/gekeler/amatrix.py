@@ -230,21 +230,3 @@ def rank_over_fractions(mat):
         col += 1
     return rank
 
-
-def adjugate(mat):
-    """Adjugate matrix (transpose of cofactors) over A."""
-    n = len(mat)
-    field = mat[0][0].field
-    if n == 1:
-        return [[FqPoly.one(field)]]
-    out = mat_zero(field, n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[j][i] = cof
-    return out
-

@@ -88,14 +88,6 @@ class AlgebraContext:
                     out[i] = out[i] + pv[i] * ck
         return tuple(out)
 
-    def mul_matrix(self, vec):
-        """Matrix of multiplication by the element with numerator vector vec."""
-        r = self.r
-        cols = []
-        for j in range(r):
-            cols.append(self.mult_vectors(vec, self.power_vectors[j]))
-        return [[cols[j][i] for j in range(r)] for i in range(r)]
-
     def trace_of_vector(self, vec):
         """Trace of the element with numerator vector vec (denominator 1)."""
         F = self.field
@@ -129,7 +121,7 @@ class KElement:
                 c = FqPoly.const(F, F.inv(lead))
                 num = tuple(n * c for n in num)
                 den = den.monic()
-            g = gcd_list(list(num) + [den], F)
+            g = gcd_list([den, *num], F)
             if not g.is_one() and not g.is_zero():
                 num = tuple(n.exact_div(g) for n in num)
                 den = den.exact_div(g)

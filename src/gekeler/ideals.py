@@ -7,7 +7,7 @@ normalized representations.  Every local object downstream is represented
 by such a global lattice.
 """
 
-from .errors import InputError, NotContained, InternalCheckError
+from .errors import InputError, NotContained
 from .fqpoly import FqPoly, poly_lcm, gcd_list
 from .context import KElement
 from . import amatrix
@@ -30,7 +30,7 @@ class FracIdeal:
             den = den.monic()
         h = amatrix.hnf([list(row) for row in num])
         entries = [e for row in h for e in row if not e.is_zero()]
-        g = gcd_list(entries + [den], F)
+        g = gcd_list([den] + entries, F)
         if not (g.is_one() or g.is_zero()):
             h = [[e.exact_div(g) if not e.is_zero() else e for e in row]
                  for row in h]
@@ -98,20 +98,22 @@ class FracIdeal:
 
     # -- membership ---------------------------------------------------------
 
-    def contains_vector(self, vec, vden):
-        """Is (vec / vden) in the lattice?"""
+    def coordinates(self, vec, vden):
+        """Coordinates over A of vec / vden in the basis of self, or None
+        when it lies outside the lattice."""
         scaled = [[e * vden for e in row] for row in self.num]
         rhs = [v * self.den for v in vec]
-        return amatrix.solve_upper_triangular(scaled, rhs) is not None
+        return amatrix.solve_upper_triangular(scaled, rhs)
+
+    def contains_vector(self, vec, vden):
+        """Is (vec / vden) in the lattice?"""
+        return self.coordinates(vec, vden) is not None
 
     def contains_element(self, z):
-        return self.contains_vector(list(z.num), z.den)
+        return self.contains_vector(z.num, z.den)
 
     def contains_one(self):
-        F = self.ctx.field
-        vec = [FqPoly.zero(F)] * self.ctx.r
-        vec[0] = FqPoly.one(F)
-        return self.contains_vector(vec, FqPoly.one(F))
+        return self.contains_element(KElement.one(self.ctx))
 
     def contains(self, other):
         """other subseteq self."""
@@ -179,22 +181,69 @@ class FracIdeal:
             cols.append(tuple(col))
         return FracIdeal.from_columns(ctx, cols, D)
 
+    def dual(self):
+        """I* = {v in K^r : u.v in A for every u in I}, where u.v is the
+        coordinate pairing of the power basis.
+
+        For I = H A^r / d this is d H^{-T} A^r.  With delta the product of
+        the pivots of H, delta H^{-T} is the transposed adjugate of H, so
+        forward substitution on the lower-triangular H^T divides exactly.
+        """
+        r = self.ctx.r
+        h = self.num
+        zero = FqPoly.zero(self.ctx.field)
+        delta = FqPoly.one(self.ctx.field)
+        for i in range(r):
+            delta = delta * h[i][i]
+        cols = []
+        for k in range(r):
+            x = [zero] * r
+            x[k] = delta.exact_div(h[k][k])
+            for i in range(k + 1, r):
+                acc = zero
+                for j in range(k, i):
+                    acc = acc + h[j][i] * x[j]
+                x[i] = (-acc).exact_div(h[i][i])
+            cols.append(tuple(e * self.den for e in x))
+        return FracIdeal.from_columns(self.ctx, cols, delta)
+
     def colon(self, other):
-        """(self : other) = {z in K : z * other subseteq self}."""
+        """(self : other) = {z in K : z * other subseteq self}.
+
+        z * b lies in I exactly when y.(z * b) = (M_b^T y).z lies in A for
+        every y in I*, with M_b the matrix of multiplication by b.  So
+        (I:J) is the dual of the lattice spanned by M_b^T y over the
+        generators b of J and y of I*.
+        """
         self._check_ctx(other)
         ctx = self.ctx
-        result = None
-        for col in other.basis_columns():
-            m = ctx.mul_matrix(col)
-            adj = amatrix.adjugate(m)
-            d = amatrix.det(m)
-            if d.is_zero():  # pragma: no cover - columns of an HNF are nonzero
-                raise InternalCheckError("singular multiplication matrix")
-            num = amatrix.mat_mul(adj, [list(row) for row in self.num])
-            num = [[e * other.den for e in row] for row in num]
-            lat = FracIdeal(ctx, num, self.den * d)
-            result = lat if result is None else result.intersect(lat)
-        return result
+        dual = self.dual()
+        ys = dual.basis_columns()
+        cols = []
+        for b in other.basis_columns():
+            # the columns of M_b: b * pi^j
+            images = [ctx.mult_vectors(b, pv) for pv in ctx.power_vectors[:ctx.r]]
+            for y in ys:
+                cols.append(tuple(_dot(m, y) for m in images))
+        return FracIdeal.from_columns(ctx, cols, dual.den * other.den).dual()
+
+    def change_of_basis(self, sub):
+        """Matrix X over A with (basis of sub) = (basis of self) * X.
+
+        Raises NotContained, naming a generator of sub, unless sub lies in
+        self.
+        """
+        self._check_ctx(sub)
+        r = self.ctx.r
+        x_cols = []
+        for col in sub.basis_columns():
+            sol = self.coordinates(col, sub.den)
+            if sol is None:
+                witness = KElement(self.ctx, col, sub.den)
+                raise NotContained(
+                    f"generator {witness.to_str()} lies outside the bigger lattice")
+            x_cols.append(sol)
+        return [[x_cols[j][i] for j in range(r)] for i in range(r)]
 
     def index_in(self, sub):
         """[self : sub] for sub subseteq self, as a monic element of A.
@@ -202,20 +251,7 @@ class FracIdeal:
         The index ideal is generated by the determinant of the
         change-of-basis matrix.
         """
-        self._check_ctx(sub)
-        r = self.ctx.r
-        scaled = [[e * sub.den for e in row] for row in self.num]
-        x_cols = []
-        for j, col in enumerate(sub.basis_columns()):
-            rhs = [v * self.den for v in col]
-            sol = amatrix.solve_upper_triangular(scaled, rhs)
-            if sol is None:
-                witness = KElement(self.ctx, col, sub.den)
-                raise NotContained(
-                    f"generator {witness.to_str()} lies outside the bigger lattice")
-            x_cols.append(sol)
-        x = [[x_cols[j][i] for j in range(r)] for i in range(r)]
-        return amatrix.det(x).monic()
+        return amatrix.det(self.change_of_basis(sub)).monic()
 
     def is_multiplicatively_closed(self):
         den2 = self.den * self.den
@@ -243,6 +279,14 @@ class FracIdeal:
 
     def __repr__(self):
         return f"FracIdeal(den={self.den.to_str()}, num={self.num})"
+
+
+def _dot(u, v):
+    acc = FqPoly.zero(u[0].field)
+    for a, b in zip(u, v):
+        if not (a.is_zero() or b.is_zero()):
+            acc = acc + a * b
+    return acc
 
 
 class Order:

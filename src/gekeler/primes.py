@@ -16,7 +16,7 @@ from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly, is_irreducible, monic_irreducibles, poly_order_key
 from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
-from .context import AlgebraContext
+from .context import AlgebraContext, KElement
 from .ideals import FracIdeal, Order, index_ideal
 from . import gpoly
 from . import kalgebra
@@ -97,15 +97,8 @@ def kummer_dedekind(order, p):
     for gbar, e in factors:
         g = BiPoly(ctx.field, [k.lift(c) for c in gbar])
         f_res = gpoly.deg(gbar)
-        g_at_pi = _eval_at_pi(ctx, g)
-        cols = []
-        for vec in (None, g_at_pi):
-            for kk in range(ctx.r):
-                if vec is None:
-                    cols.append(tuple(c * p for c in ctx.power_vectors[kk]))
-                else:
-                    cols.append(ctx.mult_vectors(vec, ctx.power_vectors[kk]))
-        ideal = FracIdeal.from_columns(ctx, cols, FqPoly.one(ctx.field))
+        ideal = FracIdeal.from_elements(
+            ctx, [KElement.from_fqpoly(ctx, p), KElement(ctx, _eval_at_pi(ctx, g))])
         if e == 1:
             regular = True
         else:

@@ -8,9 +8,12 @@ reaches every submodule and canonicalizes via RREF, so results are
 deterministic.
 """
 
-from .errors import InputError, InternalCheckError
+import itertools
+
+from .errors import InputError
 from .fqpoly import FqPoly, poly_lcm
 from .context import KElement
+from .ideals import FracIdeal
 from . import amatrix
 from . import klinalg
 
@@ -20,22 +23,11 @@ class LatticeQuotient:
 
     def __init__(self, top, bottom):
         ctx = top.ctx
-        if not top.contains(bottom):
-            raise InputError("quotient needs bottom subseteq top")
         self.ctx = ctx
         self.top = top
         self.bottom = bottom
         r = ctx.r
-        scaled = [[e * bottom.den for e in row] for row in top.num]
-        x_cols = []
-        for col in bottom.basis_columns():
-            rhs = [v * top.den for v in col]
-            sol = amatrix.solve_upper_triangular(scaled, rhs)
-            if sol is None:  # pragma: no cover - containment already checked
-                raise InternalCheckError("containment lost in quotient setup")
-            x_cols.append(sol)
-        x = [[x_cols[j][i] for j in range(r)] for i in range(r)]
-        self.h = amatrix.hnf(x)
+        self.h = amatrix.hnf(top.change_of_basis(bottom))
         self.slot_degrees = [int(self.h[i][i].degree) for i in range(r)]
         self.slots = []
         for i in range(r):
@@ -63,12 +55,6 @@ class LatticeQuotient:
         for i, j in self.slots:
             out.append(y[i][j])
         return tuple(out)
-
-    def top_coords_of(self, vec, vden):
-        """Coordinates in the top basis of vec/vden, or None."""
-        scaled = [[e * vden for e in row] for row in self.top.num]
-        rhs = [v * self.top.den for v in vec]
-        return amatrix.solve_upper_triangular(scaled, rhs)
 
     def lift_columns(self, fq_vectors):
         """Power-basis numerator columns (den = top.den) lifting F_q vectors."""
@@ -99,7 +85,6 @@ class LatticeQuotient:
             base = tuple(e * b for e in col)
             for kk in range(ctx.r):
                 cols.append(ctx.mult_vectors(base, ctx.power_vectors[kk]))
-        from .ideals import FracIdeal
         return FracIdeal.from_columns(ctx, cols, D)
 
     def action_matrix(self, z):
@@ -112,7 +97,7 @@ class LatticeQuotient:
             vec = ctx.mult_vectors(z.num, shifted)
             # the slot element is (T^j * col_i)/top.den, so the product is
             # vec / (z.den * top.den)
-            coords = self.top_coords_of(vec, z.den * self.top.den)
+            coords = self.top.coordinates(vec, z.den * self.top.den)
             if coords is None:
                 raise InputError("element does not stabilize the top lattice")
             out_cols.append(self.reduce_top_coords(coords))
@@ -132,14 +117,14 @@ def submodule_lattices(top, bottom):
             for sub in invariant_subspaces(ctx.field, quo.dim, mats)]
 
 
-def _all_vectors(q, dim):
-    vec = [0] * dim
-    for n in range(q ** dim):
-        m = n
-        for i in range(dim):
-            vec[i] = m % q
-            m //= q
-        yield tuple(vec)
+def _line_vectors(field, dim):
+    """One nonzero vector per line of F_q^dim: the last nonzero coordinate
+    is 1."""
+    elems = list(field.elements())
+    for k in range(dim):
+        tail = (field.one(),) + (field.zero(),) * (dim - 1 - k)
+        for head in itertools.product(elems, repeat=k):
+            yield head + tail
 
 
 def _closure(field, mats, vec):
@@ -161,14 +146,13 @@ def invariant_subspaces(field, dim, mats):
     """All subspaces of F_q^dim invariant under the given matrices.
 
     Every invariant subspace is a sum of cyclic ones, so the closures of
-    the single vectors are computed once (the atoms) and the lattice they
+    the single vectors are computed once (the atoms; v and c*v have the
+    same closure, so one vector per line) and the lattice they
     generate is explored by joins, which stay invariant without further
     closing.  Returns RREF row tuples sorted by (dimension, encoding).
     """
     atoms = {}
-    for vec in _all_vectors(field.q, dim):
-        if all(c == 0 for c in vec):
-            continue
+    for vec in _line_vectors(field, dim):
         basis, pivots = _closure(field, mats, vec)
         atoms.setdefault(tuple(basis), pivots)
     seen = {(): ()}

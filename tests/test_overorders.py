@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_ctx
-from gekeler.gf import gf
+from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly
 from gekeler.ideals import Order, index_ideal
 from gekeler.primes import maximal_order
@@ -85,11 +85,21 @@ def test_input_validation():
 
 def test_subspace_count_of_trivial_module_is_q_plus_3():
     # (A/p)^2 with trivial action: candidate count is q + 3
-    for q in (2, 3):
-        field = gf(q)
+    for q in (2, 3, 4, 9):
+        field = gf_of_order(q)
         zero_mat = [tuple(0 for _ in range(2)) for _ in range(2)]
         subs = invariant_subspaces(field, 2, [zero_mat])
         assert len(subs) == q + 3
+
+
+def test_nilpotent_jordan_block_has_a_chain_of_subspaces():
+    # a 3x3 nilpotent Jordan block over F_9 leaves exactly 0, ker N,
+    # ker N^2 and the whole space invariant
+    field = gf_of_order(9)
+    jordan = [(0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    subs = invariant_subspaces(field, 3, [jordan])
+    assert subs == [(), ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)),
+                    ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 def test_rank3_overorders_match_numerical_semigroups():
