@@ -2,15 +2,16 @@
 
 These carry the defining polynomials of the orders under study.  Only the
 operations the pipeline needs are provided: ring arithmetic, division by
-a divisor monic in x, reduction mod a prime of A, the resultant-based
+a divisor monic in x and the x-derivative, all run by gpoly over
+fqpoly.poly_ring, then reduction mod a prime of A, the resultant-based
 discriminant, the rescaled model at infinity, and coefficient maps into
 extension fields.
 """
 
 from .errors import InputError, InseparableError
-from .fqpoly import FqPoly
+from .fqpoly import FqPoly, poly_ring
 from .residue import ResidueField
-from . import amatrix
+from . import amatrix, gpoly
 
 
 class BiPoly:
@@ -62,63 +63,34 @@ class BiPoly:
         return hash((self.field, self.coeffs))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(self.field, out)
+        return BiPoly(self.field, gpoly.add(poly_ring(self.field), self.coeffs,
+                                            other.coeffs))
 
     def __neg__(self):
-        return BiPoly(self.field, [-c for c in self.coeffs])
+        return BiPoly(self.field, gpoly.neg(poly_ring(self.field), self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return BiPoly(self.field, gpoly.sub(poly_ring(self.field), self.coeffs,
+                                            other.coeffs))
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return BiPoly.zero(self.field)
-        z = FqPoly.zero(self.field)
-        out = [z] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return BiPoly(self.field, out)
+        return BiPoly(self.field, gpoly.mul(poly_ring(self.field), self.coeffs,
+                                            other.coeffs))
 
     def scale(self, c):
-        return BiPoly(self.field, [a * c for a in self.coeffs])
+        return BiPoly(self.field, gpoly.scale(poly_ring(self.field), self.coeffs, c))
 
     def divmod_monic(self, other):
         """Division by a divisor monic in x; stays inside A[x]."""
         if not other.is_monic_in_x():
             raise InputError("bivariate division needs a divisor monic in x")
-        z = FqPoly.zero(self.field)
-        rem = list(self.coeffs)
-        db = other.deg_x
-        if len(rem) - 1 < db:
-            return BiPoly.zero(self.field), self
-        quot = [z] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            quot[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = rem[i - db + j] - other.coeffs[j] * c
+        quot, rem = gpoly.divmod_poly(poly_ring(self.field), self.coeffs,
+                                      other.coeffs)
         return BiPoly(self.field, quot), BiPoly(self.field, rem)
 
     def derivative_x(self):
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = i % F.p
-            out.append(self.coeffs[i].scale(k) if k else FqPoly.zero(F))
-        return BiPoly(F, out)
+        return BiPoly(self.field, gpoly.derivative(poly_ring(self.field),
+                                                   self.coeffs))
 
     def reduce_mod(self, p):
         """Image in (A/p)[x] as a generic coefficient list."""

@@ -1,14 +1,16 @@
 """Algebra context for K = Frac(A[x]/f) and exact elements of K.
 
-The context fixes q and an irreducible f monic in x of degree r, carries
-the reduction table for powers of the generator pi, and the power sums
-needed for traces.  Elements of K are numerator coordinate vectors over A
-in the power basis together with a monic denominator.
+The context fixes q and an irreducible f monic in x of degree r and the
+power sums needed for traces.  Elements of K are numerator coordinate
+vectors over A in the power basis 1, pi, ..., pi^(r-1) together with a
+monic denominator.  A product in K is a product in A[x] followed by the
+remainder mod f, both run by gpoly over fqpoly.poly_ring.
 """
 
 from .errors import InputError, ReducibleError, InseparableError
-from .fqpoly import FqPoly, gcd_list
+from .fqpoly import FqPoly, gcd_list, poly_ring
 from .bifactor import is_irreducible_bivariate
+from . import gpoly
 
 
 class AlgebraContext:
@@ -18,6 +20,7 @@ class AlgebraContext:
         if not f.is_monic_in_x():
             raise InputError("f must be monic in x")
         self.field = field
+        self.ring = poly_ring(field)
         self.f = f
         self.r = f.deg_x
         self.seed = seed
@@ -29,27 +32,12 @@ class AlgebraContext:
         if check and not is_irreducible_bivariate(f, seed=seed):
             raise ReducibleError(f"f = {f.to_str(tvar, xvar)} is reducible over "
                                  f"F_{field.q}({tvar})")
-        self._build_power_table()
+        zero, one = self.ring.zero(), self.ring.one()
+        # the power basis 1, pi, ..., pi^(r-1) as unit vectors
+        self.power_vectors = tuple(
+            tuple(one if i == k else zero for i in range(self.r))
+            for k in range(self.r))
         self._build_trace_table()
-
-    def _build_power_table(self):
-        r = self.r
-        F = self.field
-        zero = FqPoly.zero(F)
-        one = FqPoly.one(F)
-        table = []
-        for k in range(r):
-            table.append(tuple(one if i == k else zero for i in range(r)))
-        # pi^r = -(c_0 + c_1 pi + ... + c_{r-1} pi^{r-1})
-        top = tuple(-self.f.coeff(i) for i in range(r))
-        table.append(top)
-        for _ in range(r + 1, 2 * r - 1):
-            prev = table[-1]
-            shifted = [zero] + list(prev[: r - 1])
-            lead = prev[r - 1]
-            nxt = [shifted[i] + top[i] * lead for i in range(r)]
-            table.append(tuple(nxt))
-        self.power_vectors = table
 
     def _build_trace_table(self):
         # Newton's identities give s_k = Tr(pi^k) from the coefficients of f.
@@ -66,27 +54,15 @@ class AlgebraContext:
             s.append(-acc)
         self.trace_powers = s
 
+    def eval_at_pi(self, g):
+        """Numerator vector of g(pi) for the x-coefficients g of an element
+        of A[x]: its remainder mod the monic f, padded to length r."""
+        out = gpoly.rem(self.ring, g, self.f.coeffs)
+        return out + (self.ring.zero(),) * (self.r - len(out))
+
     def mult_vectors(self, u, v):
         """Product of two numerator vectors in the power basis."""
-        r = self.r
-        F = self.field
-        zero = FqPoly.zero(F)
-        conv = [zero] * (2 * r - 1)
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if not vj.is_zero():
-                    conv[i + j] = conv[i + j] + ui * vj
-        out = [zero] * r
-        for k, ck in enumerate(conv):
-            if ck.is_zero():
-                continue
-            pv = self.power_vectors[k]
-            for i in range(r):
-                if not pv[i].is_zero():
-                    out[i] = out[i] + pv[i] * ck
-        return tuple(out)
+        return self.eval_at_pi(gpoly.mul(self.ring, u, v))
 
     def trace_of_vector(self, vec):
         """Trace of the element with numerator vector vec (denominator 1)."""
@@ -144,12 +120,8 @@ class KElement:
     @staticmethod
     def gen(ctx):
         """pi, the class of x."""
-        F = ctx.field
-        vec = [FqPoly.zero(F)] * ctx.r
-        if ctx.r == 1:
-            return KElement(ctx, (ctx.power_vectors[1][0],), normalize=False)
-        vec[1] = FqPoly.one(F)
-        return KElement(ctx, tuple(vec), normalize=False)
+        x = (ctx.ring.zero(), ctx.ring.one())
+        return KElement(ctx, ctx.eval_at_pi(x), normalize=False)
 
     @staticmethod
     def from_fqpoly(ctx, c):

@@ -8,6 +8,9 @@ operator passes the coefficient tuples to gpoly and wraps the normalised
 tuple it returns without scanning or copying it again.
 """
 
+import functools
+import operator
+
 from .errors import InputError
 from . import gpoly
 
@@ -170,6 +173,35 @@ def _wrap(field, coeffs):
     out.field = field
     out.coeffs = coeffs
     return out
+
+
+class PolyRing:
+    """A = F_q[T] under gpoly's element protocol, with FqPoly elements.
+
+    gpoly runs over it to give A[x].  It has no inv: A[x] is only ever
+    divided by divisors monic in x, which gpoly never inverts.
+    """
+
+    add, sub, neg, mul = operator.add, operator.sub, operator.neg, operator.mul
+
+    def __init__(self, field):
+        self.field = field
+        self.char = field.char
+
+    def zero(self):
+        return _wrap(self.field, ())
+
+    def one(self):
+        return _wrap(self.field, (1,))
+
+    def from_int(self, n):
+        return FqPoly(self.field, (self.field.from_int(n),))
+
+
+@functools.cache
+def poly_ring(field):
+    """The shared PolyRing of F_q[T] over the given field."""
+    return PolyRing(field)
 
 
 def poly_gcd(a, b):

@@ -1,14 +1,18 @@
-"""Dense polynomial arithmetic and factorization over a finite field.
+"""Dense polynomial arithmetic, and factorization over a finite field.
 
 This is the one polynomial kernel of the package: fqpoly.FqPoly, the
-residue fields A/p and the moduli of GF(p^e) all run on it.  Polynomials
-are tuples of element values of a field object following the gf.GF
-protocol (GF itself, or residue.ResidueField), by increasing degree with
-no trailing zeros; inputs may be lists or tuples, and every polynomial
-returned is such a normalised tuple.  Factorization is squarefree
-decomposition, then distinct-degree splitting, then equal-degree
-splitting; the equal-degree stage draws candidates from a seeded PRNG so
-every run is reproducible.
+residue fields A/p, the moduli of GF(p^e), A[x] as bipoly.BiPoly and
+multiplication in K = Frac(A[x]/f) all run on it.  Polynomials are tuples
+of element values of a ring object with the element protocol
+zero/one/add/sub/neg/mul (plus char and from_int for the derivative), by
+increasing degree with no trailing zeros; inputs may be lists or tuples,
+and every polynomial returned is such a normalised tuple.  The ring may be
+a field following the gf.GF protocol (GF itself, or residue.ResidueField)
+or A = F_q[T] itself (fqpoly.poly_ring); inv is needed only to divide by
+a non-monic divisor, and the gcd, factorization and field-order routines
+need a field.  Factorization is squarefree decomposition, then
+distinct-degree splitting, then equal-degree splitting; the equal-degree
+stage draws candidates from a seeded PRNG so every run is reproducible.
 """
 
 import random
@@ -82,7 +86,8 @@ def divmod_poly(F, a, b):
             c = F.mul(c, inv_lead)
         quot[i - db] = c
         for j, y in enumerate(b):
-            rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, y))
+            if y:
+                rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, y))
     return normalize(quot), normalize(rem)
 
 

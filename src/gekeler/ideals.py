@@ -16,12 +16,7 @@ from . import amatrix
 class FracIdeal:
     __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx, num, den, already_canonical=False):
-        if already_canonical:
-            self.ctx = ctx
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, ctx, num, den):
         F = ctx.field
         lead = den.lead()
         if lead != 1:
@@ -154,11 +149,6 @@ class FracIdeal:
         cols = [ctx.mult_vectors(z.num, col) for col in self.basis_columns()]
         return FracIdeal.from_columns(ctx, cols, self.den * z.den)
 
-    def scale_poly(self, c):
-        """c * I for nonzero c in A."""
-        cols = [tuple(e * c for e in col) for col in self.basis_columns()]
-        return FracIdeal.from_columns(self.ctx, cols, self.den)
-
     def intersect(self, other):
         self._check_ctx(other)
         ctx = self.ctx
@@ -222,7 +212,7 @@ class FracIdeal:
         cols = []
         for b in other.basis_columns():
             # the columns of M_b: b * pi^j
-            images = [ctx.mult_vectors(b, pv) for pv in ctx.power_vectors[:ctx.r]]
+            images = [ctx.mult_vectors(b, pv) for pv in ctx.power_vectors]
             for y in ys:
                 cols.append(tuple(_dot(m, y) for m in images))
         return FracIdeal.from_columns(ctx, cols, dual.den * other.den).dual()
@@ -338,8 +328,3 @@ def multiplicator_ring(i):
 def index_ideal(big, small):
     """[big : small] for small subseteq big."""
     return big.index_in(small)
-
-
-def principal_ideal(order, z):
-    """z * S for an order S and nonzero z in K."""
-    return order.ideal.scale(z)

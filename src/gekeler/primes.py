@@ -97,8 +97,8 @@ def kummer_dedekind(order, p):
     for gbar, e in factors:
         g = BiPoly(ctx.field, [k.lift(c) for c in gbar])
         f_res = gpoly.deg(gbar)
-        ideal = FracIdeal.from_elements(
-            ctx, [KElement.from_fqpoly(ctx, p), KElement(ctx, _eval_at_pi(ctx, g))])
+        ideal = FracIdeal.from_elements(ctx, [KElement.from_fqpoly(ctx, p),
+                                              KElement(ctx, ctx.eval_at_pi(g.coeffs))])
         if e == 1:
             regular = True
         else:
@@ -111,21 +111,6 @@ def kummer_dedekind(order, p):
     report = SplittingReport(p, tuple(primes))
     ctx.cache[key] = report
     return report
-
-
-def _eval_at_pi(ctx, g):
-    """Numerator vector of g(pi) for g in A[x] of degree < len(power table)."""
-    F = ctx.field
-    out = [FqPoly.zero(F)] * ctx.r
-    for i in range(g.deg_x + 1):
-        c = g.coeff(i)
-        if c.is_zero():
-            continue
-        pv = ctx.power_vectors[i]
-        for t in range(ctx.r):
-            if not pv[t].is_zero():
-                out[t] = out[t] + pv[t] * c
-    return tuple(out)
 
 
 def discriminant_of_f(ctx):

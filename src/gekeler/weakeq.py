@@ -129,12 +129,12 @@ def locally_weakly_equivalent(i, j, p):
     return True
 
 
-def local_icm(ctx, p, force_full=False):
+def local_icm(ctx, p):
     """ICM of the completion at p as a disjoint union of local weak classes."""
     ctx.require_separable()
     _require_prime(ctx, p)
     base = Order.monogenic(ctx)
-    if not force_full and p not in singular_primes(ctx):
+    if p not in singular_primes(ctx):
         cls = WeakClassRep(base.ideal, base)
         return LocalICMReport(p, ((base, (cls,)),), 1)
     groups = []

@@ -11,14 +11,17 @@ actual values asserted.
 import cmath
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import make_ctx
+import gekeler
 from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly
 from gekeler.ideals import Order
@@ -213,12 +216,15 @@ def test_criterion_9_cli_determinism():
          "--level", "1"],
         ["oracle", "commutant", "--q", "3", "--f", "1 - x + x^3"],
     ]
+    # the child imports the same checkout, installed or not
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
     for args in invocations:
         outs = []
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "gekeler"] + args,
-                capture_output=True, check=True)
+                capture_output=True, check=True, env=env)
             outs.append(proc.stdout)
         assert outs[0] == outs[1], f"nondeterministic output for {args}"
         json.loads(outs[0])

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from gekeler.gf import gf, embedding
+from gekeler.gf import gf, gf_of_order, embedding
 from gekeler.fqpoly import FqPoly
 from gekeler.parse import parse_bipoly, parse_fqpoly, ParseError
 from gekeler.bipoly import BiPoly, discriminant, infinity_model, resultant_x
@@ -154,3 +156,24 @@ def test_poly_rendering_round_trips():
         assert parse_fqpoly(F4, p.to_str()) == p
     g = parse_bipoly(F4, "x^2 + a*x + T")
     assert parse_bipoly(F4, g.to_str()) == g
+
+
+def test_divmod_monic_identity():
+    rng = random.Random(7)
+    for q in (2, 3, 4, 9):
+        F = gf_of_order(q)
+
+        def rand_bipoly(deg_x):
+            return BiPoly(F, [FqPoly(F, [rng.randrange(q) for _ in range(4)])
+                              for _ in range(deg_x + 1)])
+
+        for _ in range(10):
+            f = rand_bipoly(rng.randrange(6))
+            g = rand_bipoly(rng.randrange(4)) + BiPoly(
+                F, [FqPoly.zero(F)] * 4 + [FqPoly.one(F)])
+            quot, rem = f.divmod_monic(g)
+            assert quot * g + rem == f
+            assert rem.deg_x < g.deg_x
+    F = gf(3)
+    with pytest.raises(InputError):
+        parse_bipoly(F, "x^3 + T").divmod_monic(parse_bipoly(F, "T*x - 1"))

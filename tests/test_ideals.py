@@ -1,12 +1,12 @@
 import random
+import zlib
 
 import pytest
 
 from conftest import make_ctx
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
-from gekeler.ideals import (FracIdeal, Order, multiplicator_ring, index_ideal,
-                            principal_ideal)
+from gekeler.ideals import FracIdeal, Order, multiplicator_ring, index_ideal
 from gekeler.errors import InputError, NotContained
 from gekeler import amatrix
 
@@ -36,7 +36,7 @@ def _colon_by_adjugates(i, j):
     ctx = i.ctx
     result = None
     for col in j.basis_columns():
-        images = [ctx.mult_vectors(col, pv) for pv in ctx.power_vectors[:ctx.r]]
+        images = [ctx.mult_vectors(col, pv) for pv in ctx.power_vectors]
         m = [[images[c][rw] for c in range(ctx.r)] for rw in range(ctx.r)]
         num = amatrix.mat_mul(adjugate(m), [list(row) for row in i.num])
         num = [[e * j.den for e in row] for row in num]
@@ -76,7 +76,7 @@ def test_ideal_sum_product_basics():
     assert m * R.ideal == m
     a = KElement.from_fqpoly(ctx, T + FqPoly.one(ctx.field))
     b = KElement.from_fqpoly(ctx, T ** 2 + FqPoly.const(ctx.field, 2))
-    assert principal_ideal(R, a) * principal_ideal(R, b) == principal_ideal(R, a * b)
+    assert R.ideal.scale(a) * R.ideal.scale(b) == R.ideal.scale(a * b)
 
 
 def test_cusp_m_squared_vs_hand_hnf():
@@ -169,7 +169,7 @@ def rand_ideal(ctx, rng):
                                     (3, "x^3 - T*x - T^2"), (2, "x^2 + T")])
 def test_randomized_colon_scaling_normalization(q, fstr):
     ctx = make_ctx(q, fstr)
-    rng = random.Random(hash((q, fstr)) & 0xFFFF)
+    rng = random.Random(zlib.crc32(f"{q} {fstr}".encode()))
     for _ in range(10):
         i = rand_ideal(ctx, rng)
         j = rand_ideal(ctx, rng)

@@ -67,7 +67,7 @@ def test_kd_primes_contain_pR_with_exponents():
         for q in rep.primes:
             for _ in range(q.e):
                 prod = prod * q.ideal
-        pR = R.ideal.scale_poly(p)
+        pR = R.ideal.scale(KElement.from_fqpoly(ctx, p))
         assert pR.contains(prod)
 
 

@@ -53,7 +53,7 @@ def test_weak_classes_requires_overorder():
     ctx = make_ctx(3, "x^2 - T^3")
     R = Order.monogenic(ctx)
     T = FqPoly.gen(ctx.field)
-    bad = Order(R.ideal.scale_poly(T), check=False)
+    bad = Order(R.ideal.scale(KElement.from_fqpoly(ctx, T)), check=False)
     with pytest.raises(InputError):
         weak_classes(R, bad, T)
     # O_K is not a T-overorder when T + 1 is singular too
@@ -202,10 +202,12 @@ def test_local_icm_values():
     flat = [c.ideal for _, classes in rep.by_overorder for c in classes]
     assert len(flat) == 2
     assert not locally_weakly_equivalent(flat[0], flat[1], T)
-    # regular primes short-circuit and the full path agrees
+    # regular primes short-circuit, and the full computation agrees there
     one = FqPoly.one(ctx.field)
     assert local_icm(ctx, T - one).m_p == 1
-    assert local_icm(ctx, T - one, force_full=True).m_p == 1
+    R = Order.monogenic(ctx)
+    assert p_overorders(ctx, T - one).orders == (R,)
+    assert len(weak_classes(R, R, T - one)) == 1
 
 
 def test_local_icm_regular_for_unit_disc():
@@ -221,7 +223,9 @@ def test_rank_one_is_trivial():
     ctx = make_ctx(3, "x - T^2")
     p = FqPoly.gen(ctx.field)
     assert local_icm(ctx, p).m_p == 1
-    assert local_icm(ctx, p, force_full=True).m_p == 1
+    R = Order.monogenic(ctx)
+    assert p_overorders(ctx, p).orders == (R,)
+    assert len(weak_classes(R, R, p)) == 1
 
 
 def test_extension_field_pipeline():
