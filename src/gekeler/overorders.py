@@ -32,7 +32,7 @@ def p_overorders(ctx, p):
     base = Order.monogenic(ctx)
     sat = p_saturation(ctx, p)
     orders = [Order(lat, check=False)
-              for lat in submodule_lattices(sat.ideal, base.ideal)
+              for lat in submodule_lattices(sat.ideal, base.ideal, base)
               if lat.is_order_lattice()]
     orders.sort(key=lambda s: s.canonical_key())
     out = POverorderSet(p, tuple(orders))

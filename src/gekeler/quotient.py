@@ -1,9 +1,10 @@
 """Finite quotients top/bottom of lattices in K, as F_q-spaces with lifts.
 
 `submodule_lattices` is the one enumeration the pipeline runs: every
-R-module lattice between two lattices, used for R-submodules of O/R
-(overorders) and of O/(R:O) (weak class representatives), where O is the
-p-saturation of R.  Invariant subspaces are found by a closure BFS that
+lattice between two lattices that is a module over a given order, used
+for the R-submodules of O/R (overorders) and the S-submodules of O/(S:O)
+(weak class representatives of a non-Gorenstein overorder S), where O is
+the p-saturation of R.  Invariant subspaces are found by a closure BFS that
 reaches every submodule and canonicalizes via RREF, so results are
 deterministic.
 """
@@ -105,16 +106,26 @@ class LatticeQuotient:
                 for rw in range(self.dim)]
 
 
-def submodule_lattices(top, bottom):
-    """Every R-module lattice between bottom and top: the pullbacks of the
-    subspaces of top/bottom invariant under multiplication by T and x."""
+def submodule_lattices(top, bottom, ring):
+    """Every ring-module lattice between bottom and top, for an order
+    `ring` that stabilizes both: the pullbacks of the subspaces of
+    top/bottom invariant under T and under each basis element of the ring.
+    Scalar and repeated matrices are dropped; they constrain nothing."""
     ctx = top.ctx
     quo = LatticeQuotient(top, bottom)
     t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-    pi = KElement.gen(ctx)
-    mats = [quo.action_matrix(t_el), quo.action_matrix(pi)]
+    mats = []
+    for z in [t_el] + ring.basis_elements():
+        m = quo.action_matrix(z)
+        if m not in mats and not _is_scalar(m):
+            mats.append(m)
     return [quo.pullback(sub)
             for sub in invariant_subspaces(ctx.field, quo.dim, mats)]
+
+
+def _is_scalar(m):
+    return all(m[i][j] == (m[0][0] if i == j else 0)
+               for i in range(len(m)) for j in range(len(m)))
 
 
 def _line_vectors(field, dim):

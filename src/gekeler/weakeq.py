@@ -1,13 +1,16 @@
 """Weak equivalence classes and the local ideal class monoid at p.
 
-Let O be the p-saturation of R.  Representatives of the weak classes of
-a p-overorder S are found inside the window (S:O) <= I <= O by
-enumerating the R-module lattices between (R:O) and O, keeping those
-with multiplicator ring exactly S, and collapsing by the weak
-equivalence test 1 in (I:J)(J:I).  These lattices all equal R away from
-p, so that test is weak equivalence at p.  The local class monoid at p
-is the disjoint union of the weak classes over the p-overorders, since
-local Picard groups are trivial.
+Let O be the p-saturation of R and S a p-overorder.  A Gorenstein S has
+the one weak class [S] (Bass 1963; Marseglia 2020, "Computing the ideal
+class monoid of an order"); `is_gorenstein` needs two colons and one
+product, and every order of rank 2 passes it.  For any other S, every
+weak class has a representative in S's own window (S:O) <= I <= O: its
+S-module lattices with (I:I) = S are collapsed once by 1 in (I:J)(J:I),
+which is weak equivalence at p since they all equal R away from p.
+[S] comes first, represented by S; every other class is represented by
+its canonically first lattice in the window, in canonical order.  The
+local class monoid at p is the disjoint union of the weak classes over
+the p-overorders, since local Picard groups are trivial.
 """
 
 from dataclasses import dataclass
@@ -53,32 +56,26 @@ def globally_weakly_equivalent(i, j):
     return (i.colon(j) * j.colon(i)).contains_one()
 
 
-def _window_candidates(ctx, p):
-    """R-module lattices (R:O) <= I <= O, O the p-saturation, with their
-    multiplicator rings.
+def is_gorenstein(s_order):
+    """Is the overorder S of the monogenic R Gorenstein?
 
-    Every weak class of a p-overorder S has a representative with
-    (S:O) <= I <= O, and (R:O) <= (S:O), so this single window covers all
-    of them.  Cached per context and prime, sorted canonically.
+    R^t = f'(pi)^{-1} R gives S^t = f'(pi)^{-1} (R:S), so S^t is an
+    invertible S-ideal iff (S:J)J = S for J = (R:S); the scalar cancels.
     """
-    key = ("window", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    sat = p_saturation(ctx, p)
-    conductor = FracIdeal.unit_ideal(ctx).colon(sat.ideal)
-    lattices = submodule_lattices(sat.ideal, conductor)
-    lattices.sort(key=lambda l: l.canonical_key())
-    window = [(lat, lat.colon(lat)) for lat in lattices]
-    ctx.cache[key] = window
-    return window
+    s = s_order.ideal
+    j = FracIdeal.unit_ideal(s.ctx).colon(s)
+    return s.colon(j) * j == s
 
 
 def weak_classes(base, s_order, p):
     """Pairwise inequivalent representatives of the weak classes at p with
-    multiplicator ring S, for a p-overorder S.
+    multiplicator ring S, for a p-overorder S; [S] comes first.
 
-    Every window lattice equals R away from p, so global weak equivalence
-    of two of them is weak equivalence of their completions at p.
+    A Gorenstein S has the single class [S].  Otherwise the S-module
+    lattices (S:O) <= I <= O with (I:I) = S are taken in canonical order,
+    and each one not weakly equivalent to an earlier representative
+    starts a class.  Every such lattice equals R away from p, so global
+    weak equivalence of two of them is weak equivalence at p.
     """
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
@@ -88,32 +85,20 @@ def weak_classes(base, s_order, p):
     if cache_key in ctx.cache:
         return ctx.cache[cache_key]
     sat = p_saturation(ctx, p)
-    if not (s_order.ideal.contains(base.ideal)
-            and sat.ideal.contains(s_order.ideal)):
+    s = s_order.ideal
+    if not (s.contains(base.ideal) and sat.ideal.contains(s)):
         raise InputError("S must satisfy R subseteq S subseteq O")
-    kept = [lat for lat, mult in _window_candidates(ctx, p)
-            if mult == s_order.ideal]
-    groups = []
-    for lat in kept:
-        for group in groups:
-            if globally_weakly_equivalent(lat, group[0]):
-                group.append(lat)
-                break
-        else:
-            groups.append([lat])
-    s_conductor = s_order.ideal.colon(sat.ideal)
-    reps = []
-    for group in groups:
-        rep = None
-        for lat in group:
-            if lat.contains(s_conductor):
-                rep = lat
-                break
-        if rep is None:  # pragma: no cover - every class meets the S-window
-            raise InternalCheckError("no representative inside the S-window")
-        reps.append(WeakClassRep(rep, s_order))
-    ctx.cache[cache_key] = reps
-    return reps
+    reps = [s]
+    if not is_gorenstein(s_order):
+        window = submodule_lattices(sat.ideal, s.colon(sat.ideal), s_order)
+        window.sort(key=lambda l: l.canonical_key())
+        for lat in window:
+            if lat.colon(lat) == s and not any(
+                    globally_weakly_equivalent(lat, rep) for rep in reps):
+                reps.append(lat)
+    out = tuple(WeakClassRep(rep, s_order) for rep in reps)
+    ctx.cache[cache_key] = out
+    return out
 
 
 def locally_weakly_equivalent(i, j, p):
@@ -140,9 +125,11 @@ def local_icm(ctx, p):
     groups = []
     total = 0
     for s_order in p_overorders(ctx, p).orders:
-        classes = tuple(weak_classes(base, s_order, p))
+        classes = weak_classes(base, s_order, p)
         total += len(classes)
         groups.append((s_order, classes))
-    if total < 1:  # pragma: no cover
-        raise InputError("class monoid came out empty")
+    if total < 1:
+        raise InternalCheckError(
+            f"local_icm: class monoid came out empty for q = {ctx.field.q}, "
+            f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}, p = {p.to_str(ctx.tvar)}")
     return LocalICMReport(p, tuple(groups), total)

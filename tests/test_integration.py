@@ -6,17 +6,17 @@ f = (x^2 - (1 + g))^2 + 4x^2.  This exercises m = 2 together with g = 1,
 ranks beyond the quadratic examples, and several singular primes at once.
 """
 
+import sys
 from fractions import Fraction
 
 from conftest import make_ctx
-from gekeler.gf import gf, embedding
+from gekeler.context import AlgebraContext
+from gekeler.gf import gf, gf_of_order, embedding
 from gekeler.fqpoly import FqPoly
-from gekeler.parse import parse_fqpoly
+from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.zeta import constant_field_degree, genus, l_polynomial
-from gekeler.ideals import Order
-from gekeler.primes import maximal_order, p_saturation, singular_primes
-from gekeler.quotient import submodule_lattices
-from gekeler.weakeq import local_icm, _window_candidates
+from gekeler.primes import infinity_context, singular_primes
+from gekeler.weakeq import local_icm
 from gekeler.ratios import gekeler_product
 
 G_STR = "T^3 - T - 1"
@@ -75,17 +75,60 @@ def test_rank4_constant_field_tower():
             == zeta_series_coefficients(lp, 2) == [1, n1, 70])
 
 
-def test_rank4_tower_window_is_local():
-    # the window at p lies between (R:O) and O, O the p-saturation; the
-    # global window between (R:O_K) and O_K is the product over the three
-    # singular primes
-    ctx = make_ctx(3, F_STR)
-    R = Order.monogenic(ctx).ideal
-    for p in singular_primes(ctx):
-        sat = p_saturation(ctx, p).ideal
-        window = _window_candidates(ctx, p)
-        assert len(window) == 6
-        for lat, _ in window:
-            assert lat.contains(R.colon(sat)) and sat.contains(lat)
-    ok = maximal_order(ctx).ideal
-    assert len(submodule_lattices(ok, R.colon(ok))) == 216
+def _enumeration_callers(monkeypatch, ctx, primes):
+    """Run local_icm at each prime of a fresh context and return the name
+    of the function behind each call of quotient.submodule_lattices."""
+    from gekeler import quotient
+    original = quotient.submodule_lattices
+    callers = []
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    with monkeypatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name == "gekeler" or name.startswith("gekeler."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        mp.setattr(module, attr, counted)
+        for p in primes:
+            local_icm(ctx, p)
+    return callers
+
+
+def _fresh_ctx(q, fstr):
+    # a new context, so that no earlier test has filled its caches
+    field = gf_of_order(q)
+    return AlgebraContext(field, parse_bipoly(field, fstr))
+
+
+def test_gorenstein_overorders_enumerate_no_window(monkeypatch):
+    # Gorenstein overorders get their one class without a window, so
+    # local_icm enumerates lattices only to find the p-overorders
+    ctx = _fresh_ctx(3, F_STR)
+    sing = singular_primes(ctx)
+    assert (_enumeration_callers(monkeypatch, ctx, sing)
+            == ["p_overorders"] * len(sing))
+    inf = infinity_context(_fresh_ctx(3, F_STR))
+    U = FqPoly.gen(inf.field)
+    assert _enumeration_callers(monkeypatch, inf, [U]) == ["p_overorders"]
+    ctx = _fresh_ctx(3, "x^2 - T^7")
+    T = FqPoly.gen(ctx.field)
+    assert _enumeration_callers(monkeypatch, ctx, [T]) == ["p_overorders"]
+    # x^3 - T^4 over F_2 has one non-Gorenstein overorder, and only its
+    # own window is enumerated
+    ctx = _fresh_ctx(2, "x^3 - T^4")
+    T = FqPoly.gen(ctx.field)
+    assert (_enumeration_callers(monkeypatch, ctx, [T])
+            == ["p_overorders", "weak_classes"])
+
+
+def test_rank4_tower_infinity_model():
+    # the model at infinity: O/(R:O) has F_3-dimension 10 at U, and every
+    # p-overorder is Gorenstein
+    inf = infinity_context(make_ctx(3, F_STR))
+    U = FqPoly.gen(inf.field)
+    report = local_icm(inf, U)
+    assert report.m_p == 6
+    assert [len(classes) for _, classes in report.by_overorder] == [1] * 6

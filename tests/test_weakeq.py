@@ -7,12 +7,14 @@ from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order
-from gekeler.primes import maximal_order, p_saturation, singular_primes
+from gekeler.primes import (infinity_context, maximal_order, p_saturation,
+                            singular_primes)
 from gekeler.overorders import p_overorders
 from gekeler.quotient import submodule_lattices
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
-                            local_icm, globally_weakly_equivalent)
-from gekeler.errors import InputError
+                            local_icm, globally_weakly_equivalent,
+                            is_gorenstein)
+from gekeler.errors import InputError, InternalCheckError
 
 
 def test_weak_classes_maximal_order_is_single():
@@ -150,7 +152,7 @@ def _global_window_classes(ctx, p):
     """
     R = Order.monogenic(ctx)
     ok = maximal_order(ctx).ideal
-    window = sorted(submodule_lattices(ok, R.ideal.colon(ok)),
+    window = sorted(submodule_lattices(ok, R.ideal.colon(ok), R),
                     key=lambda l: l.canonical_key())
     out = []
     for s in p_overorders(ctx, p).orders:
@@ -190,6 +192,117 @@ def test_local_window_matches_global_window_reference(fstr):
         for (s, classes), (s_ref, reps) in zip(report.by_overorder, reference):
             assert s == s_ref
             assert [c.ideal for c in classes] == reps
+
+
+def _one_window_classes(ctx, p):
+    """The one-window path, as a reference.
+
+    Enumerates every R-module lattice (R:O) <= I <= O, O the
+    p-saturation, in canonical order; for each p-overorder S collapses
+    those with multiplicator ring S by global weak equivalence and
+    represents each class by its first lattice that contains (S:O).
+    """
+    R = Order.monogenic(ctx)
+    sat = p_saturation(ctx, p).ideal
+    lattices = sorted(submodule_lattices(sat, R.ideal.colon(sat), R),
+                      key=lambda l: l.canonical_key())
+    window = [(lat, lat.colon(lat)) for lat in lattices]
+    out = []
+    for s in p_overorders(ctx, p).orders:
+        groups = []
+        for lat, mult in window:
+            if mult != s.ideal:
+                continue
+            for group in groups:
+                if globally_weakly_equivalent(lat, group[0]):
+                    group.append(lat)
+                    break
+            else:
+                groups.append([lat])
+        cond = s.ideal.colon(sat)
+        out.append((s, [next(lat for lat in group if lat.contains(cond))
+                        for group in groups]))
+    return out
+
+
+ORACLE_CURVES = [
+    (3, "x^2 - T^3"),
+    (3, "x^2 - T^3*(T + 1)^3"),
+    (3, "x^2 - T^2*(T + 1)^3"),
+    (3, "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"),
+    (2, "x^3 - T^4"),
+    (2, "x^3 - T^5"),
+    (3, "x^4 + T^3"),
+]
+
+
+@pytest.mark.parametrize("q,fstr", ORACLE_CURVES)
+def test_per_order_windows_match_one_window_oracle(q, fstr):
+    ctx = make_ctx(q, fstr)
+    for p in singular_primes(ctx):
+        report = local_icm(ctx, p)
+        reference = _one_window_classes(ctx, p)
+        assert report.m_p == sum(len(reps) for _, reps in reference)
+        assert [s for s, _ in report.by_overorder] == [s for s, _ in reference]
+        for (s, classes), (_, reps) in zip(report.by_overorder, reference):
+            assert len(classes) == len(reps)
+            assert is_gorenstein(s) == (len(reps) == 1)
+            for c in classes:
+                assert c.ideal.colon(c.ideal) == s.ideal
+                assert sum(globally_weakly_equivalent(c.ideal, r)
+                           for r in reps) == 1
+            # output rule: [S] first, represented by S, then canonical order
+            assert classes[0].ideal == s.ideal
+            keys = [c.ideal.canonical_key() for c in classes[1:]]
+            assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_closed_form_x2_minus_odd_power(k):
+    # m_T(x^2 - T^(2k+1)) = k + 1 over F_3: one class per overorder
+    ctx = make_ctx(3, f"x^2 - T^{2 * k + 1}")
+    T = FqPoly.gen(ctx.field)
+    assert local_icm(ctx, T).m_p == k + 1
+    if k <= 3:
+        reference = _one_window_classes(ctx, T)
+        assert sum(len(reps) for _, reps in reference) == k + 1
+
+
+RANK2_CURVES = [
+    (3, "x^2 - T^3"),
+    (3, "x^2 - T^3*(T + 1)^3"),
+    (3, "x^2 - T^2*(T + 1)^3"),
+    (3, "x^2 - T"),
+    (4, "x^2 + a*x + T"),
+    (3, "x^2 - T^5"),
+    (9, "x^2 - T^5"),
+    (2, "x^2 + T*x + T^3"),
+]
+
+
+@pytest.mark.parametrize("q,fstr", RANK2_CURVES)
+def test_rank2_overorders_are_gorenstein(q, fstr):
+    # every order of rank 2 is Gorenstein, so m_p counts the p-overorders
+    finite = make_ctx(q, fstr)
+    for ctx in (finite, infinity_context(finite)):
+        for p in singular_primes(ctx):
+            orders = p_overorders(ctx, p).orders
+            assert all(is_gorenstein(s) for s in orders)
+            assert local_icm(ctx, p).m_p == len(orders)
+
+
+def test_empty_class_monoid_names_stage_and_instance(monkeypatch):
+    from gekeler import weakeq
+    from gekeler.overorders import POverorderSet
+    ctx = make_ctx(3, "x^2 - T^3")
+    T = FqPoly.gen(ctx.field)
+    monkeypatch.setattr(weakeq, "p_overorders",
+                        lambda c, p: POverorderSet(p, ()))
+    with pytest.raises(InternalCheckError) as err:
+        local_icm(ctx, T)
+    msg = str(err.value)
+    assert "local_icm" in msg and "q = 3" in msg
+    assert f"f = {ctx.f.to_str()}" in msg and "p = T" in msg
 
 
 def test_local_icm_values():
