@@ -9,7 +9,7 @@ with brute-force oracles validating every closed form at desk scale.
 __version__ = "0.1.0"
 
 from .gf import GF, gf, gf_of_order
-from .fqpoly import FqPoly, poly_xgcd, poly_gcd, factor_fq_univariate
+from .fqpoly import FqPoly, poly_xgcd, poly_gcd
 from .bipoly import BiPoly, discriminant, infinity_model
 from .bifactor import is_irreducible_bivariate
 from .parse import parse_bipoly, parse_fqpoly

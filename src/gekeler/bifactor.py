@@ -11,7 +11,7 @@ power in F_q(T).
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .fqpoly import monic_irreducibles
+from .fqpoly import FqPoly, monic_irreducibles
 from .bipoly import BiPoly
 from .residue import ResidueField
 from . import gpoly
@@ -23,11 +23,13 @@ def _lift_generic(field, R, coeffs):
 
 
 def _choose_hensel_prime(f):
-    """Smallest monic irreducible p with f squarefree mod p."""
+    """Smallest monic irreducible p with f squarefree mod p; the linear
+    primes are tried lazily, so that a large q builds no sieve."""
     field = f.field
     cap = 2 * (f.deg_x + 1) * (f.max_coeff_degree() + 2)
     for d in range(1, cap):
-        for p in monic_irreducibles(field, d):
+        linear = (FqPoly(field, (c, 1)) for c in range(field.q))
+        for p in linear if d == 1 else monic_irreducibles(field, d):
             R, fb = f.reduce_mod(p)
             der = gpoly.derivative(R, fb)
             if der and gpoly.deg(gpoly.gcd(R, fb, der)) == 0:

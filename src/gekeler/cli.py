@@ -200,6 +200,9 @@ _RUNNERS = {
 
 
 def main(argv=None):
+    # values are exact, so integers of any length must print
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ap = _build_parser()
     args = ap.parse_args(argv)
     t0 = time.monotonic()

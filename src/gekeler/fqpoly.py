@@ -9,12 +9,14 @@ tuple it returns without scanning or copying it again.
 """
 
 import functools
+import itertools
 import operator
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 from . import gpoly
 
 NEG_INF = float("-inf")
+SIEVE_LIMIT = 2 ** 20   # candidates one sieve may hold, bounding its memory
 
 
 class FqPoly:
@@ -236,33 +238,41 @@ def powmod(base, n, modulus):
     return _wrap(F, gpoly.powmod(F, base.coeffs, n, modulus.coeffs))
 
 
-def factor_fq_univariate(g, seed=0):
-    """Factor a nonzero g over its coefficient field.
-
-    Returns [(monic irreducible FqPoly, multiplicity), ...]; the product
-    of the factors with multiplicity is monic(g).
-    """
-    return [(_wrap(g.field, tuple(coeffs)), mult)
-            for coeffs, mult in gpoly.factor(g.field, g.coeffs, seed=seed)]
-
-
 def is_irreducible(f):
     """Rabin irreducibility test for a nonconstant polynomial over F_q."""
     return gpoly.is_irreducible(f.field, f.coeffs)
 
 
 def monic_irreducibles(field, degree):
-    """All monic irreducibles of the given degree, in encoding order."""
+    """An iterator over the monic irreducibles of the given degree, in
+    encoding order; they are sieved once per field and degree."""
+    return iter(_sieve(field, degree))
+
+
+@functools.cache
+def _sieve(field, degree):
+    """Strike out each product of a monic irreducible of degree <= degree/2
+    with a monic cofactor, indexed by its lower coefficients as base-q digits."""
     q = field.q
-    for low in range(q ** degree):
-        coeffs = []
-        n = low
-        for _ in range(degree):
-            coeffs.append(n % q)
-            n //= q
-        coeffs.append(1)
-        if gpoly.is_irreducible(field, coeffs):
-            yield _wrap(field, tuple(coeffs))
+    if q ** degree > SIEVE_LIMIT:
+        raise BudgetExceeded(f"listing the primes of degree {degree} over F_{q} "
+                             f"sieves {q}^{degree} > {SIEVE_LIMIT} polynomials")
+    composite = bytearray(q ** degree)
+    for d in range(1, degree // 2 + 1):
+        cofactors = list(_monics(q, degree - d))
+        for p in _sieve(field, d):
+            for c in cofactors:
+                n = 0
+                for coeff in reversed(gpoly.mul(field, p.coeffs, c)[:-1]):
+                    n = n * q + coeff
+                composite[n] = 1
+    return tuple(_wrap(field, c) for n, c in enumerate(_monics(q, degree))
+                 if not composite[n])
+
+
+def _monics(q, degree):
+    """The monic polynomials of the given degree, in encoding order."""
+    return (c[::-1] + (1,) for c in itertools.product(range(q), repeat=degree))
 
 
 def poly_order_key(p):

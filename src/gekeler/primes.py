@@ -5,6 +5,8 @@ Dedekind with the remainder criterion for regularity.  Splitting in the
 maximal order is Kummer-Dedekind again at the primes not dividing the
 index [O_K:R] (Dedekind's criterion); only at the finitely many index
 primes does it decompose the finite algebra O_K/pO_K into local factors.
+The census reads splitting types alone: at p not dividing disc(f) the
+type is the distinct-degree pattern of f mod p, with no ideal built.
 The maximal order itself is obtained by radical saturation at the primes
 whose square divides disc(f), validated by the conductor-discriminant
 identity; the saturation at p is the p-saturation of R.
@@ -58,6 +60,14 @@ class SplittingReport:
         }
 
 
+def _internal(ctx, stage, what, p):
+    """InternalCheckError naming the stage and instance (q, f, p); p may be text."""
+    if isinstance(p, FqPoly):
+        p = p.to_str(ctx.tvar)
+    return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
+                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}, p = {p}")
+
+
 def _require_prime(ctx, p):
     """Reject p unless it is a monic irreducible; tested once per context."""
     key = ("prime", p)
@@ -105,8 +115,8 @@ def kummer_dedekind(order, p):
             _, rem = ctx.f.divmod_monic(g)
             regular = any(not (c % p2).is_zero() for c in rem.coeffs)
         primes.append(PrimeAbove(p, ideal, e, f_res, regular))
-    if sum(q.e * q.f_res for q in primes) != ctx.r:  # pragma: no cover
-        raise InternalCheckError("sum of e*f does not match the rank")
+    if sum(q.e * q.f_res for q in primes) != ctx.r:
+        raise _internal(ctx, "kummer_dedekind", "sum of e*f is not r", p)
     primes.sort(key=lambda q: q.ideal.canonical_key())
     report = SplittingReport(p, tuple(primes))
     ctx.cache[key] = report
@@ -114,7 +124,35 @@ def kummer_dedekind(order, p):
 
 
 def discriminant_of_f(ctx):
-    return discriminant(ctx.f)
+    """Monic disc(f), computed once per context."""
+    if "disc" not in ctx.cache:
+        ctx.cache["disc"] = discriminant(ctx.f)
+    return ctx.cache["disc"]
+
+
+def splitting_type(ctx, p):
+    """The pairs (e, f) of the primes of O_K above p, in increasing order.
+
+    At p not dividing disc(f), f mod p is squarefree and R is maximal at p,
+    so the type is the pattern of f mod p (Rosen, GTM 210, ch. 3): its
+    distinct-degree factor g_d gives deg(g_d)/d unramified primes of
+    residue degree d.  At p | disc(f) it is read off primes_above_in_max.
+    """
+    key = ("type", p)
+    if key in ctx.cache:
+        return ctx.cache[key]
+    ctx.require_separable()
+    _require_prime(ctx, p)
+    if (discriminant_of_f(ctx) % p).is_zero():
+        pairs = [(q.e, q.f_res) for q in primes_above_in_max(ctx, p).primes]
+    else:
+        k, fbar = ctx.f.reduce_mod(p)
+        pairs = [(1, d) for g, d in gpoly.distinct_degree(k, fbar)
+                 for _ in range(gpoly.deg(g) // d)]
+    if sum(e * f for e, f in pairs) != ctx.r:
+        raise _internal(ctx, "splitting_type", "sum of e*f is not r", p)
+    ctx.cache[key] = tuple(sorted(pairs))
+    return ctx.cache[key]
 
 
 def order_discriminant(order):
@@ -194,7 +232,7 @@ def maximal_order(ctx):
     ctx.require_separable()
     if "max_order" in ctx.cache:
         return ctx.cache["max_order"]
-    disc = discriminant(ctx.f)
+    disc = discriminant_of_f(ctx)
     base = Order.monogenic(ctx)
     result = base
     for fac, mult in gpoly.factor(ctx.field, list(disc.coeffs), seed=ctx.seed):
@@ -209,13 +247,14 @@ def maximal_order(ctx):
                 break
             sat = grown
         else:  # pragma: no cover
-            raise InternalCheckError(f"saturation at {p.to_str()} did not converge")
+            raise _internal(ctx, "maximal_order", "saturation did not converge", p)
         ctx.cache[("sat", p)] = sat
         if sat.ideal != base.ideal:
             result = Order(result.ideal * sat.ideal, check=False)
     idx = index_ideal(result.ideal, base.ideal)
     if order_discriminant(result) * idx * idx != disc:
-        raise InternalCheckError("conductor-discriminant identity failed")
+        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
+                        "failed", f"each factor of {disc.to_str(ctx.tvar)}")
     ctx.cache["max_order"] = result
     return result
 
@@ -235,11 +274,12 @@ def singular_primes(ctx):
     ctx.require_separable()
     if "singular" in ctx.cache:
         return ctx.cache["singular"]
-    disc = discriminant(ctx.f)
     base = Order.monogenic(ctx)
     out = []
-    for fac, _ in gpoly.factor(ctx.field, list(disc.coeffs), seed=ctx.seed):
+    for fac, _ in gpoly.factor(ctx.field, list(discriminant_of_f(ctx).coeffs),
+                               seed=ctx.seed):
         p = FqPoly(ctx.field, fac)
+        ctx.cache[("prime", p)] = True   # a factor from gpoly.factor
         report = kummer_dedekind(base, p)
         if any(not q.regular for q in report.primes):
             out.append(p)
@@ -285,13 +325,16 @@ def _primes_above_by_algebra(ctx, p):
         vecs = [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)]
         comp_bases.append(klinalg.span_basis(
             k, [v for v in vecs if any(c != k.zero() for c in v)]))
+    def fail(what):
+        return _internal(ctx, "primes_above_in_max", what, p)
+
     primes = []
     for i, eps in enumerate(idempotents):
         comp = comp_bases[i]
         inter = klinalg.intersect_spans(k, comp, nil) if nil else []
         f_res = len(comp) - len(inter)
         if f_res <= 0 or len(comp) % f_res != 0:  # pragma: no cover
-            raise InternalCheckError("bad local component dimensions")
+            raise fail("bad local component dimensions")
         e = len(comp) // f_res
         others = []
         for j, other in enumerate(comp_bases):
@@ -299,14 +342,14 @@ def _primes_above_by_algebra(ctx, p):
                 others.extend(other)
         w = klinalg.span_basis(k, list(nil) + others)
         if len(w) != alg.dim - f_res:  # pragma: no cover
-            raise InternalCheckError("maximal ideal has wrong dimension")
+            raise fail("maximal ideal has wrong dimension")
         ideal = lattice_from_subspace(order, p, w)
         expected = p ** f_res
         if index_ideal(order.ideal, ideal) != expected.monic():
-            raise InternalCheckError("prime norm mismatch in O_K splitting")
+            raise fail("prime norm mismatch in O_K splitting")
         primes.append(PrimeAbove(p, ideal, e, f_res, True))
     if sum(q.e * q.f_res for q in primes) != ctx.r:
-        raise InternalCheckError("sum of e*f over O_K primes is not r")
+        raise fail("sum of e*f over O_K primes is not r")
     primes.sort(key=lambda q: q.ideal.canonical_key())
     return SplittingReport(p, tuple(primes))
 
@@ -317,8 +360,10 @@ def infinity_context(ctx):
     if "inf_ctx" not in ctx.cache:
         from .bipoly import infinity_model
         g, _ = infinity_model(ctx.f)
-        ctx.cache["inf_ctx"] = AlgebraContext(ctx.field, g, seed=ctx.seed,
-                                              check=False, tvar="U", xvar="y")
+        ictx = AlgebraContext(ctx.field, g, seed=ctx.seed, check=False,
+                              tvar="U", xvar="y")
+        ictx.cache[("prime", FqPoly.gen(ctx.field))] = True   # U is prime
+        ctx.cache["inf_ctx"] = ictx
     return ctx.cache["inf_ctx"]
 
 

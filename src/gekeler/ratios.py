@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError
 from .fqpoly import FqPoly
-from .primes import census_primes, singular_primes, primes_above_in_max
+from .primes import census_primes, singular_primes, splitting_type
 from .weakeq import local_icm
 from .zeta import l_polynomial
 from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_BUDGET
@@ -23,7 +23,7 @@ from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_
 class LocalRatio:
     p: FqPoly
     m_p: int
-    residues: tuple   # (e, f_res, norm) per prime of O_K above p
+    residues: tuple   # (e, f_res, norm) per prime of O_K above p, by (e, f)
     value: Fraction
 
     def to_json_dict(self):
@@ -62,14 +62,13 @@ def gekeler_ratio(ctx, p):
     """The exact local ratio at p."""
     ctx.require_separable()
     m_p = orbit_count(ctx, p)
-    report = primes_above_in_max(ctx, p)
     big_q = ctx.field.q ** int(p.degree)
     value = Fraction(m_p) * (1 - Fraction(1, big_q))
     residues = []
-    for q in report.primes:
-        norm = q.norm()
+    for e, f_res in splitting_type(ctx, p):
+        norm = big_q ** f_res
         value /= 1 - Fraction(1, norm)
-        residues.append((q.e, q.f_res, norm))
+        residues.append((e, f_res, norm))
     if value <= 0:  # pragma: no cover
         raise InternalCheckError("local ratio must be positive")
     return LocalRatio(p, m_p, tuple(residues), value)

@@ -16,7 +16,7 @@ from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
 from .primes import (census_primes, maximal_order, order_discriminant,
-                     primes_above_in_max, infinity_order, infinite_places)
+                     splitting_type, infinity_context, infinity_order)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,10 @@ def count_places(ctx, d):
         if d % k != 0:
             continue
         for p in census_primes(ctx, k):
-            for q in primes_above_in_max(ctx, p).primes:
-                if k * q.f_res == d:
-                    count += 1
-    for q in infinite_places(ctx).primes:
-        if q.f_res == d:
-            count += 1
+            count += sum(k * f_res == d for _, f_res in splitting_type(ctx, p))
+    # the places over T = infinity lie over (U) in the model at infinity
+    count += sum(f_res == d for _, f_res in
+                 splitting_type(infinity_context(ctx), FqPoly.gen(ctx.field)))
     if count and d % constant_field_degree(ctx):
         # a place of degree not divisible by m contradicts the constant field
         raise InternalCheckError("found a place of degree not divisible by m")

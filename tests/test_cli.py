@@ -2,10 +2,13 @@ import json
 import io
 import contextlib
 import time
+from fractions import Fraction
 
+from conftest import make_ctx
 from gekeler.cli import main
 from gekeler.gf import gf
 from gekeler.parse import MAX_EXPONENT, parse_fqpoly
+from gekeler import ratios as G
 
 
 def run_cli(args):
@@ -131,6 +134,21 @@ def test_product_check_depth():
     assert rep["value"] == "1/1"
     assert [c["depth"] for c in rep["check"]] == [1, 2]
     assert rep["check"][0]["value"] == "9/8"
+
+
+def test_deep_check_depth_prints_exact_values():
+    # the depth-8 partial product has numerator and denominator of more
+    # than 4300 digits, Python's default cap on int-to-str conversion
+    t0 = time.monotonic()
+    code, out, _ = run_cli(["product", "--q", "3", "--f", "x^2 - T",
+                            "--check-depth", "8"])
+    assert code == 0
+    assert time.monotonic() - t0 < 2
+    last = json.loads(out)["check"][-1]
+    assert last["depth"] == 8
+    expected = G.partial_products(make_ctx(3, "x^2 - T"), 8)[-1][1]
+    assert len(str(expected.denominator)) > 4300
+    assert Fraction(last["value"]) == expected
 
 
 def test_oracle_subcommands():

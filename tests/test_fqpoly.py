@@ -1,6 +1,12 @@
 import random
 
-from gekeler.gf import gf
+import pytest
+
+from gekeler import fqpoly, gpoly
+from gekeler.bifactor import is_irreducible_bivariate
+from gekeler.errors import BudgetExceeded
+from gekeler.gf import gf, gf_of_order
+from gekeler.parse import parse_bipoly
 from gekeler.fqpoly import (FqPoly, NEG_INF, poly_gcd, poly_xgcd, poly_lcm,
                             is_irreducible, monic_irreducibles, powmod)
 
@@ -105,6 +111,64 @@ def test_is_irreducible_and_enumeration_counts():
     assert is_irreducible(T ** 2 + one)
     assert not is_irreducible(T ** 2 - one)
     assert not is_irreducible(one)
+
+
+def _rabin_monic_irreducibles(field, degree):
+    """Reference list: the Rabin test on every monic candidate, in encoding
+    order (the lower coefficients are the base-q digits of the index)."""
+    q = field.q
+    out = []
+    for low in range(q ** degree):
+        coeffs = []
+        for _ in range(degree):
+            low, c = divmod(low, q)
+            coeffs.append(c)
+        coeffs.append(1)
+        if gpoly.is_irreducible(field, coeffs):
+            out.append(FqPoly(field, coeffs))
+    return tuple(out)
+
+
+def _mobius(n):
+    out = 1
+    for ell in gpoly.prime_divisors(n):
+        if n % (ell * ell) == 0:
+            return 0
+        out = -out
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_sieve_matches_the_rabin_loop(q):
+    F = gf_of_order(q)
+    fqpoly._sieve.cache_clear()
+    d = 1
+    while q ** d <= 729:
+        assert tuple(monic_irreducibles(F, d)) == _rabin_monic_irreducibles(F, d)
+        d += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_sieve_counts_match_gauss(q):
+    # (1/d) sum_{e | d} mu(d/e) q^e monic irreducibles of degree d; above
+    # q^d = 729 the Rabin loop costs seconds (1.3 s at 3^8 alone), so only
+    # the count is checked there
+    F = gf_of_order(q)
+    d = 1
+    while q ** d <= 3 ** 8:
+        gauss = sum(_mobius(d // e) * q ** e for e in range(1, d + 1)
+                    if d % e == 0) // d
+        assert len(tuple(monic_irreducibles(F, d))) == gauss
+        d += 1
+
+
+def test_sieve_refuses_a_huge_list_and_hensel_needs_none():
+    F = gf_of_order(1_000_000_007)
+    with pytest.raises(BudgetExceeded):
+        monic_irreducibles(F, 1)
+    # the irreducibility test takes the first linear prime that works,
+    # without listing the others
+    assert is_irreducible_bivariate(parse_bipoly(F, "x^3 + T*x + T^4 + 1"))
 
 
 def test_powmod_matches_naive():

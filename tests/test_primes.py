@@ -2,8 +2,8 @@ import pytest
 
 from conftest import make_ctx
 from property_suite import CONTEXT_POOL
-from gekeler.gf import gf
-from gekeler.fqpoly import FqPoly, monic_irreducibles
+from gekeler.gf import gf, gf_of_order
+from gekeler.fqpoly import FqPoly, monic_irreducibles, powmod
 from gekeler.parse import parse_bipoly
 from gekeler.context import AlgebraContext
 from gekeler import kalgebra
@@ -240,3 +240,111 @@ def test_infinity_order_is_over_u():
     assert ictx.tvar == "U" and ictx.xvar == "y"
     o_inf = P.infinity_order(ctx)
     assert o_inf.ideal.is_order_lattice()
+
+
+def test_splitting_type_matches_the_ideal_path():
+    for q, fstr in CONTEXT_POOL:
+        for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
+            for d in (1, 2, 3):
+                for p in monic_irreducibles(ctx.field, d):
+                    ideal_path = P.primes_above_in_max(ctx, p).primes
+                    assert P.splitting_type(ctx, p) == tuple(
+                        sorted((x.e, x.f_res) for x in ideal_path))
+
+
+@pytest.mark.parametrize("q, fstr", [
+    (3, "x^2 - T"), (3, "x^2 - T^3"), (3, "x^2 - (T^2 + 1)"),
+    (5, "x^2 - (T^3 + T + 1)"), (5, "x^2 + T*x + T^3 + 1"),
+    (7, "x^2 - (T^5 + 3)"), (9, "x^2 - (T^3 + a)")])
+def test_quadratic_splitting_type_by_euler_criterion(q, fstr):
+    # x^2 + b x + c at p not dividing D = b^2 - 4c splits iff D is a square
+    # mod p, i.e. iff D^((|p| - 1)/2) = 1 mod p
+    ctx = make_ctx(q, fstr)
+    F = ctx.field
+    c, b = ctx.f.coeffs[0], ctx.f.coeffs[1]
+    disc = b * b - c.scale(F.from_int(4))
+    one = FqPoly.one(F)
+    for d in (1, 2, 3):
+        for p in monic_irreducibles(F, d):
+            if (disc % p).is_zero():
+                continue
+            square = powmod(disc, (q ** d - 1) // 2, p) == one
+            assert P.splitting_type(ctx, p) == (((1, 1), (1, 1)) if square
+                                                else ((1, 2),))
+
+
+def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
+    # partial_products and l_polynomial read splitting types: ideals are
+    # built (by kummer_dedekind, the one caller of FracIdeal.from_elements)
+    # only at p | disc(f) and at the infinite place, and no census prime
+    # meets the Rabin test
+    from gekeler import fqpoly, gpoly, weakeq
+    from gekeler.ratios import partial_products
+    from gekeler.zeta import constant_field_degree, l_polynomial
+    kd_calls, outside_kd, rabin_calls, inside = [], [], [], []
+    real_kd = P.kummer_dedekind
+    real_from_elements = FracIdeal.from_elements
+    real_is_irreducible = gpoly.is_irreducible
+
+    def kummer_dedekind(order, p):
+        kd_calls.append((order.ctx, p))
+        inside.append(p)
+        try:
+            return real_kd(order, p)
+        finally:
+            inside.pop()
+
+    def from_elements(ctx, elements):
+        if not inside:
+            outside_kd.append(ctx)
+        return real_from_elements(ctx, elements)
+
+    def is_irreducible(F, f):
+        rabin_calls.append(f)
+        return real_is_irreducible(F, f)
+
+    tower = "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"
+    for q, fstr in [(3, "x^2 - T^3"), (3, "x^2 - (T^2 + 1)"), (2, "x^3 - T^4"),
+                    (5, "x^2 - (T^3 + T + 1)"), (3, tower)]:
+        field = gf_of_order(q)
+        ctx = AlgebraContext(field, parse_bipoly(field, fstr))  # nothing cached
+        # the constant-field test builds GF(q^m), whose modulus the Rabin
+        # test finds once per field
+        constant_field_degree(ctx)
+        fqpoly._sieve.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(P, "kummer_dedekind", kummer_dedekind)
+            m.setattr(weakeq, "kummer_dedekind", kummer_dedekind)
+            m.setattr(FracIdeal, "from_elements", staticmethod(from_elements))
+            m.setattr(gpoly, "is_irreducible", is_irreducible)
+            partial_products(ctx, 3)
+            l_polynomial(ctx)
+        ictx = P.infinity_context(ctx)
+        U = FqPoly.gen(field)
+        assert kd_calls
+        for kctx, p in kd_calls:
+            assert kctx in (ctx, ictx)
+            assert ((kctx is ictx and p == U)
+                    or (P.discriminant_of_f(kctx) % p).is_zero())
+        assert outside_kd == []
+        assert rabin_calls == []
+        kd_calls.clear()
+
+
+def test_splitting_checks_name_the_stage_and_instance(monkeypatch):
+    from gekeler import gpoly
+    from gekeler.errors import InternalCheckError
+    F = gf(3)
+    T = FqPoly.gen(F)
+    p = T + FqPoly.one(F)
+    real_ddf, real_factor = gpoly.distinct_degree, gpoly.factor
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
+    monkeypatch.setattr(gpoly, "distinct_degree", lambda k, f: 2 * real_ddf(k, f))
+    with pytest.raises(InternalCheckError) as exc:
+        P.splitting_type(ctx, p)
+    assert str(exc.value) == ("splitting_type: sum of e*f is not r for "
+                              "q = 3, f = x^2 + 2*T, p = T + 1")
+    monkeypatch.setattr(gpoly, "factor", lambda k, f, seed: 2 * real_factor(k, f, seed))
+    with pytest.raises(InternalCheckError, match="^kummer_dedekind: .* "
+                       r"q = 3, f = x\^2 \+ 2\*T, p = T \+ 1$"):
+        P.primes_above_in_max(ctx, p)
