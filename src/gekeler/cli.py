@@ -15,11 +15,10 @@ import time
 from . import __version__
 from .errors import InputError, InternalCheckError
 from .gf import gf_of_order
-from .fqpoly import is_irreducible
 from .parse import parse_bipoly, parse_fqpoly
 from .context import AlgebraContext
 from .ideals import Order
-from .primes import kummer_dedekind, singular_primes, discriminant_of_f
+from .primes import kummer_dedekind, singular_primes, discriminant_of_f, _require_prime
 from .overorders import p_overorders
 from .weakeq import local_icm
 from .zeta import l_polynomial, constant_field_degree, genus
@@ -78,8 +77,10 @@ def _parse_job(args, need_prime=False):
     p = None
     if args.prime is not None:
         p = parse_fqpoly(field, args.prime)
-        if not p.is_monic() or not is_irreducible(p):
-            raise InputError(f"--prime {args.prime!r} is not a monic irreducible")
+        try:
+            _require_prime(ctx, p)
+        except InputError:
+            raise InputError(f"--prime {args.prime!r} is not a monic irreducible") from None
     elif need_prime:
         raise InputError("--prime is required")
     return ctx, p

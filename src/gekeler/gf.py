@@ -7,13 +7,15 @@ modulus is the first monic irreducible of degree e in the integer-encoding
 order, so serialized elements are reproducible across runs.
 
 Multiplication for e > 1 goes through discrete log/exp tables, which is
-plenty at the field sizes this package ever touches.
+plenty at the field sizes this package ever touches; a field of more than
+MAX_TABLE elements is refused before its tables are built.
 """
 
-from .errors import InputError, InternalCheckError
+from .errors import BudgetExceeded, InputError, InternalCheckError
 from . import gpoly
 
 _FIELD_CACHE = {}
+MAX_TABLE = 2 ** 16
 
 
 def _is_prime(n):
@@ -28,6 +30,9 @@ class GF:
             raise InputError(f"{p} is not prime")
         if e < 1:
             raise InputError("extension degree must be >= 1")
+        if e > 1 and p ** e > MAX_TABLE:
+            raise BudgetExceeded(f"GF({p}^{e}) has q = {p ** e} elements; log "
+                                 f"tables stop at {MAX_TABLE}")
         self.p = p
         self.e = e
         self.q = p ** e

@@ -63,9 +63,12 @@ class FracIdeal:
 
     @staticmethod
     def unit_ideal(ctx):
-        """The monogenic order R = A[pi] as a lattice."""
-        F = ctx.field
-        return FracIdeal(ctx, amatrix.mat_identity(F, ctx.r), FqPoly.one(F))
+        """The monogenic order R = A[pi] as a lattice, built once per context."""
+        if "unit" not in ctx.cache:
+            F = ctx.field
+            ctx.cache["unit"] = FracIdeal(ctx, amatrix.mat_identity(F, ctx.r),
+                                          FqPoly.one(F))
+        return ctx.cache["unit"]
 
     # -- structure ----------------------------------------------------------
 

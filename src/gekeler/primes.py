@@ -2,14 +2,15 @@
 
 Splitting of a prime p in the monogenic order goes through Kummer-
 Dedekind with the remainder criterion for regularity.  Splitting in the
-maximal order is Kummer-Dedekind again at the primes not dividing the
-index [O_K:R] (Dedekind's criterion); only at the finitely many index
-primes does it decompose the finite algebra O_K/pO_K into local factors.
-The census reads splitting types alone: at p not dividing disc(f) the
-type is the distinct-degree pattern of f mod p, with no ideal built.
-The maximal order itself is obtained by radical saturation at the primes
-whose square divides disc(f), validated by the conductor-discriminant
-identity; the saturation at p is the p-saturation of R.
+maximal order is a splitting type, the sorted pairs (e, f) of the primes
+of O_K above p, and no ideal of O_K is built: at p not dividing disc(f)
+it is the distinct-degree pattern of f mod p; at the primes not dividing
+the index [O_K:R] it is Kummer-Dedekind again (Dedekind's criterion);
+only at the finitely many index primes is it read off the local
+components of the finite algebra O_K/pO_K.  The maximal order itself is
+obtained by radical saturation at the primes whose square divides
+disc(f), validated by the conductor-discriminant identity; the
+saturation at p is the p-saturation of R.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
 from .context import AlgebraContext, KElement
 from .ideals import FracIdeal, Order, index_ideal
+from .quotient import LatticeQuotient
 from . import gpoly
 from . import kalgebra
 from . import klinalg
@@ -136,7 +138,7 @@ def splitting_type(ctx, p):
     At p not dividing disc(f), f mod p is squarefree and R is maximal at p,
     so the type is the pattern of f mod p (Rosen, GTM 210, ch. 3): its
     distinct-degree factor g_d gives deg(g_d)/d unramified primes of
-    residue degree d.  At p | disc(f) it is read off primes_above_in_max.
+    residue degree d.  At p | disc(f) it is primes_above_in_max.
     """
     key = ("type", p)
     if key in ctx.cache:
@@ -144,7 +146,7 @@ def splitting_type(ctx, p):
     ctx.require_separable()
     _require_prime(ctx, p)
     if (discriminant_of_f(ctx) % p).is_zero():
-        pairs = [(q.e, q.f_res) for q in primes_above_in_max(ctx, p).primes]
+        pairs = primes_above_in_max(ctx, p)
     else:
         k, fbar = ctx.f.reduce_mod(p)
         pairs = [(1, d) for g, d in gpoly.distinct_degree(k, fbar)
@@ -201,30 +203,15 @@ def algebra_mod_p(order, p):
     return k, kalgebra.FiniteAlgebra(k, struct, one)
 
 
-def lattice_from_subspace(order, p, vectors):
-    """Pullback in K of a subspace of S/pS (vectors in order coordinates)."""
-    ctx = order.ctx
-    lat = order.ideal
-    cols = [tuple(e * p for e in col) for col in lat.basis_columns()]
-    k = ResidueField(p, check=False)
-    basis_cols = lat.basis_columns()
-    for w in vectors:
-        acc = [FqPoly.zero(ctx.field)] * ctx.r
-        for j, c in enumerate(w):
-            if c == k.zero():
-                continue
-            lift = k.lift(c)
-            for t in range(ctx.r):
-                acc[t] = acc[t] + basis_cols[j][t] * lift
-        cols.append(tuple(acc))
-    return FracIdeal.from_columns(ctx, cols, lat.den)
-
-
 def p_radical(order, p):
-    """Radical of pS in S, as a lattice (Frobenius-kernel method)."""
+    """Radical of pS in S, as a lattice (Frobenius-kernel method): the
+    pullback of the nilradical of S/pS.  The slot (i, j) of S/pS is
+    T^j * b_i, so an A/p-coordinate vector flattens to its digits."""
     k, alg = algebra_mod_p(order, p)
-    nil = alg.nilradical_basis()
-    return lattice_from_subspace(order, p, nil)
+    quo = LatticeQuotient(order.ideal,
+                          order.ideal.scale(KElement.from_fqpoly(order.ctx, p)))
+    return quo.pullback([tuple(c for x in v for c in x + (0,) * (k.d - len(x)))
+                         for v in alg.nilradical_basis()])
 
 
 def maximal_order(ctx):
@@ -289,69 +276,30 @@ def singular_primes(ctx):
 
 
 def primes_above_in_max(ctx, p):
-    """Splitting of p in O_K.
+    """The sorted pairs (e, f) of the primes of O_K above p.
 
     When every Kummer-Dedekind prime P of R above p is regular, p does not
-    divide [O_K:R], so R and O_K agree at p and the primes of O_K above p
-    are the P*O_K with the same e and f.  Only at the index primes is
-    O_K/pO_K decomposed into local factors.
+    divide [O_K:R], so R and O_K agree at p and the pairs are those of the
+    P.  Only at the index primes is O_K/pO_K decomposed into its local
+    components O_K/Q^e: e*f is the dimension of a component and f that
+    dimension less the dimension of its meet with the nilradical.
     """
     ctx.require_separable()
-    _require_prime(ctx, p)
-    key = ("max_split", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
     kd = kummer_dedekind(Order.monogenic(ctx), p)
     if all(q.regular for q in kd.primes):
-        ok = maximal_order(ctx).ideal
-        primes = sorted((PrimeAbove(p, q.ideal * ok, q.e, q.f_res, True)
-                         for q in kd.primes),
-                        key=lambda q: q.ideal.canonical_key())
-        report = SplittingReport(p, tuple(primes))
-    else:
-        report = _primes_above_by_algebra(ctx, p)
-    ctx.cache[key] = report
-    return report
-
-
-def _primes_above_by_algebra(ctx, p):
-    """Splitting of p in O_K via local decomposition of O_K/pO_K."""
-    order = maximal_order(ctx)
-    k, alg = algebra_mod_p(order, p)
+        return tuple(sorted((q.e, q.f_res) for q in kd.primes))
+    k, alg = algebra_mod_p(maximal_order(ctx), p)
     nil = alg.nilradical_basis()
-    idempotents = kalgebra.split_local_components(alg)
-    comp_bases = []
-    for eps in idempotents:
-        vecs = [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)]
-        comp_bases.append(klinalg.span_basis(
-            k, [v for v in vecs if any(c != k.zero() for c in v)]))
-    def fail(what):
-        return _internal(ctx, "primes_above_in_max", what, p)
-
-    primes = []
-    for i, eps in enumerate(idempotents):
-        comp = comp_bases[i]
-        inter = klinalg.intersect_spans(k, comp, nil) if nil else []
-        f_res = len(comp) - len(inter)
+    pairs = []
+    for eps in kalgebra.split_local_components(alg):
+        comp = klinalg.span_basis(
+            k, [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)])
+        f_res = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
         if f_res <= 0 or len(comp) % f_res != 0:  # pragma: no cover
-            raise fail("bad local component dimensions")
-        e = len(comp) // f_res
-        others = []
-        for j, other in enumerate(comp_bases):
-            if j != i:
-                others.extend(other)
-        w = klinalg.span_basis(k, list(nil) + others)
-        if len(w) != alg.dim - f_res:  # pragma: no cover
-            raise fail("maximal ideal has wrong dimension")
-        ideal = lattice_from_subspace(order, p, w)
-        expected = p ** f_res
-        if index_ideal(order.ideal, ideal) != expected.monic():
-            raise fail("prime norm mismatch in O_K splitting")
-        primes.append(PrimeAbove(p, ideal, e, f_res, True))
-    if sum(q.e * q.f_res for q in primes) != ctx.r:
-        raise fail("sum of e*f over O_K primes is not r")
-    primes.sort(key=lambda q: q.ideal.canonical_key())
-    return SplittingReport(p, tuple(primes))
+            raise _internal(ctx, "primes_above_in_max",
+                            "bad local component dimensions", p)
+        pairs.append((len(comp) // f_res, f_res))
+    return tuple(sorted(pairs))
 
 
 def infinity_context(ctx):
@@ -373,6 +321,6 @@ def infinity_order(ctx):
 
 
 def infinite_places(ctx):
-    """Splitting of (U) in the order at infinity: the places over T = infinity."""
-    ictx = infinity_context(ctx)
-    return primes_above_in_max(ictx, FqPoly.gen(ctx.field))
+    """The splitting type of (U) in the model at infinity: the pairs (e, f)
+    of the places over T = infinity."""
+    return splitting_type(infinity_context(ctx), FqPoly.gen(ctx.field))

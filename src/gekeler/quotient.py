@@ -6,7 +6,9 @@ for the R-submodules of O/R (overorders) and the S-submodules of O/(S:O)
 (weak class representatives of a non-Gorenstein overorder S), where O is
 the p-saturation of R.  Invariant subspaces are found by a closure BFS that
 reaches every submodule and canonicalizes via RREF, so results are
-deterministic.
+deterministic.  `LatticeQuotient.pullback` is the one map from F_q vectors
+back to lattices: it also lifts the nilradical of S/pS for the radical
+saturation in `primes`.
 """
 
 import itertools
@@ -76,17 +78,14 @@ class LatticeQuotient:
         return out
 
     def pullback(self, fq_vectors):
-        """The lattice bottom + R-module span of the lifted vectors."""
-        ctx = self.ctx
+        """The lattice bottom + A-span of the lifted vectors: the preimage
+        of their span when that span is invariant under T."""
         D = poly_lcm(self.bottom.den, self.top.den)
         a = D.exact_div(self.bottom.den)
         b = D.exact_div(self.top.den)
         cols = [tuple(e * a for e in col) for col in self.bottom.basis_columns()]
-        for col in self.lift_columns(fq_vectors):
-            base = tuple(e * b for e in col)
-            for kk in range(ctx.r):
-                cols.append(ctx.mult_vectors(base, ctx.power_vectors[kk]))
-        return FracIdeal.from_columns(ctx, cols, D)
+        cols += [tuple(e * b for e in col) for col in self.lift_columns(fq_vectors)]
+        return FracIdeal.from_columns(self.ctx, cols, D)
 
     def action_matrix(self, z):
         """F_q matrix of multiplication by z on V; needs z * top subseteq top."""

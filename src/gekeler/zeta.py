@@ -16,7 +16,7 @@ from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
 from .primes import (census_primes, maximal_order, order_discriminant,
-                     splitting_type, infinity_context, infinity_order)
+                     splitting_type, infinite_places, infinity_order)
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,7 @@ def count_places(ctx, d):
         for p in census_primes(ctx, k):
             count += sum(k * f_res == d for _, f_res in splitting_type(ctx, p))
     # the places over T = infinity lie over (U) in the model at infinity
-    count += sum(f_res == d for _, f_res in
-                 splitting_type(infinity_context(ctx), FqPoly.gen(ctx.field)))
+    count += sum(f_res == d for _, f_res in infinite_places(ctx))
     if count and d % constant_field_degree(ctx):
         # a place of degree not divisible by m contradicts the constant field
         raise InternalCheckError("found a place of degree not divisible by m")

@@ -80,7 +80,33 @@ def test_bad_prime_rejected():
     code, _, err = run_cli(["icm", "--q", "3", "--f", "x^2 - T^3",
                             "--prime", "T^2 - 1"])
     assert code == 2
-    assert "irreducible" in err
+    assert err == "error: --prime 'T^2 - 1' is not a monic irreducible\n"
+
+
+def test_prime_is_tested_once(monkeypatch):
+    from gekeler import gpoly
+    real = gpoly.is_irreducible
+    tested = []
+
+    def is_irreducible(F, f):
+        tested.append(tuple(f))
+        return real(F, f)
+
+    monkeypatch.setattr(gpoly, "is_irreducible", is_irreducible)
+    code, _, _ = run_cli(["ratio", "--q", "3", "--f", "x^2 - T^3",
+                          "--prime", "T^2 + 1"])
+    assert code == 0
+    assert tested.count((1, 0, 1)) == 1
+
+
+def test_huge_extension_field_refused_early():
+    # the constant-field test needs GF(q^2), far too large to tabulate
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["zeta", "--q", "1000000007",
+                              "--f", "x^2 - (T^3 + T + 1)"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "q = 1000000014000000049 " in err
 
 
 def test_budget_exceeded_exit_2():

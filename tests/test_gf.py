@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from gekeler.gf import GF, gf, gf_of_order, embedding
-from gekeler.errors import InputError
+from gekeler.gf import GF, MAX_TABLE, gf, gf_of_order, embedding
+from gekeler.errors import BudgetExceeded, InputError
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
@@ -74,6 +74,14 @@ def test_gf_of_order_large_prime_is_fast():
     assert (F.p, F.e) == (p, 1)
     with pytest.raises(InputError):
         gf_of_order(2 * p)
+
+
+def test_fields_too_large_to_tabulate_are_refused():
+    # refused before the modulus search and the log tables
+    assert MAX_TABLE == 2 ** 16
+    for p, e in [(2, 17), (3, 11), (1_000_000_007, 2)]:
+        with pytest.raises(BudgetExceeded, match=f"q = {p ** e} "):
+            gf(p, e)
 
 
 def test_embedding_is_a_field_hom():

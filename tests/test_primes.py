@@ -6,9 +6,10 @@ from gekeler.gf import gf, gf_of_order
 from gekeler.fqpoly import FqPoly, monic_irreducibles, powmod
 from gekeler.parse import parse_bipoly
 from gekeler.context import AlgebraContext
-from gekeler import kalgebra
+from gekeler import kalgebra, klinalg
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order, index_ideal
+from gekeler.residue import ResidueField
 from gekeler import primes as P
 from gekeler.errors import InputError, InseparableError
 
@@ -170,39 +171,114 @@ def test_conductor_discriminant_identity():
         assert ok.ideal.contains(m.colon(m))
 
 
+def _lattice_from_subspace(order, p, vectors):
+    """Pullback in K of a subspace of S/pS (vectors in order coordinates)."""
+    ctx = order.ctx
+    lat = order.ideal
+    k = ResidueField(p, check=False)
+    basis_cols = lat.basis_columns()
+    cols = [tuple(e * p for e in col) for col in basis_cols]
+    for w in vectors:
+        acc = [FqPoly.zero(ctx.field)] * ctx.r
+        for j, c in enumerate(w):
+            if c != k.zero():
+                for t in range(ctx.r):
+                    acc[t] = acc[t] + basis_cols[j][t] * k.lift(c)
+        cols.append(tuple(acc))
+    return FracIdeal.from_columns(ctx, cols, lat.den)
+
+
+def test_p_radical_is_the_pullback_of_the_nilradical():
+    for q, fstr in CONTEXT_POOL:
+        for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
+            for d in (1, 2):
+                for p in monic_irreducibles(ctx.field, d):
+                    for S in (Order.monogenic(ctx), P.p_saturation(ctx, p)):
+                        _, alg = P.algebra_mod_p(S, p)
+                        assert P.p_radical(S, p) == _lattice_from_subspace(
+                            S, p, alg.nilradical_basis())
+
+
+_REFERENCE = {}
+
+
+def _reference_primes_above(ctx, p):
+    """The primes of O_K above p with their ideals, at every p, from the
+    local components of O_K/pO_K: the prime of a component is the pullback
+    of the nilradical plus the other components, of norm p^f."""
+    key = (ctx, p)
+    if key in _REFERENCE:
+        return _REFERENCE[key]
+    order = P.maximal_order(ctx)
+    k, alg = P.algebra_mod_p(order, p)
+    nil = alg.nilradical_basis()
+    comps = [klinalg.span_basis(k, [alg.mul(eps, alg.basis_vector(j))
+                                    for j in range(alg.dim)])
+             for eps in kalgebra.split_local_components(alg)]
+    primes = []
+    for i, comp in enumerate(comps):
+        f_res = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
+        assert f_res > 0 and len(comp) % f_res == 0
+        others = [v for j, other in enumerate(comps) if j != i for v in other]
+        w = klinalg.span_basis(k, list(nil) + others)
+        assert len(w) == alg.dim - f_res
+        ideal = _lattice_from_subspace(order, p, w)
+        assert index_ideal(order.ideal, ideal) == (p ** f_res).monic()
+        primes.append(P.PrimeAbove(p, ideal, len(comp) // f_res, f_res, True))
+    assert sum(q.e * q.f_res for q in primes) == ctx.r
+    primes.sort(key=lambda q: q.ideal.canonical_key())
+    _REFERENCE[key] = primes
+    return primes
+
+
+def _pairs(primes):
+    return tuple(sorted((q.e, q.f_res) for q in primes))
+
+
 def test_primes_above_in_max():
     ctx = make_ctx(3, "x^2 - T^3")
     F = ctx.field
     T = FqPoly.gen(F)
     one = FqPoly.one(F)
-    rep = P.primes_above_in_max(ctx, T)
-    assert [(q.e, q.f_res) for q in rep.primes] == [(2, 1)]
-    assert rep.primes[0].norm() == 3
-    rep = P.primes_above_in_max(ctx, T - one)
-    assert sorted((q.e, q.f_res) for q in rep.primes) == [(1, 1), (1, 1)]
+    assert P.primes_above_in_max(ctx, T) == ((2, 1),)
+    assert P.primes_above_in_max(ctx, T - one) == ((1, 1), (1, 1))
     # inert in O_K: T^2 + T + 2 -> t^4 + t^2 + 2 is irreducible over F_3
-    rep = P.primes_above_in_max(ctx, T ** 2 + T + FqPoly.const(F, 2))
-    assert sum(q.e * q.f_res for q in rep.primes) == 2
+    assert P.primes_above_in_max(ctx, T ** 2 + T + FqPoly.const(F, 2)) == ((1, 2),)
     with pytest.raises(InputError):
         P.primes_above_in_max(ctx, T ** 2 - one)
 
 
+def test_reference_prime_of_the_cusp():
+    ctx = make_ctx(3, "x^2 - T^3")
+    T = FqPoly.gen(ctx.field)
+    (q,) = _reference_primes_above(ctx, T)
+    assert (q.e, q.f_res, q.norm()) == (2, 1, 3)
+    # O_K = A[x/T] with (x/T)^2 = T, so its prime above T is (x/T) O_K
+    z = KElement(ctx, KElement.gen(ctx).num, T)
+    assert q.ideal == FracIdeal.from_elements(ctx, [z]) * P.maximal_order(ctx).ideal
+
+
 def test_max_splitting_matches_algebra_reference():
     # Dedekind's criterion: every Kummer-Dedekind prime above p is regular
-    # exactly when p does not divide [O_K:R]; on either route the splitting
-    # in O_K must match the decomposition of O_K/pO_K
+    # exactly when p does not divide [O_K:R], and then the primes of O_K
+    # are the P*O_K; on either route the splitting type must match the
+    # decomposition of O_K/pO_K
     for q, fstr in CONTEXT_POOL:
         for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
             R = Order.monogenic(ctx)
-            idx = index_ideal(P.maximal_order(ctx).ideal, R.ideal)
+            ok = P.maximal_order(ctx).ideal
+            idx = index_ideal(ok, R.ideal)
             for d in (1, 2, 3):
                 for p in monic_irreducibles(ctx.field, d):
                     kd = P.kummer_dedekind(R, p).primes
-                    assert all(x.regular for x in kd) == (not (idx % p).is_zero())
-                    got = P.primes_above_in_max(ctx, p).primes
-                    ref = P._primes_above_by_algebra(ctx, p).primes
-                    assert ([(x.e, x.f_res, x.ideal) for x in got]
-                            == [(x.e, x.f_res, x.ideal) for x in ref])
+                    regular = all(x.regular for x in kd)
+                    assert regular == (not (idx % p).is_zero())
+                    ref = _reference_primes_above(ctx, p)
+                    assert P.primes_above_in_max(ctx, p) == _pairs(ref)
+                    if regular:
+                        got = sorted(((x.ideal * ok, x.e, x.f_res) for x in kd),
+                                     key=lambda t: t[0].canonical_key())
+                        assert got == [(x.ideal, x.e, x.f_res) for x in ref]
 
 
 def test_regular_primes_skip_the_algebra_decomposition(monkeypatch):
@@ -216,22 +292,45 @@ def test_regular_primes_skip_the_algebra_decomposition(monkeypatch):
     for d in (1, 2):
         for p in monic_irreducibles(F, d):
             if p != T:
-                rep = P.primes_above_in_max(ctx, p)
-                assert sum(x.e * x.f_res for x in rep.primes) == 2
+                assert sum(e * f for e, f in P.primes_above_in_max(ctx, p)) == 2
     with pytest.raises(AssertionError):
         P.primes_above_in_max(ctx, T)   # the index prime
 
 
+def test_no_lattice_is_built_for_a_prime_of_the_maximal_order(monkeypatch):
+    from gekeler.ratios import gekeler_ratio
+    F = gf(3)
+    T = FqPoly.gen(F)
+
+    def refuse(*args):
+        raise AssertionError("built a lattice for O_K")
+
+    # T is regular and divides disc(x^2 - T): O_K is never needed
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))  # nothing cached
+    with monkeypatch.context() as m:
+        m.setattr(P, "maximal_order", refuse)
+        m.setattr(FracIdeal, "__mul__", refuse)
+        assert gekeler_ratio(ctx, T).residues == ((2, 1, 3),)
+    # T is an index prime of x^2 - T^3: the type is read off O_K/TO_K
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+    P.maximal_order(ctx)
+    P.singular_primes(ctx)   # the Kummer-Dedekind primes of R above T
+    with monkeypatch.context() as m:
+        m.setattr(FracIdeal, "__init__", refuse)
+        assert P.primes_above_in_max(ctx, T) == ((2, 1),)
+
+
 def test_infinite_places():
-    assert [(q.e, q.f_res) for q in P.infinite_places(make_ctx(3, "x^2 - T")).primes] \
-        == [(2, 1)]
-    assert [(q.e, q.f_res) for q in P.infinite_places(make_ctx(3, "x^2 - T^3")).primes] \
-        == [(2, 1)]
-    assert [(q.e, q.f_res) for q in
-            P.infinite_places(make_ctx(5, "x^2 - (T^3 + T + 1)")).primes] == [(2, 1)]
+    assert P.infinite_places(make_ctx(3, "x^2 - T")) == ((2, 1),)
+    assert P.infinite_places(make_ctx(3, "x^2 - T^3")) == ((2, 1),)
+    assert P.infinite_places(make_ctx(5, "x^2 - (T^3 + T + 1)")) == ((2, 1),)
     # split infinity: x^2 - (T^2 + 1) -> y^2 - (1 + U^2), and y^2 - 1 splits
-    rep = P.infinite_places(make_ctx(3, "x^2 - (T^2 + 1)"))
-    assert sorted((q.e, q.f_res) for q in rep.primes) == [(1, 1), (1, 1)]
+    assert P.infinite_places(make_ctx(3, "x^2 - (T^2 + 1)")) == ((1, 1), (1, 1))
+    for q, fstr in CONTEXT_POOL:
+        ctx = make_ctx(q, fstr)
+        U = FqPoly.gen(ctx.field)
+        assert P.infinite_places(ctx) == _pairs(
+            _reference_primes_above(P.infinity_context(ctx), U))
 
 
 def test_infinity_order_is_over_u():
@@ -247,9 +346,8 @@ def test_splitting_type_matches_the_ideal_path():
         for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
             for d in (1, 2, 3):
                 for p in monic_irreducibles(ctx.field, d):
-                    ideal_path = P.primes_above_in_max(ctx, p).primes
-                    assert P.splitting_type(ctx, p) == tuple(
-                        sorted((x.e, x.f_res) for x in ideal_path))
+                    assert P.splitting_type(ctx, p) == _pairs(
+                        _reference_primes_above(ctx, p))
 
 
 @pytest.mark.parametrize("q, fstr", [

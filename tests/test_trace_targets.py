@@ -1,5 +1,6 @@
-"""The benchmark's traced run wraps functions by name: each target it lists
-must still exist where it looks for it."""
+"""The benchmark's traced run wraps functions by name, and its
+microbenchmarks import the program: each name must still exist where the
+benchmark looks for it."""
 
 import importlib.util
 from pathlib import Path
@@ -7,7 +8,15 @@ from pathlib import Path
 import gekeler
 import gekeler.cli  # noqa: F401  (the benchmark worker imports the package this way)
 
-_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _resolves(mod_name, path):
@@ -23,9 +32,19 @@ def _resolves(mod_name, path):
 
 
 def test_every_trace_target_resolves():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     missing = [f"{mod}.{path}" for mod, path in tracing.TARGETS
                if not _resolves(mod, path)]
     assert missing == []
+
+
+def test_microbenchmarks_run():
+    # the benchmark's arithmetic microbenchmarks import the program by name;
+    # with a 1 ms slice each rate is measured once
+    micro = _load("micro")
+    micro.SLICE_S = 0.001
+    micro.REPEATS = 1
+    rates, bad = micro.run(0)
+    assert sorted(rates) == sorted(micro.METRICS) and len(rates) == 18
+    assert all(rate > 0 for rate in rates.values())
+    assert bad == []

@@ -4,13 +4,13 @@ import pytest
 
 from conftest import make_ctx
 from gekeler.gf import gf
-from gekeler.fqpoly import FqPoly
+from gekeler.fqpoly import FqPoly, poly_lcm
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order
 from gekeler.primes import (infinity_context, maximal_order, p_saturation,
                             singular_primes)
 from gekeler.overorders import p_overorders
-from gekeler.quotient import submodule_lattices
+from gekeler.quotient import LatticeQuotient, invariant_subspaces, submodule_lattices
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
                             local_icm, globally_weakly_equivalent,
                             is_gorenstein)
@@ -257,6 +257,39 @@ def test_per_order_windows_match_one_window_oracle(q, fstr):
             assert keys == sorted(keys)
 
 
+def _r_span_pullback(quo, vectors):
+    """bottom + the R-span of the lifted vectors."""
+    ctx = quo.ctx
+    D = poly_lcm(quo.bottom.den, quo.top.den)
+    a = D.exact_div(quo.bottom.den)
+    b = D.exact_div(quo.top.den)
+    cols = [tuple(e * a for e in col) for col in quo.bottom.basis_columns()]
+    for col in quo.lift_columns(vectors):
+        base = tuple(e * b for e in col)
+        for k in range(ctx.r):
+            cols.append(ctx.mult_vectors(base, ctx.power_vectors[k]))
+    return FracIdeal.from_columns(ctx, cols, D)
+
+
+@pytest.mark.parametrize("q,fstr", ORACLE_CURVES)
+def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
+    # the A-span of the lifts of a subspace invariant under T and the ring
+    # is a module over the ring already: O/R, then each window (S:O) <= O
+    ctx = make_ctx(q, fstr)
+    R = Order.monogenic(ctx)
+    t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+    for p in singular_primes(ctx):
+        sat = p_saturation(ctx, p).ideal
+        cases = [(R.ideal, R)] + [(s.ideal.colon(sat), s)
+                                  for s in p_overorders(ctx, p).orders
+                                  if not is_gorenstein(s)]
+        for bottom, ring in cases:
+            quo = LatticeQuotient(sat, bottom)
+            mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
+            for sub in invariant_subspaces(ctx.field, quo.dim, mats):
+                assert quo.pullback(sub) == _r_span_pullback(quo, sub)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_closed_form_x2_minus_odd_power(k):
     # m_T(x^2 - T^(2k+1)) = k + 1 over F_3: one class per overorder
@@ -386,7 +419,7 @@ def test_rank3_counts_match_raw_subspace_oracle(cubic_cusp2):
 
     lattices = {}
     for sub in seen:
-        lat = quo.pullback(sub)
+        lat = quo.pullback(sub) * R.ideal
         lattices[lat.canonical_key()] = lat
     buckets = {}
     for lat in lattices.values():
