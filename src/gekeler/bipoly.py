@@ -25,10 +25,6 @@ class BiPoly:
         self.coeffs = tuple(coeffs[:n])
 
     @staticmethod
-    def zero(field):
-        return BiPoly(field, ())
-
-    @staticmethod
     def one(field):
         return BiPoly(field, (FqPoly.one(field),))
 

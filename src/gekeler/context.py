@@ -106,11 +106,6 @@ class KElement:
         self.den = den
 
     @staticmethod
-    def zero(ctx):
-        z = FqPoly.zero(ctx.field)
-        return KElement(ctx, tuple(z for _ in range(ctx.r)), normalize=False)
-
-    @staticmethod
     def one(ctx):
         F = ctx.field
         vec = [FqPoly.zero(F)] * ctx.r
@@ -138,18 +133,6 @@ class KElement:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        a, b = self, other
-        num = tuple(a.num[i] * b.den + b.num[i] * a.den for i in range(a.ctx.r))
-        return KElement(a.ctx, num, a.den * b.den)
-
-    def __neg__(self):
-        return KElement(self.ctx, tuple(-c for c in self.num), self.den,
-                        normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         ctx = self.ctx

@@ -138,9 +138,6 @@ class FqPoly:
             return self
         return _wrap(self.field, gpoly.monic(self.field, self.coeffs))
 
-    def derivative(self):
-        return _wrap(self.field, gpoly.derivative(self.field, self.coeffs))
-
     # -- rendering --------------------------------------------------------
 
     def to_str(self, var="T"):

@@ -313,9 +313,6 @@ class Order:
     def canonical_key(self):
         return self.ideal.canonical_key()
 
-    def contains(self, other):
-        return self.ideal.contains(other.ideal)
-
     def to_json_dict(self):
         return self.ideal.to_json_dict()
 

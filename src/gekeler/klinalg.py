@@ -42,14 +42,20 @@ def span_basis(k, vectors):
     return basis
 
 
-def in_span(k, basis_rref, pivots, vec):
-    """Membership against an RREF basis."""
-    v = list(vec)
+def reduce(k, basis_rref, pivots, vec):
+    """vec reduced by an RREF basis: zero on the pivot columns, the same
+    for the whole coset of the span, and zero exactly on the span."""
+    v = tuple(vec)
     for row, piv in zip(basis_rref, pivots):
         c = v[piv]
         if c != k.zero():
-            v = [k.sub(v[j], k.mul(c, row[j])) for j in range(len(v))]
-    return all(e == k.zero() for e in v)
+            v = tuple(k.sub(a, k.mul(c, b)) for a, b in zip(v, row))
+    return v
+
+
+def in_span(k, basis_rref, pivots, vec):
+    """Membership against an RREF basis."""
+    return all(e == k.zero() for e in reduce(k, basis_rref, pivots, vec))
 
 
 def kernel(k, rows):

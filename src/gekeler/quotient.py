@@ -4,13 +4,14 @@
 lattice between two lattices that is a module over a given order, used
 for the R-submodules of O/R (overorders) and the S-submodules of O/(S:O)
 (weak class representatives of a non-Gorenstein overorder S), where O is
-the p-saturation of R.  Invariant subspaces are found by a closure BFS that
-reaches every submodule and canonicalizes via RREF, so results are
-deterministic.  `LatticeQuotient.pullback` is the one map from F_q vectors
-back to lattices: it also lifts the nilradical of S/pS for the radical
-saturation in `primes`.
+the p-saturation of R.  Invariant subspaces are found by a walk up by
+covers, canonicalized via RREF, so results are deterministic.
+`LatticeQuotient.pullback` is the one map from F_q vectors back to
+lattices: it also lifts the nilradical of S/pS for the radical saturation
+in `primes`.
 """
 
+import functools
 import itertools
 
 from .errors import InputError
@@ -18,6 +19,7 @@ from .fqpoly import FqPoly, poly_lcm
 from .context import KElement
 from .ideals import FracIdeal
 from . import amatrix
+from . import gpoly
 from . import klinalg
 
 
@@ -104,78 +106,75 @@ class LatticeQuotient:
         return [tuple(out_cols[c][rw] for c in range(self.dim))
                 for rw in range(self.dim)]
 
+    def index_radical(self):
+        """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.
+        It acts nilpotently on V, and as 0 on each simple subquotient: T acts
+        there with an irreducible minimal polynomial dividing the index."""
+        F = self.ctx.field
+        parts = [FqPoly(F, g) for i, d in enumerate(self.slot_degrees) if d
+                 for g, _ in gpoly.squarefree_decomposition(F, self.h[i][i].coeffs)]
+        return functools.reduce(poly_lcm, parts, FqPoly.one(F))
+
 
 def submodule_lattices(top, bottom, ring):
     """Every ring-module lattice between bottom and top, for an order
     `ring` that stabilizes both: the pullbacks of the subspaces of
     top/bottom invariant under T and under each basis element of the ring.
-    Scalar and repeated matrices are dropped; they constrain nothing."""
+    The walk finds covers with the action of the radical of the index."""
     ctx = top.ctx
     quo = LatticeQuotient(top, bottom)
     t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-    mats = []
-    for z in [t_el] + ring.basis_elements():
-        m = quo.action_matrix(z)
-        if m not in mats and not _is_scalar(m):
-            mats.append(m)
+    mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
+    nil = quo.action_matrix(KElement.from_fqpoly(ctx, quo.index_radical()))
     return [quo.pullback(sub)
-            for sub in invariant_subspaces(ctx.field, quo.dim, mats)]
+            for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil)]
 
 
-def _is_scalar(m):
-    return all(m[i][j] == (m[0][0] if i == j else 0)
-               for i in range(len(m)) for j in range(len(m)))
-
-
-def _line_vectors(field, dim):
-    """One nonzero vector per line of F_q^dim: the last nonzero coordinate
-    is 1."""
-    elems = list(field.elements())
-    for k in range(dim):
-        tail = (field.one(),) + (field.zero(),) * (dim - 1 - k)
+def _cover_lines(field, dim, nil, basis, pivots):
+    """One vector per line of {v : nil*v in W}/W, for W the span of an
+    RREF basis."""
+    cols = [klinalg.reduce(field, basis, pivots, [row[j] for row in nil])
+            for j in range(dim)]
+    kernel = klinalg.kernel(field, list(zip(*cols)))
+    comp = klinalg.span_basis(
+        field, [klinalg.reduce(field, basis, pivots, u) for u in kernel])
+    # the coefficients of one vector per line end in 1 and then zeros
+    elems, rows = list(field.elements()), list(zip(*comp))
+    for k in range(len(comp)):
+        tail = (field.one(),) + (field.zero(),) * (len(comp) - 1 - k)
         for head in itertools.product(elems, repeat=k):
-            yield head + tail
+            yield klinalg.matmul_vec(field, rows, head + tail)
 
 
-def _closure(field, mats, vec):
-    """Smallest invariant subspace containing vec."""
-    basis, pivots = klinalg.rref(field, [vec])
-    changed = True
-    while changed:
-        changed = False
-        for m in mats:
-            for v in list(basis):
-                w = klinalg.matmul_vec(field, m, v)
-                if not klinalg.in_span(field, basis, pivots, w):
-                    basis, pivots = klinalg.rref(field, list(basis) + [w])
-                    changed = True
+def _closure(field, mats, basis, pivots, vec):
+    """Smallest invariant subspace containing vec and the invariant span
+    of an RREF basis; only the vectors it adds are multiplied."""
+    todo = [vec]
+    while todo:
+        w = klinalg.reduce(field, basis, pivots, todo.pop())
+        if any(e != field.zero() for e in w):
+            basis, pivots = klinalg.rref(field, list(basis) + [w])
+            todo += [klinalg.matmul_vec(field, m, w) for m in mats]
     return basis, pivots
 
 
-def invariant_subspaces(field, dim, mats):
-    """All subspaces of F_q^dim invariant under the given matrices.
+def invariant_subspaces(field, dim, mats, nil):
+    """All subspaces of F_q^dim invariant under the given matrices, for a
+    nilpotent `nil` that commutes with them.
 
-    Every invariant subspace is a sum of cyclic ones, so the closures of
-    the single vectors are computed once (the atoms; v and c*v have the
-    same closure, so one vector per line) and the lattice they
-    generate is explored by joins, which stay invariant without further
-    closing.  Returns RREF row tuples sorted by (dimension, encoding).
+    A breadth-first walk up by covers.  A cover of an invariant W is
+    W + U with U simple modulo W; nil acts on U as 0, so U is the closure
+    of any v in it, and nil*v lies in W.  Each W found is therefore closed
+    with one v per line of {v : nil*v in W}/W.  A closure that is not a
+    cover is invariant all the same.  Returns RREF row tuples sorted by
+    (dimension, encoding).
     """
-    atoms = {}
-    for vec in _line_vectors(field, dim):
-        basis, pivots = _closure(field, mats, vec)
-        atoms.setdefault(tuple(basis), pivots)
-    seen = {(): ()}
-    frontier = [((), ())]
-    while frontier:
-        basis, pivots = frontier.pop()
-        for atom_basis in atoms:
-            if all(klinalg.in_span(field, basis, pivots, v)
-                   for v in atom_basis):
-                continue
-            nb, np_ = klinalg.rref(field, list(basis) + list(atom_basis))
-            key = tuple(nb)
-            if key not in seen:
-                seen[key] = tuple(np_)
-                frontier.append((nb, np_))
+    seen = {()}
+    walk = [((), [])]
+    for basis, pivots in walk:   # the walk grows while it is read
+        for v in _cover_lines(field, dim, nil, basis, pivots):
+            nb, np_ = _closure(field, mats, basis, pivots, v)
+            if tuple(nb) not in seen:
+                seen.add(tuple(nb))
+                walk.append((nb, np_))
     return sorted(seen, key=lambda s: (len(s), s))

@@ -6,6 +6,17 @@ from gekeler.context import AlgebraContext
 
 _CTX_CACHE = {}
 
+# curves whose pipeline quotients are checked against reference algorithms
+ORACLE_CURVES = [
+    (3, "x^2 - T^3"),
+    (3, "x^2 - T^3*(T + 1)^3"),
+    (3, "x^2 - T^2*(T + 1)^3"),
+    (3, "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"),
+    (2, "x^3 - T^4"),
+    (2, "x^3 - T^5"),
+    (3, "x^4 + T^3"),
+]
+
 
 def make_ctx(q, fstr, seed=0):
     from gekeler.gf import gf_of_order

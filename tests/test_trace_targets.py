@@ -3,6 +3,10 @@ microbenchmarks import the program: each name must still exist where the
 benchmark looks for it."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gekeler
@@ -48,3 +52,19 @@ def test_microbenchmarks_run():
     assert sorted(rates) == sorted(micro.METRICS) and len(rates) == 18
     assert all(rate > 0 for rate in rates.values())
     assert bad == []
+
+
+def test_one_traced_pass_runs():
+    # the traced worker's after-hooks read their arguments by position
+    # (LatticeQuotient(top, bottom), weak_classes(base, s_order, p)), which
+    # the name check above cannot see; one traced pass of icm_window runs them
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", "icm_window",
+         "--seed", "0", "--mode", "traced"],
+        cwd=_PERFBENCH.parent, env=env, capture_output=True, text=True,
+        timeout=120, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert [job[1] for job in report["jobs"]] == ["ok"] * 9
+    counters = report["trace"]["counters"]
+    assert counters["quotient.invariant_subspaces.results"] == 129
