@@ -3,8 +3,10 @@
 Used for S/pS: radical computation through the Frobenius kernel (the
 q-power map is k-linear over a finite field k), minimal polynomials by
 linear algebra, and idempotent splitting through coprime factorizations
-of minimal polynomials.
+of minimal polynomials.  Used for O/(S:O): generators of its unit group.
 """
+
+import itertools
 
 from .errors import InternalCheckError
 from . import klinalg
@@ -47,6 +49,15 @@ class FiniteAlgebra:
     def add(self, u, v):
         k = self.k
         return tuple(k.add(a, b) for a, b in zip(u, v))
+
+    def sub(self, u, v):
+        k = self.k
+        return tuple(k.sub(a, b) for a, b in zip(u, v))
+
+    def mult_matrix(self, z):
+        """Matrix (rows) of multiplication by z in the chosen basis."""
+        cols = [self.mul(z, self.basis_vector(j)) for j in range(self.dim)]
+        return [tuple(col[i] for col in cols) for i in range(self.dim)]
 
     def pow(self, z, n):
         out = self.one
@@ -167,6 +178,62 @@ def split_local_components(alg):
             work.append(e_new)
     final.sort(key=lambda v: [gpoly.elt_key(c) for c in v])
     return final
+
+
+def unit_generators(alg):
+    """Generators of the unit group of a commutative algebra over k = GF(q).
+
+    With J the nilradical, B^x maps onto (B/J)^x with kernel 1 + J.  So a
+    lift of a generator of each residue field of B/J, 1 off its local
+    component, and 1 + c*b for c in an F_p-basis of k and b in a basis of
+    J adapted to J > J^2 > ... generate B^x: (1 + J^i)/(1 + J^(i+1)) is
+    the additive group J^i/J^(i+1).
+    """
+    k = alg.k
+    rad = alg.nilradical_basis()
+    rad_piv = klinalg.rref(k, rad)[1]
+    gens = []
+    for eps in split_local_components(alg):
+        z = _residue_generator(alg, eps, rad, rad_piv)
+        if z is not None:
+            gens.append(alg.add(z, alg.sub(alg.one, eps)))
+    powers = [rad]
+    while powers[-1]:
+        powers.append(klinalg.span_basis(
+            k, [alg.mul(a, b) for a in rad for b in powers[-1]]))
+    adapted, span, piv = [], [], []
+    for basis in reversed(powers):
+        for b in basis:
+            if not klinalg.in_span(k, span, piv, b):
+                adapted.append(b)
+                span, piv = klinalg.rref(k, span + [b])
+    for c in [k.element(k.p ** i) for i in range(k.e)]:
+        gens += [alg.add(alg.one, alg.scale(c, b)) for b in adapted]
+    return gens
+
+
+def _residue_generator(alg, eps, rad, rad_piv):
+    """An element of eps*B whose image generates the multiplicative group of
+    the residue field of that local component, or None if it is F_2."""
+    k = alg.k
+    comp_rad, comp_piv = klinalg.rref(k, [alg.mul(eps, v) for v in rad])
+    lifts = klinalg.span_basis(k, [
+        klinalg.reduce(k, comp_rad, comp_piv, alg.mul(eps, alg.basis_vector(j)))
+        for j in range(alg.dim)])
+    n = k.order ** len(lifts) - 1
+    if n == 1:
+        return None
+    exps = [n // r for r in gpoly.prime_divisors(n)]
+    for coeffs in itertools.product(list(k.elements()), repeat=len(lifts)):
+        if all(c == k.zero() for c in coeffs):
+            continue
+        z = tuple(k.zero() for _ in range(alg.dim))
+        for c, v in zip(coeffs, lifts):
+            z = alg.add(z, alg.scale(c, v))
+        if not any(klinalg.in_span(k, rad, rad_piv, alg.sub(alg.pow(z, m), eps))
+                   for m in exps):
+            return z
+    raise InternalCheckError("residue field has no primitive element")  # pragma: no cover
 
 
 def _primary_parts(k, m):

@@ -10,13 +10,14 @@ def rref(k, rows):
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
+    zero = k.zero()
     ncols = len(rows[0])
     pivots = []
     rank = 0
     for col in range(ncols):
         piv = None
         for i in range(rank, len(rows)):
-            if rows[i][col] != k.zero():
+            if rows[i][col] != zero:
                 piv = i
                 break
         if piv is None:
@@ -25,10 +26,10 @@ def rref(k, rows):
         inv = k.inv(rows[rank][col])
         rows[rank] = [k.mul(inv, e) for e in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and rows[i][col] != k.zero():
+            if i != rank and rows[i][col] != zero:
                 c = rows[i][col]
-                rows[i] = [k.sub(rows[i][j], k.mul(c, rows[rank][j]))
-                           for j in range(ncols)]
+                rows[i] = [k.sub(a, k.mul(c, b)) if b != zero else a
+                           for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -46,10 +47,12 @@ def reduce(k, basis_rref, pivots, vec):
     """vec reduced by an RREF basis: zero on the pivot columns, the same
     for the whole coset of the span, and zero exactly on the span."""
     v = tuple(vec)
+    zero = k.zero()
     for row, piv in zip(basis_rref, pivots):
         c = v[piv]
-        if c != k.zero():
-            v = tuple(k.sub(a, k.mul(c, b)) for a, b in zip(v, row))
+        if c != zero:
+            v = tuple(k.sub(a, k.mul(c, b)) if b != zero else a
+                      for a, b in zip(v, row))
     return v
 
 
@@ -109,11 +112,14 @@ def matmul(k, a, b):
 
 
 def matmul_vec(k, rows, vec):
+    zero = k.zero()
+    support = [(j, b) for j, b in enumerate(vec) if b != zero]
     out = []
     for row in rows:
-        acc = k.zero()
-        for a, b in zip(row, vec):
-            if a != k.zero() and b != k.zero():
+        acc = zero
+        for j, b in support:
+            a = row[j]
+            if a != zero:
                 acc = k.add(acc, k.mul(a, b))
         out.append(acc)
     return tuple(out)

@@ -1,11 +1,12 @@
 """Finite quotients top/bottom of lattices in K, as F_q-spaces with lifts.
 
-`submodule_lattices` is the one enumeration the pipeline runs: every
-lattice between two lattices that is a module over a given order, used
-for the R-submodules of O/R (overorders) and the S-submodules of O/(S:O)
-(weak class representatives of a non-Gorenstein overorder S), where O is
-the p-saturation of R.  Invariant subspaces are found by a walk up by
-covers, canonicalized via RREF, so results are deterministic.
+`invariant_window` is the one enumeration the pipeline runs: the
+subspaces of top/bottom invariant under a given order.  Its pullbacks
+(`submodule_lattices`) are the R-submodules of O/R (overorders); the
+S-submodules of O/(S:O) (weak class representatives of a non-Gorenstein
+overorder S) stay subspaces of the ring O/(S:O) (`LatticeQuotient.algebra`),
+where O is the p-saturation of R.  Invariant subspaces are found by a walk
+up by covers, canonicalized via RREF, so results are deterministic.
 `LatticeQuotient.pullback` is the one map from F_q vectors back to
 lattices: it also lifts the nilradical of S/pS for the radical saturation
 in `primes`.
@@ -20,6 +21,7 @@ from .context import KElement
 from .ideals import FracIdeal
 from . import amatrix
 from . import gpoly
+from . import kalgebra
 from . import klinalg
 
 
@@ -106,6 +108,33 @@ class LatticeQuotient:
         return [tuple(out_cols[c][rw] for c in range(self.dim))
                 for rw in range(self.dim)]
 
+    def image(self, lattice):
+        """RREF basis of the image in V of a lattice between bottom and top:
+        its A-basis times T^j, j < dim, reduced mod bottom."""
+        vecs = [self.reduce_top_coords(self.top.coordinates(
+                    tuple(e.shift(j) for e in col), lattice.den))
+                for col in lattice.basis_columns() for j in range(self.dim)]
+        return klinalg.span_basis(self.ctx.field, vecs)
+
+    def algebra(self):
+        """V as a ring, for an order top and a top-ideal bottom: the
+        structure constants of the slot basis, as a FiniteAlgebra."""
+        ctx = self.ctx
+        F = ctx.field
+        basis = [tuple(F.one() if t == s else F.zero() for t in range(self.dim))
+                 for s in range(self.dim)]
+        lifts = self.lift_columns(basis)
+        den2 = self.top.den * self.top.den
+        struct = [[None] * self.dim for _ in range(self.dim)]
+        for a in range(self.dim):
+            for b in range(a, self.dim):
+                vec = ctx.mult_vectors(lifts[a], lifts[b])
+                struct[a][b] = struct[b][a] = self.reduce_top_coords(
+                    self.top.coordinates(vec, den2))
+        one = KElement.one(ctx)
+        return kalgebra.FiniteAlgebra(F, struct, self.reduce_top_coords(
+            self.top.coordinates(one.num, one.den)))
+
     def index_radical(self):
         """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.
         It acts nilpotently on V, and as 0 on each simple subquotient: T acts
@@ -116,18 +145,31 @@ class LatticeQuotient:
         return functools.reduce(poly_lcm, parts, FqPoly.one(F))
 
 
-def submodule_lattices(top, bottom, ring):
-    """Every ring-module lattice between bottom and top, for an order
-    `ring` that stabilizes both: the pullbacks of the subspaces of
-    top/bottom invariant under T and under each basis element of the ring.
-    The walk finds covers with the action of the radical of the index."""
+def invariant_window(top, bottom, ring):
+    """V = top/bottom and the RREF bases of its subspaces invariant under T
+    and under each basis element of `ring`, an order that stabilizes both.
+    A matrix in the F_q-span of the identity fixes every subspace and stays
+    out of the walk, which finds covers with the action of the radical of
+    the index."""
     ctx = top.ctx
     quo = LatticeQuotient(top, bottom)
     t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
     mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
+    mats = [m for m in mats if not _is_scalar(ctx.field, m)]
     nil = quo.action_matrix(KElement.from_fqpoly(ctx, quo.index_radical()))
-    return [quo.pullback(sub)
-            for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil)]
+    return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil)
+
+
+def submodule_lattices(top, bottom, ring):
+    """Every ring-module lattice between bottom and top, for an order
+    `ring` that stabilizes both: the pullbacks of `invariant_window`."""
+    quo, subs = invariant_window(top, bottom, ring)
+    return [quo.pullback(sub) for sub in subs]
+
+
+def _is_scalar(field, mat):
+    return all(e == (mat[0][0] if i == j else field.zero())
+               for i, row in enumerate(mat) for j, e in enumerate(row))
 
 
 def _cover_lines(field, dim, nil, basis, pivots):

@@ -4,13 +4,27 @@ Let O be the p-saturation of R and S a p-overorder.  A Gorenstein S has
 the one weak class [S] (Bass 1963; Marseglia 2020, "Computing the ideal
 class monoid of an order"); `is_gorenstein` needs two colons and one
 product, and every order of rank 2 passes it.  For any other S, every
-weak class has a representative in S's own window (S:O) <= I <= O: its
-S-module lattices with (I:I) = S are collapsed once by 1 in (I:J)(J:I),
-which is weak equivalence at p since they all equal R away from p.
-[S] comes first, represented by S; every other class is represented by
-its canonically first lattice in the window, in canonical order.  The
-local class monoid at p is the disjoint union of the weak classes over
-the p-overorders, since local Picard groups are trivial.
+weak class has a representative in S's own window f <= I <= O, f = (S:O),
+and the window is linear algebra over F_q on the ring V = O/f:
+
+- Stabilizer rule.  A window lattice I is an S-invariant subspace W of V,
+  and (I:I) lies in O because O_p is maximal, while f*I <= I.  So
+  (I:I) = S exactly when the stabilizer {x in V : xW <= W} is S/f; it is
+  the kernel of one linear system over the multiplication matrices of a
+  basis of V.
+- Orbit rule.  Every kept W has O*W = V, that is IO = O: write
+  IO_p = xO_p and J = x^-1 I; then (J:O) = (J:JO) = ((J:J):O) = f, so
+  f <= (I:O) = xf gives x^-1 f <= f, and x is a unit.  Two weakly
+  equivalent kept lattices therefore differ by a unit of O_p, on which
+  1 + f acts trivially: the weak classes are the orbits of V^x on the kept
+  W.  V^x is generated, not enumerated (`kalgebra.unit_generators`).
+
+[S] is the orbit of S/f and comes first, represented by S; every other
+class is represented by the canonically first pullback of its orbit, in
+canonical order.  The local class monoid at p is the disjoint union of
+the weak classes over the p-overorders, since local Picard groups are
+trivial.  Two lattices that equal R away from p are weakly equivalent at
+p exactly when 1 in (I:J)(J:I) (`globally_weakly_equivalent`).
 """
 
 from dataclasses import dataclass
@@ -18,7 +32,9 @@ from dataclasses import dataclass
 from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly
 from .ideals import FracIdeal, Order
-from .quotient import submodule_lattices
+from .quotient import invariant_window
+from . import kalgebra
+from . import klinalg
 from .primes import kummer_dedekind, p_saturation, singular_primes, _require_prime
 from .overorders import p_overorders
 
@@ -71,11 +87,10 @@ def weak_classes(base, s_order, p):
     """Pairwise inequivalent representatives of the weak classes at p with
     multiplicator ring S, for a p-overorder S; [S] comes first.
 
-    A Gorenstein S has the single class [S].  Otherwise the S-module
-    lattices (S:O) <= I <= O with (I:I) = S are taken in canonical order,
-    and each one not weakly equivalent to an earlier representative
-    starts a class.  Every such lattice equals R away from p, so global
-    weak equivalence of two of them is weak equivalence at p.
+    A Gorenstein S has the single class [S].  Otherwise the S-invariant
+    subspaces W of O/f, f = (S:O), whose stabilizer is S/f are split into
+    orbits of (O/f)^x; [S] is the orbit of S/f, and every other orbit is
+    represented by the canonically first of its pullbacks.
     """
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
@@ -90,15 +105,61 @@ def weak_classes(base, s_order, p):
         raise InputError("S must satisfy R subseteq S subseteq O")
     reps = [s]
     if not is_gorenstein(s_order):
-        window = submodule_lattices(sat.ideal, s.colon(sat.ideal), s_order)
-        window.sort(key=lambda l: l.canonical_key())
-        for lat in window:
-            if lat.colon(lat) == s and not any(
-                    globally_weakly_equivalent(lat, rep) for rep in reps):
-                reps.append(lat)
+        quo, subs = invariant_window(sat.ideal, s.colon(sat.ideal), s_order)
+        reps += _orbit_representatives(quo, subs, s_order)
     out = tuple(WeakClassRep(rep, s_order) for rep in reps)
     ctx.cache[cache_key] = out
     return out
+
+
+def _orbit_representatives(quo, subs, s_order):
+    """The classes other than [S] in the window f <= I <= O, f = (S:O),
+    given as V = O/f and its S-invariant subspaces: the canonically first
+    lattice of each unit orbit, in canonical order."""
+    k = quo.ctx.field
+    alg = quo.algebra()
+    s_sub = tuple(quo.image(s_order.ideal))
+    s_piv = klinalg.rref(k, s_sub)[1]
+    others = [alg.mult_matrix(alg.basis_vector(j))
+              for j in range(alg.dim) if j not in s_piv]
+    kept = [w for w in subs if _stabilized_by_none(k, others, w)]
+    # a unit in S/f maps every S-invariant W onto itself
+    units = [alg.mult_matrix(u) for u in kalgebra.unit_generators(alg)
+             if not klinalg.in_span(k, s_sub, s_piv, u)]
+    index = {w: i for i, w in enumerate(kept)}
+    if s_sub not in index:  # pragma: no cover
+        raise InternalCheckError("S/f is missing from its own window")
+    orbit_of = [None] * len(kept)
+    orbits = []
+    for start in [index[s_sub]] + list(range(len(kept))):
+        if orbit_of[start] is not None:
+            continue
+        orbit_of[start] = len(orbits)
+        members = [start]
+        for i in members:   # the orbit grows while it is read
+            for m in units:
+                image = tuple(klinalg.span_basis(
+                    k, [klinalg.matmul_vec(k, m, v) for v in kept[i]]))
+                j = index.get(image)
+                if j is None:  # pragma: no cover
+                    raise InternalCheckError("a unit moved W out of the window")
+                if orbit_of[j] is None:
+                    orbit_of[j] = len(orbits)
+                    members.append(j)
+        orbits.append(members)
+    reps = [min((quo.pullback(kept[i]) for i in members),
+                key=lambda l: l.canonical_key()) for members in orbits[1:]]
+    return sorted(reps, key=lambda l: l.canonical_key())
+
+
+def _stabilized_by_none(k, others, w):
+    """For the multiplication matrices of a basis of a complement of S/f:
+    does no nonzero element of their span map the subspace W into itself?"""
+    piv = [next(i for i, e in enumerate(row) if e != k.zero()) for row in w]
+    rows = [tuple(e for v in w
+                  for e in klinalg.reduce(k, w, piv, klinalg.matmul_vec(k, m, v)))
+            for m in others]
+    return len(klinalg.rref(k, rows)[0]) == len(others)
 
 
 def locally_weakly_equivalent(i, j, p):

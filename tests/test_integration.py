@@ -77,13 +77,17 @@ def test_rank4_constant_field_tower():
 
 def _enumeration_callers(monkeypatch, ctx, primes):
     """Run local_icm at each prime of a fresh context and return the name
-    of the function behind each call of quotient.submodule_lattices."""
+    of the first function outside `quotient` behind each call of
+    quotient.invariant_window, the one window enumeration."""
     from gekeler import quotient
-    original = quotient.submodule_lattices
+    original = quotient.invariant_window
     callers = []
 
     def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == quotient.__name__:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
         return original(*args)
 
     with monkeypatch.context() as mp:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -11,7 +13,10 @@ from gekeler.parse import parse_bipoly
 from gekeler.primes import (infinity_context, maximal_order, p_saturation,
                             singular_primes)
 from gekeler.overorders import p_overorders
-from gekeler.quotient import LatticeQuotient, invariant_subspaces, submodule_lattices
+from gekeler.quotient import (LatticeQuotient, invariant_subspaces,
+                              invariant_window, submodule_lattices)
+from gekeler.kalgebra import unit_generators
+from gekeler import klinalg
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
                             local_icm, globally_weakly_equivalent,
                             is_gorenstein)
@@ -279,6 +284,134 @@ def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
             nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
             for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil):
                 assert quo.pullback(sub) == _r_span_pullback(quo, sub)
+
+
+# F_4 needs 1 + c*b for both c in an F_2-basis of the constants
+WEAK_CURVES = ORACLE_CURVES + [(2, "x^3 - T^7"), (2, "x^3 - T^8"),
+                               (4, "x^3 - T^4")]
+
+
+def _colon_collapse(s_order, p):
+    """The colon collapse, as an oracle for `weak_classes` of a
+    non-Gorenstein S: every lattice (S:O) <= I <= O of the window with
+    (I:I) = S, one colon each, and the representatives picked by the
+    pairwise test 1 in (I:J)(J:I): [S] first, then, in canonical order,
+    each such lattice weakly equivalent to no earlier representative."""
+    sat = p_saturation(s_order.ctx, p).ideal
+    s = s_order.ideal
+    window = sorted(submodule_lattices(sat, s.colon(sat), s_order),
+                    key=lambda l: l.canonical_key())
+    kept = [lat for lat in window if lat.colon(lat) == s]
+    reps = [s]
+    for lat in kept:
+        if not any(globally_weakly_equivalent(lat, r) for r in reps):
+            reps.append(lat)
+    return kept, tuple(reps)
+
+
+@functools.lru_cache(maxsize=None)
+def _non_gorenstein_windows(q, fstr):
+    """(ctx, p, S, kept lattices, oracle representatives) for every
+    non-Gorenstein p-overorder S at every singular prime p of the curve
+    and of its model at infinity."""
+    finite = make_ctx(q, fstr)
+    out = []
+    for ctx in (finite, infinity_context(finite)):
+        for p in singular_primes(ctx):
+            for s in p_overorders(ctx, p).orders:
+                if not is_gorenstein(s):
+                    out.append((ctx, p, s) + _colon_collapse(s, p))
+    return out
+
+
+@pytest.mark.parametrize("q,fstr", WEAK_CURVES)
+def test_unit_orbits_match_the_colon_collapse(q, fstr):
+    for ctx, p, s, _, reps in _non_gorenstein_windows(q, fstr):
+        classes = weak_classes(Order.monogenic(ctx), s, p)
+        assert tuple(c.ideal for c in classes) == reps
+
+
+def _stabilizer_dim(k, mats, w):
+    """dim {x : xW <= W}, for the multiplication matrices of a basis: the
+    kernel of x -> (x*w mod W) over the basis vectors w of W."""
+    piv = klinalg.rref(k, w)[1]
+    rows = [row for v in w for row in zip(*[
+        klinalg.reduce(k, w, piv, klinalg.matmul_vec(k, m, v)) for m in mats])]
+    return len(mats) - len(klinalg.rref(k, rows)[0])
+
+
+@pytest.mark.parametrize("q,fstr", WEAK_CURVES)
+def test_stabilizer_rule_keeps_exactly_the_lattices_with_io_equal_o(q, fstr):
+    # a window W = I/f with stab(W) = S/f has O*W = O/f, and these W pull
+    # back to exactly the lattices with (I:I) = S, each with IO = O
+    for ctx, p, s, kept, _ in _non_gorenstein_windows(q, fstr):
+        k = ctx.field
+        sat = p_saturation(ctx, p).ideal
+        quo, subs = invariant_window(sat, s.ideal.colon(sat), s)
+        alg = quo.algebra()
+        basis = [alg.basis_vector(j) for j in range(alg.dim)]
+        mats = [alg.mult_matrix(b) for b in basis]
+        s_dim = len(quo.image(s.ideal))
+        stab_kept = [w for w in subs if _stabilizer_dim(k, mats, w) == s_dim]
+        for w in stab_kept:
+            ow = klinalg.span_basis(k, [alg.mul(b, v) for b in basis for v in w])
+            assert len(ow) == alg.dim
+        assert (sorted(quo.pullback(w).canonical_key() for w in stab_kept)
+                == [lat.canonical_key() for lat in kept])
+        assert all(lat * sat == sat for lat in kept)
+
+
+def test_windows_of_x3_minus_t8_keep_their_lattices_with_io_equal_o():
+    # the five non-Gorenstein windows at T keep 248 lattices, each window
+    # in two classes
+    ctx = make_ctx(2, "x^3 - T^8")
+    windows = [w for w in _non_gorenstein_windows(2, "x^3 - T^8")
+               if w[0] is ctx]
+    assert sorted(len(kept) for *_, kept, _ in windows) == [8, 16, 32, 64, 128]
+    assert [len(reps) for *_, reps in windows] == [2] * 5
+
+
+@pytest.mark.parametrize("q,fstr", [(2, "x^3 - T^4"), (2, "x^3 - T^5"),
+                                    (3, "x^4 + T^3"), (4, "x^3 - T^4")])
+def test_unit_generators_generate_the_unit_group(q, fstr):
+    # in O/f, the group the generators span is every invertible element
+    for ctx, p, s, _, _ in _non_gorenstein_windows(q, fstr):
+        k = ctx.field
+        sat = p_saturation(ctx, p).ideal
+        alg = LatticeQuotient(sat, s.ideal.colon(sat)).algebra()
+        units = {z for z in itertools.product(k.elements(), repeat=alg.dim)
+                 if len(klinalg.rref(k, alg.mult_matrix(z))[0]) == alg.dim}
+        group = {alg.one}
+        frontier = [alg.one]
+        gens = unit_generators(alg)
+        for z in frontier:   # the frontier grows while it is read
+            for g in gens:
+                zg = alg.mul(z, g)
+                if zg not in group:
+                    group.add(zg)
+                    frontier.append(zg)
+        assert group == units
+
+
+def test_weak_classes_take_no_colon_per_window_lattice(monkeypatch):
+    # the five non-Gorenstein windows of x^3 - T^8 over F_2 at T hold
+    # hundreds of lattices; the collapse takes a fixed number of colons
+    # per p-overorder and no pairwise test
+    from gekeler import weakeq
+    field = gf(2)
+    ctx = AlgebraContext(field, parse_bipoly(field, "x^3 - T^8"))
+    colons = []
+    colon = FracIdeal.colon
+    monkeypatch.setattr(FracIdeal, "colon",
+                        lambda i, j: colons.append(1) or colon(i, j))
+
+    def pairwise(i, j):
+        raise AssertionError("pairwise weak equivalence test")
+
+    monkeypatch.setattr(weakeq, "globally_weakly_equivalent", pairwise)
+    report = local_icm(ctx, FqPoly.gen(field))
+    assert report.m_p == 17
+    assert len(colons) <= 4 * len(report.by_overorder)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
