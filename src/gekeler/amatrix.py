@@ -10,33 +10,10 @@ from .errors import InputError
 from .fqpoly import FqPoly, NEG_INF
 
 
-def mat_zero(field, rows, cols):
-    z = FqPoly.zero(field)
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
 def mat_identity(field, n):
     z = FqPoly.zero(field)
     o = FqPoly.one(field)
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    field = a[0][0].field
-    out = mat_zero(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik.is_zero():
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                if not bk[j].is_zero():
-                    oi[j] = oi[j] + aik * bk[j]
-    return out
 
 
 def _swap_cols(m, i, j):

@@ -6,9 +6,13 @@ with respect to the power basis of a fixed degree-e modulus over F_p; the
 modulus is the first monic irreducible of degree e in the integer-encoding
 order, so serialized elements are reproducible across runs.
 
-Multiplication for e > 1 goes through discrete log/exp tables, which is
-plenty at the field sizes this package ever touches; a field of more than
-MAX_TABLE elements is refused before its tables are built.
+For e > 1 every operation is a table lookup.  The generator g is the least
+int of full order q - 1; exp[i] = g^i and log[g^i] = i turn multiplication
+into adding logs, and the Zech table zech[k] = log(1 + g^k) turns addition
+into one more lookup: g^i + g^j = g^(i + zech[j - i]).  The exp and Zech
+tables are stored twice over, so a sum or difference of two logs indexes
+them without a reduction mod q - 1.  A field of more than MAX_TABLE
+elements is refused before its tables are built.
 """
 
 from .errors import BudgetExceeded, InputError, InternalCheckError
@@ -30,7 +34,7 @@ class GF:
             raise InputError(f"{p} is not prime")
         if e < 1:
             raise InputError("extension degree must be >= 1")
-        if e > 1 and p ** e > MAX_TABLE:
+        if e > 1 and not fits_table(p ** e):
             raise BudgetExceeded(f"GF({p}^{e}) has q = {p ** e} elements; log "
                                  f"tables stop at {MAX_TABLE}")
         self.p = p
@@ -61,37 +65,51 @@ class GF:
 
     def _build_tables(self):
         q, p, e = self.q, self.p, self.e
-        Fp = gf(p)
-        m = self.modulus
+        n = q - 1
+        gen = next(g for g in range(2, q) if self._has_full_order(g))
+        m_low = self.modulus[:-1]
 
-        def mul_raw(a, b):
-            da = self._poly_digits(a, e)
-            db = self._poly_digits(b, e)
-            prod = gpoly.rem(Fp, gpoly.mul(Fp, da, db), m)
-            n = 0
-            for c in reversed(prod):
-                n = n * p + c
-            return n
+        def times_x(v):
+            top = v[-1]
+            v = [0] + v[:-1]
+            return [(a - top * c) % p for a, c in zip(v, m_low)] if top else v
 
-        # find a multiplicative generator
-        for g in range(2, q):
-            cur = g
-            n = 1
-            while cur != 1:
-                cur = mul_raw(cur, g)
-                n += 1
-            if n == q - 1:
-                gen = g
-                break
-        exp = [1] * (q - 1)
+        # exp[i + 1] = gen * exp[i] on digit lists: sum_j gen_j * x^j * exp[i]
+        gen_digits = gpoly.normalize(self._poly_digits(gen, e))
+        exp = [1] * n
         log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = mul_raw(cur, gen)
-        self._exp = exp
+        cur = [1] + [0] * (e - 1)
+        for i in range(n):
+            val = 0
+            for c in reversed(cur):
+                val = val * p + c
+            exp[i] = val
+            log[val] = i
+            acc, shifted = [0] * e, cur
+            for j, c in enumerate(gen_digits):
+                if j:
+                    shifted = times_x(shifted)
+                if c:
+                    acc = [(a + c * b) % p for a, b in zip(acc, shifted)]
+            cur = acc
+        # 1 + g^k adds 1 to the lowest digit; -1 marks 1 + g^k = 0
+        zech = [0] * n
+        for k in range(n):
+            a = exp[k]
+            low = a % p
+            one_plus = a - low + (low + 1) % p
+            zech[k] = log[one_plus] if one_plus else -1
+        self._exp = exp + exp
         self._log = log
+        self._zech = zech + zech
+        self._neg_log = n // 2 if p > 2 else 0   # log(-1)
+
+    def _has_full_order(self, g):
+        """g^((q-1)/l) != 1 for every prime l | q - 1."""
+        Fp, n = gf(self.p), self.q - 1
+        digits = self._poly_digits(g, self.e)
+        return all(gpoly.powmod(Fp, digits, n // ell, self.modulus) != (1,)
+                   for ell in gpoly.prime_divisors(n))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -102,46 +120,52 @@ class GF:
         return 1
 
     def add(self, a, b):
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        out = 0
-        mul = 1
-        for _ in range(self.e):
-            out += ((a % p + b % p) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        out = 0
-        mul = 1
-        for _ in range(self.e):
-            out += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return out
+            return (-a) % self.p
+        if not a:
+            return 0
+        return self._exp[self._log[a] + self._neg_log]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        if not b:
+            return a
+        lb = self._log[b] + self._neg_log   # log(-b)
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def gen_power(self, k):
+        """g^k for the generator g of the tables; e > 1 only."""
+        return self._exp[k % (self.q - 1)]
 
     def pow(self, a, n):
         if n < 0:
@@ -193,6 +217,11 @@ class GF:
 
     def __eq__(self, other):
         return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
+
+
+def fits_table(q):
+    """Whether a field of q elements is small enough for log tables."""
+    return q <= MAX_TABLE
 
 
 def gf(p, e=1):

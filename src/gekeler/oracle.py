@@ -279,11 +279,6 @@ def sl_order_closed_form(r, big_q, n):
     return out
 
 
-def gl_order_closed_form(r, big_q, n):
-    units = big_q ** (n - 1) * (big_q - 1)
-    return units * sl_order_closed_form(r, big_q, n)
-
-
 def brute_sl_count(r, p, n, budget=DEFAULT_BUDGET):
     """Exhaustive |SL_r|, |GL_r| and unit count over A/p^n.
 

@@ -16,6 +16,7 @@ saturation at p is the p-saturation of R.
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
+from .gf import embedding, fits_table, gf
 from .fqpoly import FqPoly, is_irreducible, monic_irreducibles, poly_order_key
 from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
@@ -81,7 +82,11 @@ def _require_prime(ctx, p):
 
 def census_primes(ctx, degree):
     """The monic irreducibles of the given degree, each recorded as verified
-    for ctx: `monic_irreducibles` has tested them already."""
+    for ctx: `monic_irreducibles` has tested them already.  A census visits
+    every prime of the degree, so it pays for the table of their roots in
+    GF(q^degree), where splitting_type then reads them."""
+    if degree > 1 and fits_table(ctx.field.q ** degree):
+        _root_table(ctx.field, degree)
     for p in monic_irreducibles(ctx.field, degree):
         ctx.cache[("prime", p)] = True
         yield p
@@ -148,13 +153,83 @@ def splitting_type(ctx, p):
     if (discriminant_of_f(ctx) % p).is_zero():
         pairs = primes_above_in_max(ctx, p)
     else:
-        k, fbar = ctx.f.reduce_mod(p)
+        k, fbar = _reduce_at_root(ctx, p)
         pairs = [(1, d) for g, d in gpoly.distinct_degree(k, fbar)
                  for _ in range(gpoly.deg(g) // d)]
     if sum(e * f for e, f in pairs) != ctx.r:
         raise _internal(ctx, "splitting_type", "sum of e*f is not r", p)
     ctx.cache[key] = tuple(sorted(pairs))
     return ctx.cache[key]
+
+
+def _reduce_at_root(ctx, p):
+    """f mod p over a field isomorphic to A/p, as (field, coefficients).
+
+    A/p is F_q(alpha) through T -> alpha for a root alpha of p, so f mod p
+    is f(alpha, x).  For deg p = 1, alpha = -p(0) lies in F_q.  Otherwise
+    alpha lies in the one field E = GF(q^deg p) shared by every prime of
+    that degree, once a census has tabulated their roots; a prime asked
+    for alone, or one whose E is too large to tabulate, has f reduced
+    into A/p itself.
+    """
+    field = ctx.field
+    degree = len(p.coeffs) - 1
+    if degree == 1:
+        alpha = field.neg(p.coeffs[0])
+        return field, [gpoly.eval_poly(field, c.coeffs, alpha) for c in ctx.f.coeffs]
+    table = _ROOT_TABLES.get((field, degree))
+    if table is None:
+        return ctx.f.reduce_mod(p)
+    big, emb, roots = table
+    key = ("f_in_ext", degree)
+    if key not in ctx.cache:
+        ctx.cache[key] = [tuple(emb(a) for a in c.coeffs) for c in ctx.f.coeffs]
+    alpha = roots[p.coeffs]
+    return big, [gpoly.eval_poly(big, c, alpha) for c in ctx.cache[key]]
+
+
+_ROOT_TABLES = {}
+
+
+def _root_table(field, degree):
+    """(E, F_q -> E, {coefficients of p: a root of p in E}) over the monic
+    irreducibles p of the given degree, with E = GF(q^degree); built once
+    per field and degree.
+
+    The primes of degree D are the Frobenius orbits of size D in E^x: on
+    the logs k of the powers g^k of E's generator, x -> x^q is k -> kq mod
+    q^D - 1.  The minimal polynomial of each such orbit, a product over E,
+    has its coefficients in the image of F_q and is read back through the
+    inverse of the embedding; its root is g^k for the least k of the orbit.
+    """
+    if (field, degree) in _ROOT_TABLES:
+        return _ROOT_TABLES[field, degree]
+    big = gf(field.p, field.e * degree)
+    emb = embedding(field, big)
+    back = {emb(a): a for a in field.elements()}
+    q, n = field.q, big.q - 1
+    seen = bytearray(n)
+    roots = {}
+    for k in range(1, n):
+        if seen[k]:
+            continue
+        orbit = [k]
+        j = k * q % n
+        while j != k:
+            orbit.append(j)
+            j = j * q % n
+        for j in orbit:
+            seen[j] = 1
+        if len(orbit) != degree:
+            continue
+        poly = [1]
+        for j in orbit:   # poly * (x - g^j), coefficients by increasing degree
+            c = big.neg(big.gen_power(j))
+            poly = [big.add(a, big.mul(c, b))
+                    for a, b in zip([0] + poly, poly + [0])]
+        roots[tuple(back[c] for c in poly)] = big.gen_power(k)
+    _ROOT_TABLES[field, degree] = (big, emb, roots)
+    return _ROOT_TABLES[field, degree]
 
 
 def order_discriminant(order):

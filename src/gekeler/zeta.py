@@ -198,37 +198,3 @@ def l_polynomial(ctx):
     out = LPolynomial(m, g, tuple(a), qm)
     ctx.cache["L"] = out
     return out
-
-
-def effective_divisor_counts(ctx, up_to):
-    """Effective divisor counts of F_{q^m}-degree 0..up_to from the census."""
-    m = constant_field_degree(ctx)
-    b = [0] * (up_to + 1)
-    for d in range(1, up_to + 1):
-        b[d] = count_places(ctx, m * d)
-    counts = [0] * (up_to + 1)
-    counts[0] = 1
-    for d in range(1, up_to + 1):
-        if b[d] == 0:
-            continue
-        # multiply the generating series by (1 - t^d)^(-b_d)
-        for _ in range(b[d]):
-            for j in range(d, up_to + 1):
-                counts[j] += counts[j - d]
-    return counts
-
-
-def zeta_series_coefficients(lpoly, up_to):
-    """Coefficients of L(t)/((1-t)(1-q^m t)) through degree up_to."""
-    qm = lpoly.qm
-    out = []
-    acc = [0] * (up_to + 1)
-    # 1/((1-t)(1-qt)) has coefficients (q^(j+1)-1)/(q-1)
-    base = [(qm ** (j + 1) - 1) // (qm - 1) for j in range(up_to + 1)]
-    for j in range(up_to + 1):
-        total = 0
-        for i, c in enumerate(lpoly.coeffs):
-            if i <= j:
-                total += c * base[j - i]
-        out.append(total)
-    return out

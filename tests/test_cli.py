@@ -1,9 +1,14 @@
 import json
 import io
 import contextlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import gekeler
 from conftest import make_ctx
 from gekeler.cli import main
 from gekeler.gf import gf
@@ -227,3 +232,19 @@ def test_byte_identical_reruns():
         _, first, _ = run_cli(args)
         _, second, _ = run_cli(args)
         assert first.encode() == second.encode()
+
+
+def test_import_prints_nothing_and_builds_no_table():
+    # a benchmark worker's first line after `import gekeler.cli` must be its
+    # own; every field, root table and prime sieve is built on first use
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
+    check = ("import sys, gekeler.cli\n"
+             "from gekeler import fqpoly, primes\n"
+             "print(len(sys.modules['gekeler.gf']._FIELD_CACHE),\n"
+             "      len(primes._ROOT_TABLES),\n"
+             "      fqpoly._sieve.cache_info().currsize, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == ""
+    assert proc.stderr.split() == ["0", "0", "0"]

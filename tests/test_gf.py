@@ -1,7 +1,9 @@
+import random
 import time
 
 import pytest
 
+from gekeler import gpoly
 from gekeler.gf import GF, MAX_TABLE, gf, gf_of_order, embedding
 from gekeler.errors import BudgetExceeded, InputError
 
@@ -108,3 +110,96 @@ def test_pow_and_frobenius():
         assert F.pow(a, F.q) == a          # x^q = x
         if a:
             assert F.pow(a, F.q - 1) == 1
+
+
+def _digits(F, n):
+    return [n // F.p ** i % F.p for i in range(F.e)]
+
+
+def _undigits(F, digits):
+    return sum(c * F.p ** i for i, c in enumerate(digits))
+
+
+def _digit_add(F, a, b):
+    """Addition as coordinate-wise addition of base-p digits."""
+    return _undigits(F, [(x + y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def _digit_neg(F, a):
+    return _undigits(F, [-x % F.p for x in _digits(F, a)])
+
+
+def _stepped_tables(F):
+    """exp and log tables with the generator found by stepping through the
+    powers of each candidate until 1, and every product by polynomial
+    multiplication mod the modulus."""
+    Fp = gf(F.p)
+
+    def mul_raw(a, b):
+        prod = gpoly.rem(Fp, gpoly.mul(Fp, _digits(F, a), _digits(F, b)), F.modulus)
+        return _undigits(F, prod)
+
+    for gen in range(2, F.q):
+        cur, order = gen, 1
+        while cur != 1:
+            cur = mul_raw(cur, gen)
+            order += 1
+        if order == F.q - 1:
+            break
+    exp, log = [], [0] * F.q
+    cur = 1
+    for i in range(F.q - 1):
+        exp.append(cur)
+        log[cur] = i
+        cur = mul_raw(cur, gen)
+    return exp, log
+
+
+def _extension_fields(max_q):
+    for q in range(4, max_q + 1):
+        try:
+            F = gf_of_order(q)
+        except InputError:
+            continue
+        if F.e > 1:
+            yield F
+
+
+def test_tables_match_stepped_generator_search():
+    for F in _extension_fields(2 ** 10):
+        exp, log = _stepped_tables(F)
+        assert [F.gen_power(i) for i in range(F.q - 1)] == exp, F
+        assert [F.mul(F.gen_power(1), a) for a in exp] == exp[1:] + exp[:1]
+        for a in range(1, F.q):
+            assert F.gen_power(log[a]) == a
+
+
+def test_largest_fields_build_quickly():
+    for p, e in [(3, 10), (2, 16)]:
+        t0 = time.perf_counter()
+        F = GF(p, e)
+        assert time.perf_counter() - t0 < 2.0, (p, e)
+        assert F.q <= MAX_TABLE
+        assert F.pow(F.gen_power(1), (F.q - 1) // 2) != 1
+
+
+def test_zech_addition_matches_digit_formulas():
+    for F in _extension_fields(256):
+        p = F.p
+        digits = [tuple(_digits(F, a)) for a in range(F.q)]
+        code = {d: a for a, d in enumerate(digits)}
+        negs = [_digit_neg(F, a) for a in range(F.q)]
+        for a in range(F.q):
+            assert F.neg(a) == negs[a]
+            da = digits[a]
+            for b in range(F.q):
+                s = code[tuple([(x + y) % p for x, y in zip(da, digits[b])])]
+                assert F.add(a, b) == s
+                assert F.sub(s, b) == a
+    rng = random.Random(14)
+    for F in (gf(3, 10), gf(2, 16)):
+        for _ in range(5000):
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            assert F.add(a, b) == _digit_add(F, a, b)
+            assert F.neg(a) == _digit_neg(F, a)
+            assert F.sub(a, b) == _digit_add(F, a, _digit_neg(F, b))

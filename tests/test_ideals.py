@@ -11,13 +11,36 @@ from gekeler.errors import InputError, NotContained
 from gekeler import amatrix
 
 
+def mat_zero(field, rows, cols):
+    z = FqPoly.zero(field)
+    return [[z for _ in range(cols)] for _ in range(rows)]
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    field = a[0][0].field
+    out = mat_zero(field, rows, cols)
+    for i in range(rows):
+        ai = a[i]
+        for k in range(inner):
+            aik = ai[k]
+            if aik.is_zero():
+                continue
+            bk = b[k]
+            oi = out[i]
+            for j in range(cols):
+                if not bk[j].is_zero():
+                    oi[j] = oi[j] + aik * bk[j]
+    return out
+
+
 def adjugate(mat):
     """Adjugate matrix (transpose of cofactors) over A."""
     n = len(mat)
     field = mat[0][0].field
     if n == 1:
         return [[FqPoly.one(field)]]
-    out = amatrix.mat_zero(field, n, n)
+    out = mat_zero(field, n, n)
     for i in range(n):
         for j in range(n):
             minor = [[mat[r][c] for c in range(n) if c != j]
@@ -38,7 +61,7 @@ def _colon_by_adjugates(i, j):
     for col in j.basis_columns():
         images = [ctx.mult_vectors(col, pv) for pv in ctx.power_vectors]
         m = [[images[c][rw] for c in range(ctx.r)] for rw in range(ctx.r)]
-        num = amatrix.mat_mul(adjugate(m), [list(row) for row in i.num])
+        num = mat_mul(adjugate(m), [list(row) for row in i.num])
         num = [[e * j.den for e in row] for row in num]
         lat = FracIdeal(ctx, num, i.den * amatrix.det(m))
         result = lat if result is None else result.intersect(lat)

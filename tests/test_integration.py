@@ -70,7 +70,7 @@ def test_rank4_constant_field_tower():
     assert pr.value == expected == Fraction(7, 3)
 
     # zeta series vs effective divisor census over F_9-degrees
-    from gekeler.zeta import effective_divisor_counts, zeta_series_coefficients
+    from test_zeta import effective_divisor_counts, zeta_series_coefficients
     assert (effective_divisor_counts(ctx, 2)
             == zeta_series_coefficients(lp, 2) == [1, n1, 70])
 

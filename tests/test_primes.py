@@ -1,12 +1,15 @@
+import random
+import sys
+
 import pytest
 
 from conftest import make_ctx
 from property_suite import CONTEXT_POOL
-from gekeler.gf import gf, gf_of_order
+from gekeler.gf import GF, gf, gf_of_order
 from gekeler.fqpoly import FqPoly, monic_irreducibles, powmod
 from gekeler.parse import parse_bipoly
 from gekeler.context import AlgebraContext
-from gekeler import kalgebra, klinalg
+from gekeler import gpoly, kalgebra, klinalg
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order, index_ideal
 from gekeler.residue import ResidueField
@@ -406,9 +409,11 @@ def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
                     (5, "x^2 - (T^3 + T + 1)"), (3, tower)]:
         field = gf_of_order(q)
         ctx = AlgebraContext(field, parse_bipoly(field, fstr))  # nothing cached
-        # the constant-field test builds GF(q^m), whose modulus the Rabin
-        # test finds once per field
+        # the constant-field test builds GF(q^m), and the census GF(q^d)
+        # for d = 2, 3, whose moduli the Rabin test finds once per field
         constant_field_degree(ctx)
+        for d in (2, 3):
+            gf(field.p, field.e * d)
         fqpoly._sieve.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(P, "kummer_dedekind", kummer_dedekind)
@@ -446,3 +451,119 @@ def test_splitting_checks_name_the_stage_and_instance(monkeypatch):
     with pytest.raises(InternalCheckError, match="^kummer_dedekind: .* "
                        r"q = 3, f = x\^2 \+ 2\*T, p = T \+ 1$"):
         P.primes_above_in_max(ctx, p)
+
+
+def _ddf_pattern(k, fbar):
+    return sorted((gpoly.deg(g), d) for g, d in gpoly.distinct_degree(k, fbar))
+
+
+def _pool_contexts(q):
+    """Fresh contexts of the CONTEXT_POOL curves that are irreducible and
+    separable over F_q, and their models at infinity, one per polynomial."""
+    field = gf_of_order(q)
+    seen = set()
+    for fstr in dict.fromkeys(fstr for _, fstr in CONTEXT_POOL):
+        try:
+            ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+            ctx.require_separable()
+        except InputError:
+            continue
+        for c in (ctx, P.infinity_context(ctx)):
+            if c.f not in seen:
+                seen.add(c.f)
+                yield c
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_splitting_at_a_root_matches_reduction_into_a_mod_p(q):
+    # f(alpha, x) over GF(q^D) against f mod p over A/p, at every p of
+    # degree <= 4 not dividing disc(f); of the 1,638 primes of degree 4
+    # over F_9, a seeded sample of 100 per curve keeps the run short
+    rng = random.Random(q)
+    seen = 0
+    for ctx in _pool_contexts(q):
+        disc = P.discriminant_of_f(ctx)
+        for d in (1, 2, 3, 4):
+            primes = list(monic_irreducibles(ctx.field, d))
+            if len(primes) > 1000:
+                primes = rng.sample(primes, 100)
+            if d > 1:
+                P._root_table(ctx.field, d)
+            for p in primes:
+                if (disc % p).is_zero():
+                    continue
+                big, fbar = P._reduce_at_root(ctx, p)
+                assert isinstance(big, GF) and big.q == q ** d
+                assert _ddf_pattern(big, fbar) == _ddf_pattern(*ctx.f.reduce_mod(p))
+                seen += 1
+    assert seen
+
+
+def test_root_table_lists_the_sieved_primes():
+    from gekeler.fqpoly import _sieve
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81):
+        F = gf_of_order(q)
+        d = 2
+        while q ** d <= 3 ** 8:
+            big, emb, roots = P._root_table(F, d)
+            assert sorted(roots) == sorted(p.coeffs for p in _sieve(F, d)), (q, d)
+            for coeffs, alpha in roots.items():
+                assert gpoly.eval_poly(big, [emb(c) for c in coeffs], alpha) == 0
+            d += 1
+
+
+def test_census_agrees_across_the_table_boundary(monkeypatch):
+    # with tables capped at 3^3 elements, the primes of degree 2 and 3 find
+    # a root in the shared field and those of degree 4 and 5 reduce f into A/p
+    from gekeler.bipoly import BiPoly
+    from gekeler.ratios import partial_products
+    F = gf(3)
+    fstr = "x^3 - T*x - T^2"
+    expected = partial_products(AlgebraContext(F, parse_bipoly(F, fstr)), 5)
+    reduced, tabled = [], []
+    real_reduce, real_table = BiPoly.reduce_mod, P._root_table
+
+    def reduce_mod(self, p):
+        reduced.append(p)
+        return real_reduce(self, p)
+
+    def root_table(field, degree):
+        tabled.append(degree)
+        return real_table(field, degree)
+
+    ctx = AlgebraContext(F, parse_bipoly(F, fstr))
+    monkeypatch.setattr(sys.modules["gekeler.gf"], "MAX_TABLE", 3 ** 3)
+    monkeypatch.setattr(P, "_ROOT_TABLES", {})
+    monkeypatch.setattr(BiPoly, "reduce_mod", reduce_mod)
+    monkeypatch.setattr(P, "_root_table", root_table)
+    assert partial_products(ctx, 5) == expected
+    disc = P.discriminant_of_f(ctx)
+    assert set(tabled) == {2, 3}
+    assert {int(p.degree) for p in reduced if not (disc % p).is_zero()} == {4, 5}
+
+
+def test_census_reduces_f_only_at_the_discriminant(monkeypatch):
+    from gekeler.bipoly import BiPoly
+    from gekeler.ratios import partial_products
+    F = gf(3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))  # nothing cached
+    reduced = []
+    real_reduce = BiPoly.reduce_mod
+
+    def reduce_mod(self, p):
+        reduced.append(p)
+        return real_reduce(self, p)
+
+    monkeypatch.setattr(BiPoly, "reduce_mod", reduce_mod)
+    partial_products(ctx, 4)
+    disc = P.discriminant_of_f(ctx)
+    assert [p for p in reduced if not (disc % p).is_zero()] == []
+
+
+def test_a_prime_asked_for_alone_builds_no_table():
+    # one prime of degree 10 would pay for all 3^10 elements of GF(3^10)
+    F = gf(3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
+    p = FqPoly(F, (2, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1))
+    assert P.splitting_type(ctx, p) == ((1, 2),)
+    assert (F, 10) not in P._ROOT_TABLES

@@ -9,6 +9,39 @@ from gekeler import zeta as Z
 from gekeler.errors import InputError, InternalCheckError
 
 
+def effective_divisor_counts(ctx, up_to):
+    """Effective divisor counts of F_{q^m}-degree 0..up_to from the census."""
+    m = Z.constant_field_degree(ctx)
+    b = [0] * (up_to + 1)
+    for d in range(1, up_to + 1):
+        b[d] = Z.count_places(ctx, m * d)
+    counts = [0] * (up_to + 1)
+    counts[0] = 1
+    for d in range(1, up_to + 1):
+        if b[d] == 0:
+            continue
+        # multiply the generating series by (1 - t^d)^(-b_d)
+        for _ in range(b[d]):
+            for j in range(d, up_to + 1):
+                counts[j] += counts[j - d]
+    return counts
+
+
+def zeta_series_coefficients(lpoly, up_to):
+    """Coefficients of L(t)/((1-t)(1-q^m t)) through degree up_to."""
+    qm = lpoly.qm
+    out = []
+    # 1/((1-t)(1-qt)) has coefficients (q^(j+1)-1)/(q-1)
+    base = [(qm ** (j + 1) - 1) // (qm - 1) for j in range(up_to + 1)]
+    for j in range(up_to + 1):
+        total = 0
+        for i, c in enumerate(lpoly.coeffs):
+            if i <= j:
+                total += c * base[j - i]
+        out.append(total)
+    return out
+
+
 def test_constant_field_degree_examples():
     assert Z.constant_field_degree(make_ctx(3, "x^2 - T^3")) == 1
     assert Z.constant_field_degree(make_ctx(3, "x^2 + 1")) == 2
@@ -93,8 +126,8 @@ def test_zeta_series_matches_effective_divisors():
     for q, fstr, depth in [(5, "x^2 - (T^3 + T + 1)", 3), (3, "x^2 - T^3", 3)]:
         ctx = make_ctx(q, fstr)
         lp = Z.l_polynomial(ctx)
-        assert (Z.effective_divisor_counts(ctx, depth)
-                == Z.zeta_series_coefficients(lp, depth))
+        assert (effective_divisor_counts(ctx, depth)
+                == zeta_series_coefficients(lp, depth))
 
 
 def test_genus_zero_iff_l_trivial():
