@@ -7,6 +7,7 @@ identical invocations; timings go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,10 @@ from .ratios import (gekeler_ratio, gekeler_product, finite_level_ratio,
 from . import oracle as oracle_mod
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later main() of the process."""
     ap = argparse.ArgumentParser(
         prog="gekeler",
         description="exact local ideal class monoids and Gekeler ratios "

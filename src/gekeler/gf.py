@@ -163,6 +163,13 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self._exp[self.q - 1 - self._log[a]]
 
+    def is_square(self, a):
+        """Whether a nonzero a is a square, for odd q: by Euler's criterion
+        a^((q-1)/2) = 1, which for e > 1 is an even log."""
+        if self.e == 1:
+            return pow(a, (self.p - 1) // 2, self.p) == 1
+        return self._log[a] % 2 == 0
+
     def gen_power(self, k):
         """g^k for the generator g of the tables; e > 1 only."""
         return self._exp[k % (self.q - 1)]

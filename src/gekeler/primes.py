@@ -7,17 +7,23 @@ of O_K above p, and no ideal of O_K is built: at p not dividing disc(f)
 it is the distinct-degree pattern of f mod p; at the primes not dividing
 the index [O_K:R] it is Kummer-Dedekind again (Dedekind's criterion);
 only at the finitely many index primes is it read off the local
-components of the finite algebra O_K/pO_K.  The maximal order itself is
-obtained by radical saturation at the primes whose square divides
-disc(f), validated by the conductor-discriminant identity; the
-saturation at p is the p-saturation of R.
+components of the finite algebra O_K/pO_K.  The census of the primes of
+one degree lists no prime: type_counts counts the splitting types of
+the Frobenius orbits of GF(q^D), and only the primes of disc(f) are
+built, by factoring it.  The maximal order itself is obtained by radical
+saturation at the primes whose square divides disc(f), validated by the
+conductor-discriminant identity; the saturation at p is the
+p-saturation of R.
 """
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, InternalCheckError
+from .errors import BudgetExceeded, InputError, InternalCheckError
 from .gf import embedding, fits_table, gf
-from .fqpoly import FqPoly, is_irreducible, monic_irreducibles, poly_order_key
+from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
+                     poly_order_key)
 from .bipoly import BiPoly, discriminant
 from .residue import ResidueField
 from .context import AlgebraContext, KElement
@@ -63,12 +69,14 @@ class SplittingReport:
         }
 
 
-def _internal(ctx, stage, what, p):
-    """InternalCheckError naming the stage and instance (q, f, p); p may be text."""
+def _internal(ctx, stage, what, p=None):
+    """InternalCheckError naming the stage and instance (q, f) and, when
+    given, the prime p; p may be text."""
     if isinstance(p, FqPoly):
         p = p.to_str(ctx.tvar)
+    where = "" if p is None else f", p = {p}"
     return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
-                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}, p = {p}")
+                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
 
 
 def _require_prime(ctx, p):
@@ -78,18 +86,6 @@ def _require_prime(ctx, p):
         if not p.is_monic() or not is_irreducible(p):
             raise InputError(f"{p.to_str()} is not a monic irreducible of F_q[T]")
         ctx.cache[key] = True
-
-
-def census_primes(ctx, degree):
-    """The monic irreducibles of the given degree, each recorded as verified
-    for ctx: `monic_irreducibles` has tested them already.  A census visits
-    every prime of the degree, so it pays for the table of their roots in
-    GF(q^degree), where splitting_type then reads them."""
-    if degree > 1 and fits_table(ctx.field.q ** degree):
-        _root_table(ctx.field, degree)
-    for p in monic_irreducibles(ctx.field, degree):
-        ctx.cache[("prime", p)] = True
-        yield p
 
 
 def kummer_dedekind(order, p):
@@ -137,13 +133,35 @@ def discriminant_of_f(ctx):
     return ctx.cache["disc"]
 
 
+def discriminant_factors(ctx):
+    """The pairs (p, multiplicity) of the prime factorization of disc(f),
+    in (degree, encoding) order; factored once per context, and each p is
+    recorded as a verified prime."""
+    if "disc_factors" not in ctx.cache:
+        out = []
+        for fac, mult in gpoly.factor(ctx.field, list(discriminant_of_f(ctx).coeffs),
+                                      seed=ctx.seed):
+            p = FqPoly(ctx.field, fac)
+            ctx.cache[("prime", p)] = True
+            out.append((p, mult))
+        ctx.cache["disc_factors"] = out
+    return ctx.cache["disc_factors"]
+
+
+def _pattern(k, fbar):
+    """The splitting type at p not dividing disc(f), from f mod p over a
+    field k isomorphic to A/p: its distinct-degree factor g_d gives
+    deg(g_d)/d unramified primes of residue degree d."""
+    return tuple(sorted((1, d) for g, d in gpoly.distinct_degree(k, fbar)
+                        for _ in range(gpoly.deg(g) // d)))
+
+
 def splitting_type(ctx, p):
     """The pairs (e, f) of the primes of O_K above p, in increasing order.
 
     At p not dividing disc(f), f mod p is squarefree and R is maximal at p,
-    so the type is the pattern of f mod p (Rosen, GTM 210, ch. 3): its
-    distinct-degree factor g_d gives deg(g_d)/d unramified primes of
-    residue degree d.  At p | disc(f) it is primes_above_in_max.
+    so the type is the pattern of f mod p (Rosen, GTM 210, ch. 3).  At
+    p | disc(f) it is primes_above_in_max.
     """
     key = ("type", p)
     if key in ctx.cache:
@@ -153,83 +171,127 @@ def splitting_type(ctx, p):
     if (discriminant_of_f(ctx) % p).is_zero():
         pairs = primes_above_in_max(ctx, p)
     else:
-        k, fbar = _reduce_at_root(ctx, p)
-        pairs = [(1, d) for g, d in gpoly.distinct_degree(k, fbar)
-                 for _ in range(gpoly.deg(g) // d)]
+        pairs = _pattern(*ctx.f.reduce_mod(p))
     if sum(e * f for e, f in pairs) != ctx.r:
         raise _internal(ctx, "splitting_type", "sum of e*f is not r", p)
     ctx.cache[key] = tuple(sorted(pairs))
     return ctx.cache[key]
 
 
-def _reduce_at_root(ctx, p):
-    """f mod p over a field isomorphic to A/p, as (field, coefficients).
+_SPLIT, _INERT = ((1, 1), (1, 1)), ((1, 2),)
 
-    A/p is F_q(alpha) through T -> alpha for a root alpha of p, so f mod p
-    is f(alpha, x).  For deg p = 1, alpha = -p(0) lies in F_q.  Otherwise
-    alpha lies in the one field E = GF(q^deg p) shared by every prime of
-    that degree, once a census has tabulated their roots; a prime asked
-    for alone, or one whose E is too large to tabulate, has f reduced
-    into A/p itself.
+
+def type_counts(ctx, degree):
+    """Counter of the splitting types of the primes of the given degree
+    that do not divide disc(f); memoised per context.
+
+    No prime is listed.  A prime p of degree D has the type of f(alpha, x)
+    over E = GF(q^D) for any root alpha of p, because A/p = F_q(alpha)
+    through T -> alpha, and the roots of the primes of degree D are the
+    Frobenius orbits of size D in E (Rosen, GTM 210, ch. 1-3).  So the
+    count walks alpha over F_q for D = 1, and otherwise over one g^k per
+    orbit, k -> kq mod q^D - 1 on the logs of E's generator g; an alpha
+    with disc(f)(alpha) = 0 is a root of a prime of disc(f) and is
+    skipped.  For rank 2 and odd q the type is Euler's criterion on the
+    discriminant a^2 - 4b of x^2 + ax + b: split where it is a square at
+    alpha, inert where it is not.  Where E is too large to tabulate, the
+    primes of degree D are sieved and f is reduced into each A/p.  The
+    walk refuses a degree with q^D > SIEVE_LIMIT before it allocates
+    anything.  The orbits walked and the primes of disc(f) of degree D
+    must number as many as Gauss's count of the primes of degree D.
     """
+    key = ("type_counts", degree)
+    if key in ctx.cache:
+        return ctx.cache[key]
+    ctx.require_separable()
     field = ctx.field
-    degree = len(p.coeffs) - 1
+    size = field.q ** degree
+    if size > SIEVE_LIMIT:
+        raise BudgetExceeded(f"the census of degree {degree} over F_{field.q} "
+                             f"walks {field.q}^{degree} > {SIEVE_LIMIT} elements")
+    if degree == 1 or fits_table(size):
+        counts = _count_at_roots(ctx, degree)
+    else:
+        disc = discriminant_of_f(ctx)
+        counts = Counter(_pattern(*ctx.f.reduce_mod(p))
+                         for p in monic_irreducibles(field, degree)
+                         if not (disc % p).is_zero())
+    at_disc = sum(len(p.coeffs) - 1 == degree for p, _ in discriminant_factors(ctx))
+    if sum(counts.values()) + at_disc != _prime_count(field.q, degree):
+        raise _internal(ctx, "type_counts", "orbits and primes of disc(f) "
+                        "miss Gauss's count", f"each prime of degree {degree}")
+    for pairs in counts:
+        if sum(e * f for e, f in pairs) != ctx.r:
+            raise _internal(ctx, "type_counts", "sum of e*f is not r",
+                            f"a prime of degree {degree}")
+    ctx.cache[key] = counts
+    return counts
+
+
+def _count_at_roots(ctx, degree):
+    """type_counts at the roots alpha in E = F_q (degree 1) or GF(q^degree)."""
+    field = ctx.field
     if degree == 1:
-        alpha = field.neg(p.coeffs[0])
-        return field, [gpoly.eval_poly(field, c.coeffs, alpha) for c in ctx.f.coeffs]
-    table = _ROOT_TABLES.get((field, degree))
-    if table is None:
-        return ctx.f.reduce_mod(p)
-    big, emb, roots = table
-    key = ("f_in_ext", degree)
-    if key not in ctx.cache:
-        ctx.cache[key] = [tuple(emb(a) for a in c.coeffs) for c in ctx.f.coeffs]
-    alpha = roots[p.coeffs]
-    return big, [gpoly.eval_poly(big, c, alpha) for c in ctx.cache[key]]
-
-
-_ROOT_TABLES = {}
-
-
-def _root_table(field, degree):
-    """(E, F_q -> E, {coefficients of p: a root of p in E}) over the monic
-    irreducibles p of the given degree, with E = GF(q^degree); built once
-    per field and degree.
-
-    The primes of degree D are the Frobenius orbits of size D in E^x: on
-    the logs k of the powers g^k of E's generator, x -> x^q is k -> kq mod
-    q^D - 1.  The minimal polynomial of each such orbit, a product over E,
-    has its coefficients in the image of F_q and is read back through the
-    inverse of the embedding; its root is g^k for the least k of the orbit.
-    """
-    if (field, degree) in _ROOT_TABLES:
-        return _ROOT_TABLES[field, degree]
-    big = gf(field.p, field.e * degree)
+        big, alphas = field, field.elements()
+    else:
+        big = gf(field.p, field.e * degree)
+        alphas = map(big.gen_power, _orbit_logs(field.q, degree))
     emb = embedding(field, big)
-    back = {emb(a): a for a in field.elements()}
-    q, n = field.q, big.q - 1
+
+    def in_big(c):
+        return [emb(a) for a in c.coeffs]
+
+    evaluate = gpoly.eval_poly
+    counts = Counter()
+    if ctx.r == 2 and field.p != 2:
+        b, a = ctx.f.coeffs[0], ctx.f.coeffs[1]
+        disc = in_big(a * a - b.scale(field.from_int(4)))
+        for alpha in alphas:
+            d = evaluate(big, disc, alpha)
+            if d:
+                counts[_SPLIT if big.is_square(d) else _INERT] += 1
+        return counts
+    disc = in_big(discriminant_of_f(ctx))
+    coeffs = [in_big(c) for c in ctx.f.coeffs]
+    for alpha in alphas:
+        if evaluate(big, disc, alpha):
+            counts[_pattern(big, [evaluate(big, c, alpha) for c in coeffs])] += 1
+    return counts
+
+
+@functools.cache
+def _orbit_logs(q, degree):
+    """The least k of each Frobenius orbit k, kq, kq^2, ... (mod q^degree - 1)
+    of size degree, in increasing order: one log per prime of that degree."""
+    n = q ** degree - 1
     seen = bytearray(n)
-    roots = {}
+    out = []
     for k in range(1, n):
         if seen[k]:
             continue
-        orbit = [k]
-        j = k * q % n
+        size, j = 1, k * q % n
+        seen[k] = 1
         while j != k:
-            orbit.append(j)
-            j = j * q % n
-        for j in orbit:
             seen[j] = 1
-        if len(orbit) != degree:
-            continue
-        poly = [1]
-        for j in orbit:   # poly * (x - g^j), coefficients by increasing degree
-            c = big.neg(big.gen_power(j))
-            poly = [big.add(a, big.mul(c, b))
-                    for a, b in zip([0] + poly, poly + [0])]
-        roots[tuple(back[c] for c in poly)] = big.gen_power(k)
-    _ROOT_TABLES[field, degree] = (big, emb, roots)
-    return _ROOT_TABLES[field, degree]
+            size += 1
+            j = j * q % n
+        if size == degree:
+            out.append(k)
+    return tuple(out)
+
+
+def _prime_count(q, degree):
+    """Gauss's count of the monic irreducibles of the given degree over F_q:
+    (1/D) sum over squarefree d | D of mu(d) q^(D/d)."""
+    total = 0
+    ells = gpoly.prime_divisors(degree) if degree > 1 else []
+    for mask in range(1 << len(ells)):
+        d, sign = 1, 1
+        for i, ell in enumerate(ells):
+            if mask >> i & 1:
+                d, sign = d * ell, -sign
+        total += sign * q ** (degree // d)
+    return total // degree
 
 
 def order_discriminant(order):
@@ -297,10 +359,9 @@ def maximal_order(ctx):
     disc = discriminant_of_f(ctx)
     base = Order.monogenic(ctx)
     result = base
-    for fac, mult in gpoly.factor(ctx.field, list(disc.coeffs), seed=ctx.seed):
+    for p, mult in discriminant_factors(ctx):
         if mult < 2:
             continue
-        p = FqPoly(ctx.field, fac)
         sat = base
         for _ in range(mult + 2):
             rad = p_radical(sat, p)
@@ -338,10 +399,7 @@ def singular_primes(ctx):
         return ctx.cache["singular"]
     base = Order.monogenic(ctx)
     out = []
-    for fac, _ in gpoly.factor(ctx.field, list(discriminant_of_f(ctx).coeffs),
-                               seed=ctx.seed):
-        p = FqPoly(ctx.field, fac)
-        ctx.cache[("prime", p)] = True   # a factor from gpoly.factor
+    for p, _ in discriminant_factors(ctx):
         report = kummer_dedekind(base, p)
         if any(not q.regular for q in report.primes):
             out.append(p)

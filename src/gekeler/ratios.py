@@ -11,9 +11,9 @@ rational; the only limits ever taken are in the validating oracles.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError
 from .fqpoly import FqPoly
-from .primes import census_primes, singular_primes, splitting_type
+from .primes import (_internal, discriminant_factors, singular_primes,
+                     splitting_type, type_counts)
 from .weakeq import local_icm
 from .zeta import l_polynomial
 from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_BUDGET
@@ -63,15 +63,21 @@ def gekeler_ratio(ctx, p):
     ctx.require_separable()
     m_p = orbit_count(ctx, p)
     big_q = ctx.field.q ** int(p.degree)
-    value = Fraction(m_p) * (1 - Fraction(1, big_q))
-    residues = []
-    for e, f_res in splitting_type(ctx, p):
-        norm = big_q ** f_res
-        value /= 1 - Fraction(1, norm)
-        residues.append((e, f_res, norm))
+    pairs = splitting_type(ctx, p)
+    value = _local_value(m_p, big_q, pairs)
     if value <= 0:  # pragma: no cover
-        raise InternalCheckError("local ratio must be positive")
-    return LocalRatio(p, m_p, tuple(residues), value)
+        raise _internal(ctx, "gekeler_ratio", "local ratio must be positive", p)
+    residues = tuple((e, f_res, big_q ** f_res) for e, f_res in pairs)
+    return LocalRatio(p, m_p, residues, value)
+
+
+def _local_value(m_p, big_q, pairs):
+    """m_p (1 - 1/|p|) / prod (1 - 1/N(q)) over the pairs (e, f) of the
+    primes q above p, with |p| = big_q and N(q) = big_q^f."""
+    value = Fraction(m_p) * (1 - Fraction(1, big_q))
+    for _, f_res in pairs:
+        value /= 1 - Fraction(1, big_q ** f_res)
+    return value
 
 
 def gekeler_product(ctx):
@@ -104,13 +110,21 @@ def finite_level_ratio(ctx, p, n, budget=DEFAULT_BUDGET):
 def partial_products(ctx, max_degree):
     """Cumulative products of local ratios over primes of degree <= D.
 
-    Primes are visited in (degree, encoding) order; returns one running
-    value per degree.
+    At a prime not dividing disc(f), R is maximal, m_p = 1 and the ratio
+    depends on the splitting type alone, so each type's ratio is raised to
+    the number of primes of that degree and type (primes.type_counts).
+    The primes of disc(f) of that degree follow with their gekeler_ratio.
+    Returns one exact running value per degree.
     """
+    ctx.require_separable()
     acc = Fraction(1)
     out = []
     for d in range(1, max_degree + 1):
-        for p in census_primes(ctx, d):
-            acc *= gekeler_ratio(ctx, p).value
+        big_q = ctx.field.q ** d
+        for pairs, n in type_counts(ctx, d).items():
+            acc *= _local_value(1, big_q, pairs) ** n
+        for p, _ in discriminant_factors(ctx):
+            if len(p.coeffs) - 1 == d:
+                acc *= gekeler_ratio(ctx, p).value
         out.append((d, acc))
     return out

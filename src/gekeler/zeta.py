@@ -2,10 +2,14 @@
 
 The numerator is computed over the full constant field F_{q^m} from place
 counts of F_q-degree m, 2m, ..., mg via the Newton recursion on the zeta
-series, then completed by the functional equation.  All arithmetic is
-exact, the root-magnitude (Weil) gate included.
+series, then completed by the functional equation.  The finite places
+are counted from primes.type_counts, which lists no prime, and from the
+primes of disc(f); the places at infinity are the splitting type of (U)
+in the model at infinity.  All arithmetic is exact, the root-magnitude
+(Weil) gate included.  A failed check names its stage and (q, f).
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +19,9 @@ from .gf import gf, embedding
 from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
-from .primes import (census_primes, maximal_order, order_discriminant,
-                     splitting_type, infinite_places, infinity_order)
+from .primes import (_internal, discriminant_factors, maximal_order,
+                     order_discriminant, splitting_type, infinite_places,
+                     infinity_order, type_counts)
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,25 @@ def _weil_roots_ok(coeffs, g, qm):
 
 
 def constant_field_degree(ctx):
-    """Degree m of the full constant field F_{q^m} of K."""
+    """Degree m of the full constant field F_{q^m} of K.
+
+    m divides the F_q-degree of every place of K (Rosen, GTM 210, ch. 8),
+    so it divides g = gcd(r, residue degrees of the places over infinity).
+    Over F_{q^i}(T), f has gcd(i, m) irreducible factors, so m is the
+    largest divisor i of g at which f has i factors, and g = 1 settles
+    m = 1 with no factor count.
+    """
     ctx.require_separable()
     if "m" in ctx.cache:
         return ctx.cache["m"]
-    r = ctx.r
     field = ctx.field
-    divisors = sorted((i for i in range(1, r + 1) if r % i == 0), reverse=True)
+    g = ctx.r
+    for _, f_res in infinite_places(ctx):
+        g = math.gcd(g, f_res)
     m = 1
-    for i in divisors:
-        if i == 1:
-            break
+    for i in range(g, 1, -1):
+        if g % i:
+            continue
         big = gf(field.p, field.e * i)
         emb = embedding(field, big)
         fi = ctx.f.map_coefficients(emb, big)
@@ -141,8 +154,8 @@ def genus(ctx):
     total = int(d_fin.degree) + v_u
     g = Fraction(1) - Fraction(ctx.r, m) + Fraction(total, 2 * m)
     if g.denominator != 1 or g < 0:
-        raise InternalCheckError(
-            f"genus formula gave {g}; splitting or model data is inconsistent")
+        raise _internal(ctx, "genus", f"genus formula gave {g}; splitting "
+                        "or model data is inconsistent")
     ctx.cache["g"] = int(g)
     return int(g)
 
@@ -158,13 +171,17 @@ def count_places(ctx, d):
     for k in range(1, d + 1):
         if d % k != 0:
             continue
-        for p in census_primes(ctx, k):
-            count += sum(k * f_res == d for _, f_res in splitting_type(ctx, p))
+        for pairs, n in type_counts(ctx, k).items():
+            count += n * sum(k * f_res == d for _, f_res in pairs)
+        for p, _ in discriminant_factors(ctx):
+            if len(p.coeffs) - 1 == k:
+                count += sum(k * f_res == d for _, f_res in splitting_type(ctx, p))
     # the places over T = infinity lie over (U) in the model at infinity
     count += sum(f_res == d for _, f_res in infinite_places(ctx))
     if count and d % constant_field_degree(ctx):
         # a place of degree not divisible by m contradicts the constant field
-        raise InternalCheckError("found a place of degree not divisible by m")
+        raise _internal(ctx, "count_places",
+                        f"found a place of degree {d}, not divisible by m")
     ctx.cache[key] = count
     return count
 
@@ -191,10 +208,14 @@ def l_polynomial(ctx):
         for i in range(1, k + 1):
             acc += p_sums[i - 1] * a[k - i]
         if acc % k != 0:
-            raise InternalCheckError("Newton recursion left a fraction")
+            raise _internal(ctx, "l_polynomial",
+                            f"Newton recursion left a fraction at a_{k}")
         a.append(-acc // k)
     for i in range(g - 1, -1, -1):
         a.append(qm ** (g - i) * a[i])
-    out = LPolynomial(m, g, tuple(a), qm)
+    try:
+        out = LPolynomial(m, g, tuple(a), qm)
+    except InternalCheckError as exc:
+        raise _internal(ctx, "l_polynomial", str(exc)) from None
     ctx.cache["L"] = out
     return out

@@ -105,13 +105,14 @@ def test_prime_is_tested_once(monkeypatch):
 
 
 def test_huge_extension_field_refused_early():
-    # the constant-field test needs GF(q^2), far too large to tabulate
+    # infinity is ramified, so m = 1 needs no GF(q^2); the census of the
+    # places of degree 1 would walk all q elements, and is refused first
     t0 = time.perf_counter()
     code, out, err = run_cli(["zeta", "--q", "1000000007",
                               "--f", "x^2 - (T^3 + T + 1)"])
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert "q = 1000000014000000049 " in err
+    assert "census of degree 1 over F_1000000007 " in err
 
 
 def test_budget_exceeded_exit_2():
@@ -236,15 +237,37 @@ def test_byte_identical_reruns():
 
 def test_import_prints_nothing_and_builds_no_table():
     # a benchmark worker's first line after `import gekeler.cli` must be its
-    # own; every field, root table and prime sieve is built on first use
+    # own; every field, orbit list, prime sieve and the argument parser is
+    # built on first use
     env = dict(os.environ,
                PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
     check = ("import sys, gekeler.cli\n"
-             "from gekeler import fqpoly, primes\n"
+             "from gekeler import cli, fqpoly, primes\n"
              "print(len(sys.modules['gekeler.gf']._FIELD_CACHE),\n"
-             "      len(primes._ROOT_TABLES),\n"
-             "      fqpoly._sieve.cache_info().currsize, file=sys.stderr)\n")
+             "      primes._orbit_logs.cache_info().currsize,\n"
+             "      fqpoly._sieve.cache_info().currsize,\n"
+             "      cli._build_parser.cache_info().currsize, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert proc.stdout == ""
-    assert proc.stderr.split() == ["0", "0", "0"]
+    assert proc.stderr.split() == ["0", "0", "0", "0"]
+
+
+def test_main_builds_its_parser_once():
+    # main() parses with one parser per process; a second call prints the
+    # same bytes, and an explicit --budget leaves the default as it was
+    from gekeler import cli
+    from gekeler.oracle import DEFAULT_BUDGET
+    argv = ["product", "--q", "3", "--f", "x^2 - T", "--check-depth", "3"]
+    first = run_cli(argv)
+    parser = cli._build_parser()
+    budget_argv = ["oracle", "count", "--q", "3", "--f", "x^2 - T^3",
+                   "--prime", "T", "--level", "3"]
+    assert run_cli(budget_argv + ["--budget", "100"])[0] == 2
+    second = run_cli(argv)
+    assert first[0] == second[0] == 0
+    assert first[1].encode() == second[1].encode()
+    assert cli._build_parser() is parser
+    assert parser.parse_args(budget_argv).budget == DEFAULT_BUDGET
+
+

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import make_ctx
 from property_suite import CONTEXT_POOL
+import census_oracle
 from gekeler.gf import GF, gf, gf_of_order
+from gekeler.gf import embedding as gf_embedding
 from gekeler.fqpoly import FqPoly, monic_irreducibles, powmod
 from gekeler.parse import parse_bipoly
 from gekeler.context import AlgebraContext
@@ -14,7 +16,8 @@ from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order, index_ideal
 from gekeler.residue import ResidueField
 from gekeler import primes as P
-from gekeler.errors import InputError, InseparableError
+from gekeler.errors import (BudgetExceeded, InputError, InseparableError,
+                            InternalCheckError)
 
 
 def test_kummer_dedekind_regularity_by_hand_remainder():
@@ -377,9 +380,9 @@ def test_quadratic_splitting_type_by_euler_criterion(q, fstr):
 def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
     # partial_products and l_polynomial read splitting types: ideals are
     # built (by kummer_dedekind, the one caller of FracIdeal.from_elements)
-    # only at p | disc(f) and at the infinite place, and no census prime
-    # meets the Rabin test
-    from gekeler import fqpoly, gpoly, weakeq
+    # only at p | disc(f) and at the infinite place; the census lists no
+    # prime, so none is sieved and none meets the Rabin test
+    from gekeler import gpoly, weakeq
     from gekeler.ratios import partial_products
     from gekeler.zeta import constant_field_degree, l_polynomial
     kd_calls, outside_kd, rabin_calls, inside = [], [], [], []
@@ -404,18 +407,22 @@ def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
         rabin_calls.append(f)
         return real_is_irreducible(F, f)
 
+    def refuse(field, degree):
+        raise AssertionError(f"listed the primes of degree {degree}")
+
     tower = "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"
     for q, fstr in [(3, "x^2 - T^3"), (3, "x^2 - (T^2 + 1)"), (2, "x^3 - T^4"),
                     (5, "x^2 - (T^3 + T + 1)"), (3, tower)]:
         field = gf_of_order(q)
         ctx = AlgebraContext(field, parse_bipoly(field, fstr))  # nothing cached
-        # the constant-field test builds GF(q^m), and the census GF(q^d)
-        # for d = 2, 3, whose moduli the Rabin test finds once per field
+        # the constant-field test may build GF(q^m), and the census builds
+        # GF(q^d) for d = 2, 3, whose moduli the Rabin test finds once per
+        # field
         constant_field_degree(ctx)
         for d in (2, 3):
             gf(field.p, field.e * d)
-        fqpoly._sieve.cache_clear()
         with monkeypatch.context() as m:
+            m.setattr(P, "monic_irreducibles", refuse)
             m.setattr(P, "kummer_dedekind", kummer_dedekind)
             m.setattr(weakeq, "kummer_dedekind", kummer_dedekind)
             m.setattr(FracIdeal, "from_elements", staticmethod(from_elements))
@@ -476,9 +483,10 @@ def _pool_contexts(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_splitting_at_a_root_matches_reduction_into_a_mod_p(q):
-    # f(alpha, x) over GF(q^D) against f mod p over A/p, at every p of
-    # degree <= 4 not dividing disc(f); of the 1,638 primes of degree 4
-    # over F_9, a seeded sample of 100 per curve keeps the run short
+    # the oracle census: f(alpha, x) over GF(q^D) against f mod p over A/p,
+    # at every p of degree <= 4 not dividing disc(f); of the 1,638 primes
+    # of degree 4 over F_9, a seeded sample of 100 per curve keeps the run
+    # short
     rng = random.Random(q)
     seen = 0
     for ctx in _pool_contexts(q):
@@ -487,59 +495,148 @@ def test_splitting_at_a_root_matches_reduction_into_a_mod_p(q):
             primes = list(monic_irreducibles(ctx.field, d))
             if len(primes) > 1000:
                 primes = rng.sample(primes, 100)
-            if d > 1:
-                P._root_table(ctx.field, d)
             for p in primes:
                 if (disc % p).is_zero():
                     continue
-                big, fbar = P._reduce_at_root(ctx, p)
+                big, fbar = census_oracle.reduce_at_root(ctx, p)
                 assert isinstance(big, GF) and big.q == q ** d
                 assert _ddf_pattern(big, fbar) == _ddf_pattern(*ctx.f.reduce_mod(p))
                 seen += 1
     assert seen
 
 
-def test_root_table_lists_the_sieved_primes():
+# the degrees at which the per-prime census runs in a few seconds
+_CENSUS_DEPTH = {2: 6, 3: 6, 4: 6, 5: 6, 9: 4}
+
+
+@pytest.mark.parametrize("q", sorted(_CENSUS_DEPTH))
+def test_type_counts_match_the_per_prime_census(q):
+    # counts per splitting type against the sieve, the root table and one
+    # distinct-degree pattern per prime, on the pool and its models at
+    # infinity
+    for ctx in _pool_contexts(q):
+        for d in range(1, _CENSUS_DEPTH[q] + 1):
+            assert P.type_counts(ctx, d) == census_oracle.census_type_counts(ctx, d), \
+                (ctx, d)
+
+
+def test_root_table_lists_the_sieved_primes(monkeypatch):
+    # the oracle's root table lists the sieve's primes; and the counts read
+    # at the roots agree with those read in A/p, which a table bound below
+    # q^d forces
     from gekeler.fqpoly import _sieve
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81):
         F = gf_of_order(q)
         d = 2
         while q ** d <= 3 ** 8:
-            big, emb, roots = P._root_table(F, d)
+            big, emb, roots = census_oracle.root_table(F, d)
             assert sorted(roots) == sorted(p.coeffs for p in _sieve(F, d)), (q, d)
             for coeffs, alpha in roots.items():
                 assert gpoly.eval_poly(big, [emb(c) for c in coeffs], alpha) == 0
             d += 1
+    for q, fstr in [(2, "x^3 - T^2 - 1"), (3, "x^3 - T*x - T^2"),
+                    (4, "x^2 + x + T^3"), (5, "x^2 - (T^3 + T + 1)"),
+                    (8, "x^2 + x + T^3 + 1"), (9, "x^2 - (T^3 + a)"),
+                    (27, "x^2 - (T^3 + T + 1)")]:
+        F = gf_of_order(q)
+        depth = 2
+        while q ** (depth + 1) <= 3 ** 6:
+            depth += 1
+        tabled = [P.type_counts(AlgebraContext(F, parse_bipoly(F, fstr)), d)
+                  for d in range(2, depth + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(sys.modules["gekeler.gf"], "MAX_TABLE", q)
+            ctx = AlgebraContext(F, parse_bipoly(F, fstr))
+            assert [P.type_counts(ctx, d) for d in range(2, depth + 1)] == tabled, q
 
 
 def test_census_agrees_across_the_table_boundary(monkeypatch):
-    # with tables capped at 3^3 elements, the primes of degree 2 and 3 find
-    # a root in the shared field and those of degree 4 and 5 reduce f into A/p
+    # with tables capped at 3^3 elements, the degrees 2 and 3 are counted
+    # at the roots in GF(3^d) and the degrees 4 and 5 by reducing f into A/p
     from gekeler.bipoly import BiPoly
     from gekeler.ratios import partial_products
     F = gf(3)
     fstr = "x^3 - T*x - T^2"
-    expected = partial_products(AlgebraContext(F, parse_bipoly(F, fstr)), 5)
-    reduced, tabled = [], []
-    real_reduce, real_table = BiPoly.reduce_mod, P._root_table
+    expected_ctx = AlgebraContext(F, parse_bipoly(F, fstr))
+    expected = partial_products(expected_ctx, 5)
+    reduced, walked = [], []
+    real_reduce, real_logs = BiPoly.reduce_mod, P._orbit_logs
 
     def reduce_mod(self, p):
         reduced.append(p)
         return real_reduce(self, p)
 
-    def root_table(field, degree):
-        tabled.append(degree)
-        return real_table(field, degree)
+    def orbit_logs(q, degree):
+        walked.append(degree)
+        return real_logs(q, degree)
 
     ctx = AlgebraContext(F, parse_bipoly(F, fstr))
     monkeypatch.setattr(sys.modules["gekeler.gf"], "MAX_TABLE", 3 ** 3)
-    monkeypatch.setattr(P, "_ROOT_TABLES", {})
     monkeypatch.setattr(BiPoly, "reduce_mod", reduce_mod)
-    monkeypatch.setattr(P, "_root_table", root_table)
+    monkeypatch.setattr(P, "_orbit_logs", orbit_logs)
     assert partial_products(ctx, 5) == expected
+    assert [P.type_counts(ctx, d) for d in range(1, 6)] == \
+        [P.type_counts(expected_ctx, d) for d in range(1, 6)]
     disc = P.discriminant_of_f(ctx)
-    assert set(tabled) == {2, 3}
+    assert set(walked) == {2, 3}
     assert {int(p.degree) for p in reduced if not (disc % p).is_zero()} == {4, 5}
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_euler_criterion_matches_distinct_degree(q):
+    # at each root alpha walked for a rank-2 curve, the discriminant
+    # a^2 - 4b is a square at alpha exactly when f(alpha, x) splits
+    seen = 0
+    for ctx in _pool_contexts(q):
+        if ctx.r != 2:
+            continue
+        F = ctx.field
+        b, a = ctx.f.coeffs[0], ctx.f.coeffs[1]
+        disc = a * a - b.scale(F.from_int(4))
+        for d in range(1, 5 if q < 9 else 4):
+            big = gf(F.p, F.e * d)
+            emb = gf_embedding(F, big)
+            alphas = (F.elements() if d == 1
+                      else [big.gen_power(k) for k in P._orbit_logs(q, d)])
+            for alpha in alphas:
+                value = gpoly.eval_poly(big, [emb(c) for c in disc.coeffs], alpha)
+                if not value:
+                    continue
+                fbar = [gpoly.eval_poly(big, [emb(c) for c in coeff.coeffs], alpha)
+                        for coeff in ctx.f.coeffs]
+                split = census_oracle.pattern(big, fbar) == ((1, 1), (1, 1))
+                assert big.is_square(value) == split
+                seen += 1
+    assert seen
+
+
+def test_type_counts_check_gauss_count(monkeypatch):
+    # an orbit lost from the walk shows as a shortfall against Gauss's
+    # count of the primes of that degree
+    F = gf(3)
+    real_logs = P._orbit_logs
+    monkeypatch.setattr(P, "_orbit_logs", lambda q, d: real_logs(q, d)[1:])
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
+    assert sum(P.type_counts(ctx, 1).values()) == 2   # T divides disc(f)
+    with pytest.raises(InternalCheckError) as exc:
+        P.type_counts(ctx, 2)
+    assert str(exc.value) == ("type_counts: orbits and primes of disc(f) miss "
+                              "Gauss's count for q = 3, f = x^2 + 2*T, "
+                              "p = each prime of degree 2")
+    assert [P._prime_count(q, d) for q, d in [(2, 1), (2, 6), (3, 4), (9, 2)]] == \
+        [2, 9, 18, 36]
+
+
+def test_census_refuses_a_huge_degree_before_allocating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated a census")
+
+    F = gf(3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
+    monkeypatch.setattr(P, "_orbit_logs", refuse)
+    monkeypatch.setattr(P, "monic_irreducibles", refuse)
+    with pytest.raises(BudgetExceeded, match="census of degree 13 over F_3 "):
+        P.type_counts(ctx, 13)
 
 
 def test_census_reduces_f_only_at_the_discriminant(monkeypatch):
@@ -560,10 +657,11 @@ def test_census_reduces_f_only_at_the_discriminant(monkeypatch):
     assert [p for p in reduced if not (disc % p).is_zero()] == []
 
 
-def test_a_prime_asked_for_alone_builds_no_table():
+def test_a_prime_asked_for_alone_builds_no_table(monkeypatch):
     # one prime of degree 10 would pay for all 3^10 elements of GF(3^10)
     F = gf(3)
     ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
     p = FqPoly(F, (2, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1))
+    monkeypatch.setattr(sys.modules["gekeler.gf"], "_FIELD_CACHE", {})
     assert P.splitting_type(ctx, p) == ((1, 2),)
-    assert (F, 10) not in P._ROOT_TABLES
+    assert sys.modules["gekeler.gf"]._FIELD_CACHE == {}

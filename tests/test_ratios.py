@@ -146,7 +146,9 @@ def test_sl_closed_form_is_gated_by_enumeration():
 
 
 def test_census_primes_are_tested_once(monkeypatch):
-    # monic_irreducibles has already tested every prime the census visits
+    # the census lists no prime, and the primes of disc(f) come from its
+    # factorization: no prime meets the Rabin test, while a prime given
+    # alone still does
     from gekeler import primes
     from gekeler.context import AlgebraContext
     from gekeler.errors import InputError

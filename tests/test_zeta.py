@@ -152,3 +152,118 @@ def test_weil_gate_rejects_root_off_the_circle():
     # real Weil polynomial y + 5 has its root outside [-2 sqrt 5, 2 sqrt 5]
     with pytest.raises(InternalCheckError):
         Z.LPolynomial(1, 1, (1, 5, 5), 5)
+
+
+# the curves of the census benchmark workload, whose constant field is F_q
+# except for x^2 - 2 over F_3 (m = 2)
+CENSUS_CURVES = [
+    (3, "x^2 - T"), (5, "x^2 - (T^3 + T + 1)"), (2, "x^3 + T*x + T^4 + T + 1"),
+    (3, "x^2 - (T^2 + 1)"), (2, "x^2 + x + T^7"), (3, "x^2 - (T^5 + 2*T + 1)"),
+    (3, "x^2 - (T^7 + T + 2)"), (4, "x^2 + x + T^5 + T^3 + a"),
+    (4, "x^2 + x + T^5 + a"), (5, "x^2 - (T^5 + T + 1)"), (7, "x^2 - (T^5 + 3)"),
+    (11, "x^2 - (T^5 + T + 1)"),
+]
+
+
+def _fresh_ctx(q, fstr):
+    from gekeler.context import AlgebraContext
+    from gekeler.gf import gf_of_order
+    from gekeler.parse import parse_bipoly
+    field = gf_of_order(q)
+    return AlgebraContext(field, parse_bipoly(field, fstr))
+
+
+@pytest.mark.parametrize("q, fstr, inert", [
+    (3, "x^2 + 1", True), (3, "x^2 - 2", True), (3, "1 - x + x^3", True),
+    (3, "x^2 - (2*T^2 + 1)", True), (5, "x^2 - (2*T^4 + T + 1)", True),
+    (3, "x^2 - (T^2 + 1)", False), (4, "x^3 + T*x + T^4 + a", False),
+    (9, "x^2 - (T^4 + a)", False)])
+def test_constant_field_degree_from_infinity_matches_the_hensel_count(q, fstr, inert):
+    # m divides the residue degree of every place over infinity; where none
+    # of them settles m = 1 the factor count still runs, and both ways agree
+    from census_oracle import hensel_constant_field_degree
+    from gekeler.primes import infinite_places
+    ctx = _fresh_ctx(q, fstr)
+    assert all(f_res > 1 for _, f_res in infinite_places(ctx)) == inert
+    assert Z.constant_field_degree(ctx) == hensel_constant_field_degree(ctx)
+
+
+def test_constant_field_degree_matches_the_hensel_count_on_the_pool():
+    from census_oracle import hensel_constant_field_degree
+    from property_suite import CONTEXT_POOL
+    from gekeler.primes import infinity_context
+    for q, fstr in CONTEXT_POOL + CENSUS_CURVES:
+        ctx = _fresh_ctx(q, fstr)
+        for c in (ctx, infinity_context(ctx)):
+            assert Z.constant_field_degree(c) == hensel_constant_field_degree(c), c
+
+
+def test_infinity_settles_m_without_a_factor_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted the factors of f over F_{q^i}(T)")
+
+    monkeypatch.setattr(Z, "count_irreducible_factors", refuse)
+    for q, fstr in CENSUS_CURVES:
+        assert Z.constant_field_degree(_fresh_ctx(q, fstr)) == 1, (q, fstr)
+
+
+def test_census_reads_quadratic_types_without_distinct_degree(monkeypatch):
+    # for rank 2 and odd q the census reads every type at p not dividing
+    # disc(f) by Euler's criterion; distinct-degree factorization runs only
+    # at the primes of disc(f) and at infinity, computed here first
+    from gekeler import gpoly
+    from gekeler.fqpoly import FqPoly
+    from gekeler.primes import discriminant_of_f, infinite_places
+    from gekeler.ratios import gekeler_ratio, partial_products
+    calls = []
+    real_ddf = gpoly.distinct_degree
+
+    def distinct_degree(F, f):
+        calls.append(f)
+        return real_ddf(F, f)
+
+    for q, fstr in CENSUS_CURVES + [(3, "x^2 - 2")]:
+        ctx = _fresh_ctx(q, fstr)
+        if ctx.r != 2 or q % 2 == 0:
+            continue
+        disc = discriminant_of_f(ctx)
+        for fac, _ in gpoly.factor(ctx.field, list(disc.coeffs)):
+            gekeler_ratio(ctx, FqPoly(ctx.field, fac))
+        infinite_places(ctx)
+        Z.constant_field_degree(ctx)
+        with monkeypatch.context() as m:
+            m.setattr(gpoly, "distinct_degree", distinct_degree)
+            partial_products(ctx, 4)
+            for d in (1, 2, 3):
+                Z.count_places(ctx, d)
+        assert calls == [], (q, fstr)
+
+
+def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
+    from fractions import Fraction
+    from gekeler.fqpoly import FqPoly
+    where = "for q = 5, f = x^2 + 4*T^3 + 4*T + 4"
+    fstr = "x^2 - (T^3 + T + 1)"
+    with monkeypatch.context() as m:
+        m.setattr(Z, "constant_field_degree", lambda ctx: 2)
+        with pytest.raises(InternalCheckError) as exc:
+            Z.count_places(_fresh_ctx(5, fstr), 1)
+    assert str(exc.value) == ("count_places: found a place of degree 1, not "
+                              f"divisible by m {where}")
+    with monkeypatch.context() as m:
+        m.setattr(Z, "order_discriminant", lambda order: FqPoly.one(order.ctx.field))
+        with pytest.raises(InternalCheckError) as exc:
+            Z.genus(_fresh_ctx(5, fstr))
+    assert str(exc.value).startswith("genus: genus formula gave -1;")
+    assert str(exc.value).endswith(where)
+    with monkeypatch.context() as m:
+        m.setattr(Z, "count_places", lambda ctx, d: 0)
+        with pytest.raises(InternalCheckError) as exc:
+            Z.l_polynomial(_fresh_ctx(5, fstr))
+    assert str(exc.value) == f"l_polynomial: L(1) must be positive {where}"
+    with monkeypatch.context() as m:
+        m.setattr(Z, "count_places", lambda ctx, d: Fraction(1, 2))
+        with pytest.raises(InternalCheckError) as exc:
+            Z.l_polynomial(_fresh_ctx(5, fstr))
+    assert str(exc.value) == ("l_polynomial: Newton recursion left a fraction "
+                              f"at a_1 {where}")
