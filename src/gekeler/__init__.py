@@ -9,12 +9,12 @@ with brute-force oracles validating every closed form at desk scale.
 __version__ = "0.1.0"
 
 from .gf import GF, gf, gf_of_order
-from .fqpoly import FqPoly, poly_xgcd, poly_gcd
+from .fqpoly import FqPoly, poly_gcd
 from .bipoly import BiPoly, discriminant, infinity_model
 from .bifactor import is_irreducible_bivariate
 from .parse import parse_bipoly, parse_fqpoly
 from .context import AlgebraContext, KElement
-from .ideals import FracIdeal, Order, multiplicator_ring, index_ideal
+from .ideals import FracIdeal, Order, index_ideal
 from .amatrix import hnf
 from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,

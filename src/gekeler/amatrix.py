@@ -4,10 +4,12 @@ Matrices are lists of rows of FqPoly.  The Hermite normal form here is
 upper triangular with monic diagonal and every off-diagonal entry reduced
 below its row pivot's degree, obtained by unimodular column operations;
 two matrices have equal column span over A iff their HNFs are identical.
+The determinant and the rank over F_q(T) share one fraction-free (Bareiss)
+elimination.
 """
 
 from .errors import InputError
-from .fqpoly import FqPoly, NEG_INF
+from .fqpoly import FqPoly
 
 
 def mat_identity(field, n):
@@ -147,63 +149,42 @@ def solve_upper_triangular(h, rhs):
     return x
 
 
-def det(mat):
-    """Exact determinant over A by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    field = mat[0][0].field
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = FqPoly.one(field)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                return FqPoly.zero(field)
-            m[k], m[piv] = m[piv], m[k]
+def _bareiss(mat):
+    """(rank over F_q(T), sign of the row swaps, last pivot) of the
+    fraction-free echelon form of mat (Bareiss, Math. Comp. 22, 1968).  A
+    column's pivot is its first nonzero entry at or below the current row,
+    and a column with none is skipped; each division is exact."""
+    rows = [list(row) for row in mat]
+    nrows, ncols = len(rows), len(rows[0])
+    rank, sign = 0, 1
+    prev = FqPoly.one(mat[0][0].field)
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if not rows[i][col].is_zero()),
+                   None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = FqPoly.zero(field)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    if sign < 0:
-        d = -d
-    return d
+        top = rows[rank]
+        pv = top[col]
+        for row in rows[rank + 1:]:
+            c = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (pv * row[j] - c * top[j]).exact_div(prev)
+        prev = pv
+        rank += 1
+    return rank, sign, prev
+
+
+def det(mat):
+    """Exact determinant over A: the signed last Bareiss pivot at full rank."""
+    rank, sign, last = _bareiss(mat)
+    if rank < len(mat):
+        return FqPoly.zero(last.field)
+    return -last if sign < 0 else last
 
 
 def rank_over_fractions(mat):
-    """Rank over F_q(T) by Bareiss fraction-free elimination."""
-    field = mat[0][0].field
-    rows = [list(r) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
-    prev = FqPoly.one(field)
-    while rank < nrows and col < ncols:
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            d = rows[i][col].degree
-            if d is not NEG_INF and (best is None or d < best):
-                best = d
-                piv = i
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            c = rows[i][col]
-            rows[i] = [(rows[i][j] * pv - rows[rank][j] * c).exact_div(prev)
-                       for j in range(ncols)]
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
-
+    """Rank over F_q(T), by Bareiss elimination."""
+    return _bareiss(mat)[0]

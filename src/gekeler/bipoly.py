@@ -73,9 +73,6 @@ class BiPoly:
         return BiPoly(self.field, gpoly.mul(poly_ring(self.field), self.coeffs,
                                             other.coeffs))
 
-    def scale(self, c):
-        return BiPoly(self.field, gpoly.scale(poly_ring(self.field), self.coeffs, c))
-
     def divmod_monic(self, other):
         """Division by a divisor monic in x; stays inside A[x]."""
         if not other.is_monic_in_x():

@@ -5,7 +5,8 @@ polynomial is the empty tuple and its degree is the sentinel NEG_INF,
 which compares below every integer so degree bounds never need a special
 case.  Values are immutable and hashable.  The arithmetic is gpoly's: each
 operator passes the coefficient tuples to gpoly and wraps the normalised
-tuple it returns without scanning or copying it again.
+tuple it returns without scanning or copying it again.  The extended gcd
+and modular powers are gpoly.xgcd and gpoly.powmod, on coefficient tuples.
 """
 
 import functools
@@ -124,9 +125,6 @@ class FqPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def divides(self, other):
-        return other.divmod(self)[1].is_zero()
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -208,12 +206,6 @@ def poly_gcd(a, b):
     return _wrap(a.field, gpoly.gcd(a.field, a.coeffs, b.coeffs))
 
 
-def poly_xgcd(a, b):
-    """Extended gcd: returns (g, u, v) with g = u*a + v*b, g monic or zero."""
-    F = a.field
-    return tuple(_wrap(F, c) for c in gpoly.xgcd(F, a.coeffs, b.coeffs))
-
-
 def poly_lcm(a, b):
     if a.is_zero() or b.is_zero():
         return FqPoly.zero(a.field)
@@ -228,11 +220,6 @@ def gcd_list(polys, field):
         if g.is_one():
             return g
     return g
-
-
-def powmod(base, n, modulus):
-    F = base.field
-    return _wrap(F, gpoly.powmod(F, base.coeffs, n, modulus.coeffs))
 
 
 def is_irreducible(f):

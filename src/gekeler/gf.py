@@ -6,13 +6,15 @@ with respect to the power basis of a fixed degree-e modulus over F_p; the
 modulus is the first monic irreducible of degree e in the integer-encoding
 order, so serialized elements are reproducible across runs.
 
-For e > 1 every operation is a table lookup.  The generator g is the least
-int of full order q - 1; exp[i] = g^i and log[g^i] = i turn multiplication
-into adding logs, and the Zech table zech[k] = log(1 + g^k) turns addition
-into one more lookup: g^i + g^j = g^(i + zech[j - i]).  The exp and Zech
-tables are stored twice over, so a sum or difference of two logs indexes
-them without a reduction mod q - 1.  A field of more than MAX_TABLE
-elements is refused before its tables are built.
+For e = 1 a power is the builtin pow mod p.  For e > 1 every operation is
+a table lookup.  The generator g is the least int of full order q - 1;
+exp[i] = g^i and log[g^i] = i turn multiplication into adding logs and a
+power a^n into one product n * log(a), and the Zech table
+zech[k] = log(1 + g^k) turns addition into one more lookup:
+g^i + g^j = g^(i + zech[j - i]).  The exp and Zech tables are stored twice
+over, so a sum or difference of two logs indexes them without a reduction
+mod q - 1.  A field of more than MAX_TABLE elements is refused before its
+tables are built.
 """
 
 from .errors import BudgetExceeded, InputError, InternalCheckError
@@ -176,15 +178,12 @@ class GF:
 
     def pow(self, a, n):
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+            a, n = self.inv(a), -n
+        if self.e == 1:
+            return pow(a, n, self.p)
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def elements(self):
         return range(self.q)

@@ -97,11 +97,14 @@ class FracIdeal:
     # -- membership ---------------------------------------------------------
 
     def coordinates(self, vec, vden):
-        """Coordinates over A of vec / vden in the basis of self, or None
-        when it lies outside the lattice."""
-        scaled = [[e * vden for e in row] for row in self.num]
-        rhs = [v * self.den for v in vec]
-        return amatrix.solve_upper_triangular(scaled, rhs)
+        """Coordinates x over A of vec / vden in the basis of self, or None
+        when it lies outside the lattice: y = vden x solves num y = vec den,
+        and x is y divided exactly by vden."""
+        y = amatrix.solve_upper_triangular(self.num, [v * self.den for v in vec])
+        if y is None:
+            return None
+        x = [e.divmod(vden) for e in y]
+        return None if any(rem for _, rem in x) else [q for q, _ in x]
 
     def contains_vector(self, vec, vden):
         """Is (vec / vden) in the lattice?"""
@@ -115,12 +118,8 @@ class FracIdeal:
 
     def contains(self, other):
         """other subseteq self."""
-        scaled = [[e * other.den for e in row] for row in self.num]
-        for col in other.basis_columns():
-            rhs = [v * self.den for v in col]
-            if amatrix.solve_upper_triangular(scaled, rhs) is None:
-                return False
-        return True
+        return all(self.contains_vector(col, other.den)
+                   for col in other.basis_columns())
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -318,11 +317,6 @@ class Order:
 
     def __repr__(self):
         return f"Order({self.ideal!r})"
-
-
-def multiplicator_ring(i):
-    """(I : I) as an Order."""
-    return Order(i.colon(i), check=False)
 
 
 def index_ideal(big, small):

@@ -43,10 +43,6 @@ class PrimeAbove:
     f_res: int
     regular: bool
 
-    def norm(self):
-        q = self.below.field.q
-        return q ** (int(self.below.degree) * self.f_res)
-
     def to_json_dict(self):
         return {
             "e": self.e,
@@ -318,22 +314,18 @@ def algebra_mod_p(order, p):
     k = ResidueField(p, check=False)
     lat = order.ideal
     cols = lat.basis_columns()
-    den = lat.den
-    scaled = [[e * den for e in row] for row in lat.num]
+    den2 = lat.den * lat.den
     struct = []
     for i in range(ctx.r):
         row = []
         for j in range(ctx.r):
-            vec = ctx.mult_vectors(cols[i], cols[j])
-            coords = amatrix.solve_upper_triangular(scaled, list(vec))
+            coords = lat.coordinates(ctx.mult_vectors(cols[i], cols[j]), den2)
             if coords is None:  # pragma: no cover
                 raise InternalCheckError("order basis is not closed")
             row.append(tuple(k.project(c) for c in coords))
         struct.append(row)
-    e0 = [FqPoly.zero(ctx.field)] * ctx.r
-    e0[0] = den
-    one_coords = amatrix.solve_upper_triangular(
-        [[e for e in row] for row in lat.num], e0)
+    z = KElement.one(ctx)
+    one_coords = lat.coordinates(z.num, z.den)
     if one_coords is None:  # pragma: no cover
         raise InternalCheckError("order does not contain 1")
     one = tuple(k.project(c) for c in one_coords)
@@ -352,7 +344,8 @@ def p_radical(order, p):
 
 
 def maximal_order(ctx):
-    """Integral closure O_K of A in K by p-saturation at primes of disc(f)."""
+    """Integral closure O_K of A in K by p-saturation at primes of disc(f);
+    the identity checks disc(O_K), which is kept as ctx.cache["max_disc"]."""
     ctx.require_separable()
     if "max_order" in ctx.cache:
         return ctx.cache["max_order"]
@@ -375,9 +368,11 @@ def maximal_order(ctx):
         if sat.ideal != base.ideal:
             result = Order(result.ideal * sat.ideal, check=False)
     idx = index_ideal(result.ideal, base.ideal)
-    if order_discriminant(result) * idx * idx != disc:
+    d_max = order_discriminant(result)
+    if d_max * idx * idx != disc:
         raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
                         "failed", f"each factor of {disc.to_str(ctx.tvar)}")
+    ctx.cache["max_disc"] = d_max
     ctx.cache["max_order"] = result
     return result
 

@@ -3,8 +3,9 @@
 Exposes the same element protocol as gf.GF (zero/one/add/mul/inv/...),
 with element values being the coefficient tuples of the canonical
 representatives of degree < deg p, which are gpoly polynomials over F_q:
-the field operations are gpoly's, reduced mod p.  This lets every generic
-polynomial routine run over A/p exactly as it runs over F_q.
+the field operations are gpoly's, reduced mod p, and a power is gpoly's
+powmod mod p.  This lets every generic polynomial routine run over A/p
+exactly as it runs over F_q.
 """
 
 from .errors import InputError
@@ -64,15 +65,8 @@ class ResidueField:
 
     def pow(self, a, n):
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+            a, n = self.inv(a), -n
+        return gpoly.powmod(self.base, a, n, self.p.coeffs)
 
     def element(self, n):
         """The n-th element in ``elements()`` order: base-q digits of n."""

@@ -20,7 +20,7 @@ from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
 from .primes import (_internal, discriminant_factors, maximal_order,
-                     order_discriminant, splitting_type, infinite_places,
+                     splitting_type, infinite_places, infinity_context,
                      infinity_order, type_counts)
 
 
@@ -44,10 +44,7 @@ class LPolynomial:
             raise InternalCheckError("root off the circle |t| = q^(-m/2)")
 
     def value_at(self, t):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
+        return gpoly.eval_poly(_Rationals(), self.coeffs, t)
 
     def to_json_dict(self):
         return {"m": self.m, "g": self.g, "L": list(self.coeffs)}
@@ -137,12 +134,15 @@ def constant_field_degree(ctx):
 
 
 def genus(ctx):
-    """Genus over the full constant field, from the two discriminants."""
+    """Genus over the full constant field, from the discriminants that
+    maximal_order keeps for O_K and for the maximal order at infinity."""
     if "g" in ctx.cache:
         return ctx.cache["g"]
     m = constant_field_degree(ctx)
-    d_fin = order_discriminant(maximal_order(ctx))
-    d_inf = order_discriminant(infinity_order(ctx))
+    maximal_order(ctx)
+    infinity_order(ctx)
+    d_fin = ctx.cache["max_disc"]
+    d_inf = infinity_context(ctx).cache["max_disc"]
     u = FqPoly.gen(ctx.field)
     v_u = 0
     while True:

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from gekeler import gpoly
+from gekeler.fqpoly import FqPoly
+from gekeler.residue import ResidueField
 from gekeler.gf import GF, MAX_TABLE, gf, gf_of_order, embedding
 from gekeler.errors import BudgetExceeded, InputError
 
@@ -110,6 +112,31 @@ def test_pow_and_frobenius():
         assert F.pow(a, F.q) == a          # x^q = x
         if a:
             assert F.pow(a, F.q - 1) == 1
+
+
+def _residue_field(q, low):
+    """A/p over F_q for p = T^len(low) + the given lower coefficients."""
+    return ResidueField(FqPoly(gf_of_order(q), list(low) + [1]))
+
+
+@pytest.mark.parametrize("F", [gf(5), gf(3, 2), gf(2, 3),
+                               _residue_field(3, (1, 0)),     # T^2 + 1
+                               _residue_field(3, (1, 2, 0)),  # T^3 + 2T + 1
+                               _residue_field(4, (2, 1))],
+                         ids=repr)
+def test_pow_matches_repeated_multiplication(F):
+    one = F.one()
+    for a in F.elements():
+        acc = one
+        for n in range(F.q + 2):
+            assert F.pow(a, n) == acc, (a, n)
+            if a:
+                assert F.mul(F.pow(a, -n), acc) == one, (a, -n)
+                assert F.pow(a, -n) == F.pow(F.inv(a), n)
+            acc = F.mul(acc, a)
+    assert F.pow(F.zero(), 0) == one
+    with pytest.raises(ZeroDivisionError):
+        F.pow(F.zero(), -1)
 
 
 def _digits(F, n):

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_ctx
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
-from gekeler.ideals import FracIdeal, Order, multiplicator_ring, index_ideal
+from gekeler.ideals import FracIdeal, Order, index_ideal
 from gekeler.errors import InputError, NotContained
 from gekeler import amatrix
 
@@ -31,6 +31,21 @@ def mat_mul(a, b):
             for j in range(cols):
                 if not bk[j].is_zero():
                     oi[j] = oi[j] + aik * bk[j]
+    return out
+
+
+def cofactor_det(mat):
+    """Determinant over A by Laplace expansion along the first row."""
+    field = mat[0][0].field
+    if len(mat) == 1:
+        return mat[0][0]
+    out = FqPoly.zero(field)
+    for j, a in enumerate(mat[0]):
+        if a.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = a * cofactor_det(minor)
+        out = out - term if j % 2 else out + term
     return out
 
 
@@ -85,7 +100,7 @@ def test_monogenic_order_examples():
         ctx = make_ctx(q, fstr)
         R = Order.monogenic(ctx)
         assert R.ideal == FracIdeal.unit_ideal(ctx)
-        assert multiplicator_ring(R.ideal).ideal == R.ideal
+        assert Order(R.ideal.colon(R.ideal), check=False).ideal == R.ideal
     # multiplication table has pi^2 = T^3 for the cusp
     ctx = make_ctx(3, "x^2 - T^3")
     pi = KElement.gen(ctx)
@@ -210,8 +225,26 @@ def test_randomized_colon_scaling_normalization(q, fstr):
             assert i == k
 
 
+def test_coordinates_divide_exactly_by_the_vector_denominator():
+    ctx = make_ctx(3, "x^2 - T^3")
+    F = ctx.field
+    T = FqPoly.gen(F)
+    one, z = FqPoly.one(F), FqPoly.zero(F)
+    R = FracIdeal.unit_ideal(ctx)
+    assert R.coordinates((T, z), T) == [one, z]
+    assert R.coordinates((one, z), T) is None        # 1/T: no integral solve
+    assert R.coordinates((T, one), T) is None        # 1 + pi/T: inexact division
+    ok = FracIdeal.from_elements(ctx, [KElement.one(ctx),
+                                       KElement(ctx, (z, one), T)])
+    assert ok.den == T
+    pi = KElement.gen(ctx).num
+    assert ok.coordinates(pi, T) is not None         # pi/T lies in A[pi/T]
+    assert ok.coordinates(pi, T * T) is None         # pi/T^2 does not
+    assert ok.contains(R) and not R.contains(ok)
+
+
 def test_multiplicator_ring_idempotent():
     ctx, T, R, pi, m, t, ok = cusp_objects()
-    s = multiplicator_ring(m)
-    again = multiplicator_ring(s.ideal)
+    s = Order(m.colon(m), check=False)
+    again = Order(s.ideal.colon(s.ideal), check=False)
     assert again.ideal == s.ideal

@@ -6,7 +6,7 @@ from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly
 from gekeler import amatrix
 from gekeler.errors import InputError
-from test_ideals import adjugate, mat_mul
+from test_ideals import adjugate, cofactor_det, mat_mul
 
 
 def rand_poly(field, maxdeg, rng):
@@ -143,3 +143,34 @@ def test_rank_over_fractions():
     assert amatrix.rank_over_fractions([[T, one], [T * T, T]]) == 1
     assert amatrix.rank_over_fractions([[T, one], [one, T]]) == 2
     assert amatrix.rank_over_fractions([[z, z], [z, z]]) == 0
+
+
+def test_bareiss_rank_skips_columns_and_reads_non_square_matrices():
+    F = gf(3)
+    T = FqPoly.gen(F)
+    one, z = FqPoly.one(F), FqPoly.zero(F)
+    assert amatrix.rank_over_fractions([[z, T], [z, one]]) == 1
+    assert amatrix.rank_over_fractions([[z, T, one], [z, one, T]]) == 2
+    assert amatrix.rank_over_fractions([[T, one, T], [T * T, T, T * T]]) == 1
+    assert amatrix.rank_over_fractions([[T, one], [T * T, T], [one, z]]) == 2
+    assert amatrix.rank_over_fractions([[z], [T]]) == 1
+
+
+def test_bareiss_determinant_signs_its_row_swaps():
+    F = gf(5)
+    T = FqPoly.gen(F)
+    one, z = FqPoly.one(F), FqPoly.zero(F)
+    assert amatrix.det([[z, one], [one, z]]) == -one
+    assert amatrix.det([[z, T], [T, z]]) == -(T * T)
+    assert amatrix.det([[z, one, z], [z, z, one], [one, z, z]]) == one
+    assert amatrix.det([[z, T], [z, one]]) == z
+
+
+def test_bareiss_determinant_matches_the_cofactor_expansion():
+    F = gf(3)
+    rng = random.Random(59)
+    for n in (1, 2, 3, 4):
+        for _ in range(15):
+            m = [[rand_poly(F, 1, rng) if rng.random() < 0.6 else FqPoly.zero(F)
+                  for _ in range(n)] for _ in range(n)]
+            assert amatrix.det(m) == cofactor_det(m), m

@@ -242,6 +242,7 @@ def test_census_reads_quadratic_types_without_distinct_degree(monkeypatch):
 def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
     from fractions import Fraction
     from gekeler.fqpoly import FqPoly
+    from gekeler.primes import infinity_context, maximal_order
     where = "for q = 5, f = x^2 + 4*T^3 + 4*T + 4"
     fstr = "x^2 - (T^3 + T + 1)"
     with monkeypatch.context() as m:
@@ -250,10 +251,13 @@ def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
             Z.count_places(_fresh_ctx(5, fstr), 1)
     assert str(exc.value) == ("count_places: found a place of degree 1, not "
                               f"divisible by m {where}")
-    with monkeypatch.context() as m:
-        m.setattr(Z, "order_discriminant", lambda order: FqPoly.one(order.ctx.field))
-        with pytest.raises(InternalCheckError) as exc:
-            Z.genus(_fresh_ctx(5, fstr))
+    # genus reads the discriminants that maximal_order keeps
+    ctx = _fresh_ctx(5, fstr)
+    for c in (ctx, infinity_context(ctx)):
+        maximal_order(c)
+        c.cache["max_disc"] = FqPoly.one(c.field)
+    with pytest.raises(InternalCheckError) as exc:
+        Z.genus(ctx)
     assert str(exc.value).startswith("genus: genus formula gave -1;")
     assert str(exc.value).endswith(where)
     with monkeypatch.context() as m:
@@ -267,3 +271,25 @@ def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
             Z.l_polynomial(_fresh_ctx(5, fstr))
     assert str(exc.value) == ("l_polynomial: Newton recursion left a fraction "
                               f"at a_1 {where}")
+
+
+def test_zeta_takes_one_gram_determinant_per_context(monkeypatch, capsys):
+    # maximal_order keeps the discriminant its identity checks, and genus
+    # reads it at the finite places and at infinity: a zeta run takes each
+    # context's Gram determinant once
+    from gekeler import primes as P
+    from gekeler.cli import main
+    real = P.order_discriminant
+    calls = {}
+
+    def order_discriminant(order):
+        calls[id(order.ctx)] = calls.get(id(order.ctx), 0) + 1
+        return real(order)
+
+    # every module binding of it, so that no second determinant goes uncounted
+    monkeypatch.setattr(P, "order_discriminant", order_discriminant)
+    monkeypatch.setattr(Z, "order_discriminant", order_discriminant,
+                        raising=False)
+    assert main(["zeta", "--q", "5", "--f", "x^2 - (T^3 + T + 1)"]) == 0
+    assert '"g": 1' in capsys.readouterr().out
+    assert sorted(calls.values()) == [1, 1]
