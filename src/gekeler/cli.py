@@ -142,6 +142,8 @@ def _run_ratio(args):
 
 def _run_product(args):
     ctx, p = _parse_job(args)
+    if args.check_depth is not None and args.check_depth < 1:
+        raise InputError("--check-depth must be >= 1")
     report = _echo(args, ctx, p)
     pr = gekeler_product(ctx)
     report.update(pr.to_json_dict())

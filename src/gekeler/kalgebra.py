@@ -1,9 +1,10 @@
-"""Finite commutative algebras over a residue field, via structure constants.
+"""Finite commutative algebras over a finite field k, via structure constants.
 
-Used for S/pS: radical computation through the Frobenius kernel (the
-q-power map is k-linear over a finite field k), minimal polynomials by
-linear algebra, and idempotent splitting through coprime factorizations
-of minimal polynomials.  Used for O/(S:O): generators of its unit group.
+Built over k = F_q by `quotient.LatticeQuotient.algebra`.  For S/pS: the
+nilradical as the kernel of an iterated Frobenius (the |k|-power map is
+k-linear), and the local components of O_K/pO_K through idempotents from
+coprime factorizations of minimal polynomials.  For O/(S:O): generators
+of its unit group.
 """
 
 import itertools

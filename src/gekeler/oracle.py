@@ -19,20 +19,23 @@ class TruncatedRing:
     """A/p^n with tabulated arithmetic; elements are ints below q^(n deg p)."""
 
     def __init__(self, p, n):
+        self.size = self.checked_size(p, n)
+        self.p, self.n, self.field = p, n, p.field
+        self.modulus = p ** n
+        self.d = n * int(p.degree)
+        self._build()
+
+    @staticmethod
+    def checked_size(p, n):
+        """|A/p^n| = q^(n deg p) for a valid p and n, known before a table is."""
         if not p.is_monic() or not is_irreducible(p):
             raise InputError(f"{p.to_str()} is not a monic irreducible of F_q[T]")
         if n < 1:
             raise InputError("truncation level must be >= 1")
-        self.p = p
-        self.n = n
-        self.field = p.field
-        self.modulus = p ** n
-        self.d = n * int(p.degree)
-        self.size = self.field.q ** self.d
-        if self.size > 4096:
-            raise BudgetExceeded(
-                f"|A/p^n| = {self.size} is too large to tabulate")
-        self._build()
+        size = p.field.q ** (n * int(p.degree))
+        if size > 4096:
+            raise BudgetExceeded(f"|A/p^n| = {size} is too large to tabulate")
+        return size
 
     def _decode(self, idx):
         q = self.field.q
@@ -156,18 +159,19 @@ def _perm_sign(perm):
     return sign
 
 
-def _check_budget(ring, r, budget):
-    total = ring.size ** (r * r)
+def _budgeted_ring(p, n, r, budget):
+    """A/p^n, tabulated only once its r x r matrices fit the budget."""
+    total = TruncatedRing.checked_size(p, n) ** (r * r)
     if total > budget:
         raise BudgetExceeded(
             f"enumerating {total} matrices exceeds the budget {budget}")
+    return TruncatedRing(p, n)
 
 
 def count_matrices_with_charpoly(ctx, p, n, budget=DEFAULT_BUDGET):
     """|{M in Mat_r(A/p^n) : charpoly(M) = f mod p^n}| by exhaustion."""
-    ring = TruncatedRing(p, n)
     r = ctx.r
-    _check_budget(ring, r, budget)
+    ring = _budgeted_ring(p, n, r, budget)
     target = _target_charpoly(ctx, ring)
     s = ring.size
     if r == 1:
@@ -198,9 +202,8 @@ def count_matrices_with_charpoly(ctx, p, n, budget=DEFAULT_BUDGET):
 
 
 def _matching_matrices(ctx, p, n, budget):
-    ring = TruncatedRing(p, n)
     r = ctx.r
-    _check_budget(ring, r, budget)
+    ring = _budgeted_ring(p, n, r, budget)
     target = _target_charpoly(ctx, ring)
     out = []
     for entries in iter_product(range(ring.size), repeat=r * r):
@@ -212,6 +215,10 @@ def _matching_matrices(ctx, p, n, budget):
 
 def _gl_with_inverses(ring, r, budget):
     """All of GL_r(A/p^n) with inverses, via the adjugate."""
+    total = ring.size ** (r * r)
+    if total > budget:
+        raise BudgetExceeded(
+            f"enumerating {total} candidate conjugators exceeds the budget")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     unit_inv = {}
     for u in ring.units:
@@ -219,10 +226,6 @@ def _gl_with_inverses(ring, r, budget):
             if mul[u][v] == ring.one:
                 unit_inv[u] = v
                 break
-    total = ring.size ** (r * r)
-    if total > budget:
-        raise BudgetExceeded(
-            f"enumerating {total} candidate conjugators exceeds the budget")
     units = set(ring.units)
     out = []
     if r == 2:
@@ -287,8 +290,7 @@ def brute_sl_count(r, p, n, budget=DEFAULT_BUDGET):
     """
     if r < 1:
         raise InputError("rank must be >= 1")
-    ring = TruncatedRing(p, n)
-    _check_budget(ring, r, budget)
+    ring = _budgeted_ring(p, n, r, budget)
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     units = set(ring.units)
     sl = 0

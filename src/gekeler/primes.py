@@ -1,21 +1,22 @@
 """Prime splitting, discriminants, singular primes, and maximal orders.
 
 Splitting of a prime p in the monogenic order goes through Kummer-
-Dedekind with the remainder criterion for regularity.  Splitting in the
-maximal order is a splitting type, the sorted pairs (e, f) of the primes
-of O_K above p, and no ideal of O_K is built: at p not dividing disc(f)
-it is the distinct-degree pattern of f mod p; at the primes not dividing
-the index [O_K:R] it is Kummer-Dedekind again (Dedekind's criterion);
-only at the finitely many index primes is it read off the local
-components of the finite algebra O_K/pO_K.  The census of the primes of
-one degree lists no prime: type_counts counts the splitting types of
-the Frobenius orbits of GF(q^D), and only the primes of disc(f) are
-built, by factoring it.  The maximal order itself is obtained by radical
-saturation at the primes whose square divides disc(f), validated by the
-conductor-discriminant identity; the saturation at p is the
-p-saturation of R.
+Dedekind with the remainder criterion for regularity; singular_primes,
+the one test of p-maximality, runs it only where p^2 | disc(f) =
+[O_K:R]^2 disc(O_K).  Splitting in the maximal order is a splitting type,
+the sorted pairs (e, f) of the primes of O_K above p, and no ideal of O_K
+is built: at p not dividing disc(f) it is the distinct-degree pattern of
+f mod p; at the other regular p it is Kummer-Dedekind again (Dedekind's
+criterion); only at the singular primes is it read off the local
+components of O_K/pO_K.  The census of the primes of one degree lists no
+prime: type_counts counts the splitting types of the Frobenius orbits of
+GF(q^D), and only the primes of disc(f) are built, by factoring it.  The
+maximal order is the product of the radical saturations at the singular
+primes, each the p-saturation of R, validated by the conductor-
+discriminant identity; its last step at p builds S/pS = O_K/pO_K over F_q.
 """
 
+import contextlib
 import functools
 from collections import Counter
 from dataclasses import dataclass
@@ -73,6 +74,16 @@ def _internal(ctx, stage, what, p=None):
     where = "" if p is None else f", p = {p}"
     return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
                               f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
+
+
+@contextlib.contextmanager
+def _naming(ctx, stage, p=None):
+    """Re-raise a helper's bare InternalCheckError (kalgebra, quotient,
+    LPolynomial) through _internal, naming the stage and the instance."""
+    try:
+        yield
+    except InternalCheckError as exc:
+        raise _internal(ctx, stage, str(exc), p) from None
 
 
 def _require_prime(ctx, p):
@@ -304,60 +315,36 @@ def order_discriminant(order):
             gram[j][i] = entry
     d = amatrix.det(gram)
     if d.is_zero():
-        raise InternalCheckError("degenerate trace form on an order")
+        raise _internal(ctx, "order_discriminant",
+                        "degenerate trace form on an order")
     return d.monic()
 
 
-def algebra_mod_p(order, p):
-    """S/pS as a FiniteAlgebra over A/p, in the order's basis."""
-    ctx = order.ctx
-    k = ResidueField(p, check=False)
-    lat = order.ideal
-    cols = lat.basis_columns()
-    den2 = lat.den * lat.den
-    struct = []
-    for i in range(ctx.r):
-        row = []
-        for j in range(ctx.r):
-            coords = lat.coordinates(ctx.mult_vectors(cols[i], cols[j]), den2)
-            if coords is None:  # pragma: no cover
-                raise InternalCheckError("order basis is not closed")
-            row.append(tuple(k.project(c) for c in coords))
-        struct.append(row)
-    z = KElement.one(ctx)
-    one_coords = lat.coordinates(z.num, z.den)
-    if one_coords is None:  # pragma: no cover
-        raise InternalCheckError("order does not contain 1")
-    one = tuple(k.project(c) for c in one_coords)
-    return k, kalgebra.FiniteAlgebra(k, struct, one)
-
-
 def p_radical(order, p):
-    """Radical of pS in S, as a lattice (Frobenius-kernel method): the
-    pullback of the nilradical of S/pS.  The slot (i, j) of S/pS is
-    T^j * b_i, so an A/p-coordinate vector flattens to its digits."""
-    k, alg = algebra_mod_p(order, p)
+    """The radical of pS in S (Frobenius-kernel method), the pullback of the
+    nilradical of S/pS, and S/pS itself as an F_q-algebra."""
     quo = LatticeQuotient(order.ideal,
                           order.ideal.scale(KElement.from_fqpoly(order.ctx, p)))
-    return quo.pullback([tuple(c for x in v for c in x + (0,) * (k.d - len(x)))
-                         for v in alg.nilradical_basis()])
+    alg = quo.algebra()
+    return quo.pullback(alg.nilradical_basis()), alg
 
 
 def maximal_order(ctx):
-    """Integral closure O_K of A in K by p-saturation at primes of disc(f);
-    the identity checks disc(O_K), which is kept as ctx.cache["max_disc"]."""
+    """Integral closure O_K of A in K by p-saturation at the singular primes;
+    the identity checks disc(O_K), kept as ctx.cache["max_disc"].  The last
+    step at p leaves S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)]."""
     ctx.require_separable()
     if "max_order" in ctx.cache:
         return ctx.cache["max_order"]
     disc = discriminant_of_f(ctx)
+    mults = dict(discriminant_factors(ctx))
     base = Order.monogenic(ctx)
     result = base
-    for p, mult in discriminant_factors(ctx):
-        if mult < 2:
-            continue
+    for p in singular_primes(ctx):
         sat = base
-        for _ in range(mult + 2):
-            rad = p_radical(sat, p)
+        for _ in range(mults[p] + 2):
+            with _naming(ctx, "maximal_order", p):
+                rad, alg = p_radical(sat, p)
             grown = Order(rad.colon(rad), check=False)
             if grown.ideal == sat.ideal:
                 break
@@ -365,8 +352,8 @@ def maximal_order(ctx):
         else:  # pragma: no cover
             raise _internal(ctx, "maximal_order", "saturation did not converge", p)
         ctx.cache[("sat", p)] = sat
-        if sat.ideal != base.ideal:
-            result = Order(result.ideal * sat.ideal, check=False)
+        ctx.cache[("O_K/p", p)] = alg
+        result = Order(result.ideal * sat.ideal, check=False)
     idx = index_ideal(result.ideal, base.ideal)
     d_max = order_discriminant(result)
     if d_max * idx * idx != disc:
@@ -380,24 +367,23 @@ def maximal_order(ctx):
 def p_saturation(ctx, p):
     """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R.
 
-    maximal_order records it for every p whose square divides disc(f); R
-    is p-maximal at every other p.
+    maximal_order records it for every singular p; R is p-maximal at every
+    other p.
     """
     maximal_order(ctx)
     return ctx.cache.get(("sat", p), Order.monogenic(ctx))
 
 
 def singular_primes(ctx):
-    """Monic irreducible p of A lying below a singular prime of R."""
+    """Monic irreducible p of A lying below a singular prime of R.  Only a p
+    whose square divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index,
+    so Kummer-Dedekind runs at no other p."""
     ctx.require_separable()
     if "singular" in ctx.cache:
         return ctx.cache["singular"]
     base = Order.monogenic(ctx)
-    out = []
-    for p, _ in discriminant_factors(ctx):
-        report = kummer_dedekind(base, p)
-        if any(not q.regular for q in report.primes):
-            out.append(p)
+    out = [p for p, mult in discriminant_factors(ctx) if mult > 1
+           and any(not q.regular for q in kummer_dedekind(base, p).primes)]
     out.sort(key=poly_order_key)
     ctx.cache["singular"] = out
     return out
@@ -406,27 +392,32 @@ def singular_primes(ctx):
 def primes_above_in_max(ctx, p):
     """The sorted pairs (e, f) of the primes of O_K above p.
 
-    When every Kummer-Dedekind prime P of R above p is regular, p does not
-    divide [O_K:R], so R and O_K agree at p and the pairs are those of the
-    P.  Only at the index primes is O_K/pO_K decomposed into its local
-    components O_K/Q^e: e*f is the dimension of a component and f that
-    dimension less the dimension of its meet with the nilradical.
+    At a p that is not singular every Kummer-Dedekind prime P of R above p
+    is regular, so p does not divide [O_K:R], R and O_K agree at p and the
+    pairs are those of the P.  At a singular p the saturation has built
+    O_K/pO_K over F_q, and it is decomposed into its local components
+    O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
+    that dimension less the dimension of its meet with the nilradical.
     """
     ctx.require_separable()
-    kd = kummer_dedekind(Order.monogenic(ctx), p)
-    if all(q.regular for q in kd.primes):
+    if p not in singular_primes(ctx):
+        kd = kummer_dedekind(Order.monogenic(ctx), p)
         return tuple(sorted((q.e, q.f_res) for q in kd.primes))
-    k, alg = algebra_mod_p(maximal_order(ctx), p)
+    maximal_order(ctx)
+    alg, deg = ctx.cache[("O_K/p", p)], int(p.degree)
+    k = alg.k
     nil = alg.nilradical_basis()
+    with _naming(ctx, "primes_above_in_max", p):
+        idempotents = kalgebra.split_local_components(alg)
     pairs = []
-    for eps in kalgebra.split_local_components(alg):
+    for eps in idempotents:
         comp = klinalg.span_basis(
             k, [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)])
-        f_res = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
-        if f_res <= 0 or len(comp) % f_res != 0:  # pragma: no cover
+        f_dim = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
+        if f_dim <= 0 or f_dim % deg or len(comp) % f_dim:  # pragma: no cover
             raise _internal(ctx, "primes_above_in_max",
                             "bad local component dimensions", p)
-        pairs.append((len(comp) // f_res, f_res))
+        pairs.append((len(comp) // f_dim, f_dim // deg))
     return tuple(sorted(pairs))
 
 

@@ -8,14 +8,14 @@ overorder S) stay subspaces of the ring O/(S:O) (`LatticeQuotient.algebra`),
 where O is the p-saturation of R.  Invariant subspaces are found by a walk
 up by covers, canonicalized via RREF, so results are deterministic.
 `LatticeQuotient.pullback` is the one map from F_q vectors back to
-lattices: it also lifts the nilradical of S/pS for the radical saturation
-in `primes`.
+lattices, and `LatticeQuotient.algebra` the one construction of S/pS
+(whose nilradical is pulled back by the saturation in `primes`) and O/f.
 """
 
 import functools
 import itertools
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly, poly_lcm
 from .context import KElement
 from .ideals import FracIdeal
@@ -118,9 +118,16 @@ class LatticeQuotient:
 
     def algebra(self):
         """V as a ring, for an order top and a top-ideal bottom: the
-        structure constants of the slot basis, as a FiniteAlgebra."""
+        structure constants of the slot basis, as a FiniteAlgebra over F_q."""
         ctx = self.ctx
         F = ctx.field
+
+        def residue(vec, den):
+            coords = self.top.coordinates(vec, den)
+            if coords is None:
+                raise InternalCheckError("the top lattice is not a ring")
+            return self.reduce_top_coords(coords)
+
         basis = [tuple(F.one() if t == s else F.zero() for t in range(self.dim))
                  for s in range(self.dim)]
         lifts = self.lift_columns(basis)
@@ -128,12 +135,10 @@ class LatticeQuotient:
         struct = [[None] * self.dim for _ in range(self.dim)]
         for a in range(self.dim):
             for b in range(a, self.dim):
-                vec = ctx.mult_vectors(lifts[a], lifts[b])
-                struct[a][b] = struct[b][a] = self.reduce_top_coords(
-                    self.top.coordinates(vec, den2))
+                struct[a][b] = struct[b][a] = residue(
+                    ctx.mult_vectors(lifts[a], lifts[b]), den2)
         one = KElement.one(ctx)
-        return kalgebra.FiniteAlgebra(F, struct, self.reduce_top_coords(
-            self.top.coordinates(one.num, one.den)))
+        return kalgebra.FiniteAlgebra(F, struct, residue(one.num, one.den))
 
     def index_radical(self):
         """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.

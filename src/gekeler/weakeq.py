@@ -35,7 +35,8 @@ from .ideals import FracIdeal, Order
 from .quotient import invariant_window
 from . import kalgebra
 from . import klinalg
-from .primes import kummer_dedekind, p_saturation, singular_primes, _require_prime
+from .primes import (_internal, _naming, _require_prime, kummer_dedekind,
+                     p_saturation, singular_primes)
 from .overorders import p_overorders
 
 
@@ -106,7 +107,8 @@ def weak_classes(base, s_order, p):
     reps = [s]
     if not is_gorenstein(s_order):
         quo, subs = invariant_window(sat.ideal, s.colon(sat.ideal), s_order)
-        reps += _orbit_representatives(quo, subs, s_order)
+        with _naming(ctx, "weak_classes", p):
+            reps += _orbit_representatives(quo, subs, s_order)
     out = tuple(WeakClassRep(rep, s_order) for rep in reps)
     ctx.cache[cache_key] = out
     return out
@@ -127,7 +129,7 @@ def _orbit_representatives(quo, subs, s_order):
     units = [alg.mult_matrix(u) for u in kalgebra.unit_generators(alg)
              if not klinalg.in_span(k, s_sub, s_piv, u)]
     index = {w: i for i, w in enumerate(kept)}
-    if s_sub not in index:  # pragma: no cover
+    if s_sub not in index:
         raise InternalCheckError("S/f is missing from its own window")
     orbit_of = [None] * len(kept)
     orbits = []
@@ -141,7 +143,7 @@ def _orbit_representatives(quo, subs, s_order):
                 image = tuple(klinalg.span_basis(
                     k, [klinalg.matmul_vec(k, m, v) for v in kept[i]]))
                 j = index.get(image)
-                if j is None:  # pragma: no cover
+                if j is None:
                     raise InternalCheckError("a unit moved W out of the window")
                 if orbit_of[j] is None:
                     orbit_of[j] = len(orbits)
@@ -190,7 +192,5 @@ def local_icm(ctx, p):
         total += len(classes)
         groups.append((s_order, classes))
     if total < 1:
-        raise InternalCheckError(
-            f"local_icm: class monoid came out empty for q = {ctx.field.q}, "
-            f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}, p = {p.to_str(ctx.tvar)}")
+        raise _internal(ctx, "local_icm", "class monoid came out empty", p)
     return LocalICMReport(p, tuple(groups), total)

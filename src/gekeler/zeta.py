@@ -19,7 +19,7 @@ from .gf import gf, embedding
 from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
-from .primes import (_internal, discriminant_factors, maximal_order,
+from .primes import (_internal, _naming, discriminant_factors, maximal_order,
                      splitting_type, infinite_places, infinity_context,
                      infinity_order, type_counts)
 
@@ -213,9 +213,7 @@ def l_polynomial(ctx):
         a.append(-acc // k)
     for i in range(g - 1, -1, -1):
         a.append(qm ** (g - i) * a[i])
-    try:
+    with _naming(ctx, "l_polynomial"):
         out = LPolynomial(m, g, tuple(a), qm)
-    except InternalCheckError as exc:
-        raise _internal(ctx, "l_polynomial", str(exc)) from None
     ctx.cache["L"] = out
     return out

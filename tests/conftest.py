@@ -17,6 +17,16 @@ ORACLE_CURVES = [
     (3, "x^4 + T^3"),
 ]
 
+# the curves of the census benchmark workload, whose constant field is F_q
+# except for x^2 - 2 over F_3 (m = 2)
+CENSUS_CURVES = [
+    (3, "x^2 - T"), (5, "x^2 - (T^3 + T + 1)"), (2, "x^3 + T*x + T^4 + T + 1"),
+    (3, "x^2 - (T^2 + 1)"), (2, "x^2 + x + T^7"), (3, "x^2 - (T^5 + 2*T + 1)"),
+    (3, "x^2 - (T^7 + T + 2)"), (4, "x^2 + x + T^5 + T^3 + a"),
+    (4, "x^2 + x + T^5 + a"), (5, "x^2 - (T^5 + T + 1)"), (7, "x^2 - (T^5 + 3)"),
+    (11, "x^2 - (T^5 + T + 1)"),
+]
+
 
 def make_ctx(q, fstr, seed=0):
     from gekeler.gf import gf_of_order

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import gekeler
 from conftest import make_ctx
 from gekeler.cli import main
@@ -120,6 +122,37 @@ def test_budget_exceeded_exit_2():
                             "--prime", "T", "--level", "3", "--budget", "100"])
     assert code == 2
     assert "budget" in err
+
+
+_CUSP = ["--q", "3", "--f", "x^2 - T^3", "--prime", "T", "--level", "7"]
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["oracle", "count"] + _CUSP, 3 ** 7),
+    (["oracle", "count"] + _CUSP[:-1] + ["6"], 3 ** 6),
+    (["oracle", "count", "--q", "2", "--f", "x^2 + x + T^3", "--prime", "T",
+      "--level", "10"], 2 ** 10),
+    (["oracle", "orbits"] + _CUSP, 3 ** 7),
+    (["oracle", "slcount"] + _CUSP, 3 ** 7),
+    (["ratio"] + _CUSP, 3 ** 7)])
+def test_oracle_budget_is_checked_before_the_tables(argv, size):
+    # |A/p^n| = q^(n deg p) fixes the number of 2 x 2 matrices, so each
+    # oracle refuses before it fills its |A/p^n|^2 sum and product tables,
+    # which took half a minute for A/T^7 over F_3
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: enumerating {size ** 4} matrices exceeds the "
+                   "budget 10000000\n")
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_depth_below_one_is_rejected(depth):
+    code, out, err = run_cli(["product", "--q", "3", "--f", "x^2 - T",
+                              "--check-depth", depth])
+    assert (code, out) == (2, "")
+    assert err == "error: --check-depth must be >= 1\n"
 
 
 def test_zeta_elliptic():

@@ -175,6 +175,15 @@ def test_commutant_dimensions():
     assert O.commutant_dimension(make_ctx(3, "x - T")) == 1
 
 
+def test_conjugator_budget_is_checked_before_the_inverse_search(monkeypatch):
+    F = gf(3)
+    T = FqPoly.gen(F)
+    ring = O.TruncatedRing(T, 2)
+    monkeypatch.setattr(ring, "units", None)   # the search would iterate it
+    with pytest.raises(BudgetExceeded, match="^enumerating 6561 candidate "):
+        O._gl_with_inverses(ring, 2, 100)
+
+
 def test_truncated_ring_tables():
     F = gf(3)
     T = FqPoly.gen(F)

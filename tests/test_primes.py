@@ -3,13 +3,13 @@ import sys
 
 import pytest
 
-from conftest import make_ctx
+from conftest import CENSUS_CURVES, make_ctx
 from property_suite import CONTEXT_POOL
 import census_oracle
 from gekeler.gf import GF, gf, gf_of_order
 from gekeler.gf import embedding as gf_embedding
 from gekeler.fqpoly import FqPoly, monic_irreducibles
-from gekeler.parse import parse_bipoly
+from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.context import AlgebraContext
 from gekeler import gpoly, kalgebra, klinalg
 from gekeler.context import KElement
@@ -178,6 +178,22 @@ def test_conductor_discriminant_identity():
         assert ok.ideal.contains(m.colon(m))
 
 
+def algebra_mod_p(order, p):
+    """S/pS as a FiniteAlgebra over A/p, in the order's basis: the A/p
+    reference for the F_q-algebra LatticeQuotient(S, pS).algebra()."""
+    ctx = order.ctx
+    k = ResidueField(p, check=False)
+    lat = order.ideal
+    cols = lat.basis_columns()
+    den2 = lat.den * lat.den
+    struct = [[tuple(k.project(c) for c in lat.coordinates(
+                   ctx.mult_vectors(cols[i], cols[j]), den2))
+               for j in range(ctx.r)] for i in range(ctx.r)]
+    one = KElement.one(ctx)
+    return k, kalgebra.FiniteAlgebra(
+        k, struct, tuple(k.project(c) for c in lat.coordinates(one.num, one.den)))
+
+
 def _lattice_from_subspace(order, p, vectors):
     """Pullback in K of a subspace of S/pS (vectors in order coordinates)."""
     ctx = order.ctx
@@ -201,8 +217,9 @@ def test_p_radical_is_the_pullback_of_the_nilradical():
             for d in (1, 2):
                 for p in monic_irreducibles(ctx.field, d):
                     for S in (Order.monogenic(ctx), P.p_saturation(ctx, p)):
-                        _, alg = P.algebra_mod_p(S, p)
-                        assert P.p_radical(S, p) == _lattice_from_subspace(
+                        _, alg = algebra_mod_p(S, p)
+                        rad, _ = P.p_radical(S, p)
+                        assert rad == _lattice_from_subspace(
                             S, p, alg.nilradical_basis())
 
 
@@ -217,7 +234,7 @@ def _reference_primes_above(ctx, p):
     if key in _REFERENCE:
         return _REFERENCE[key]
     order = P.maximal_order(ctx)
-    k, alg = P.algebra_mod_p(order, p)
+    k, alg = algebra_mod_p(order, p)
     nil = alg.nilradical_basis()
     comps = [klinalg.span_basis(k, [alg.mul(eps, alg.basis_vector(j))
                                     for j in range(alg.dim)])
@@ -287,6 +304,46 @@ def test_max_splitting_matches_algebra_reference():
                         got = sorted(((x.ideal * ok, x.e, x.f_res) for x in kd),
                                      key=lambda t: t[0].canonical_key())
                         assert got == [(x.ideal, x.e, x.f_res) for x in ref]
+
+
+@pytest.mark.parametrize("q, fstr, pstr, pairs", [
+    (3, "x^2 - (T + 1)*(T^2 + 1)^2", "T^2 + 1", ((1, 2),)),
+    (3, "x^2 - (T^2 + 1)^3", "T^2 + 1", ((2, 1),)),
+    (2, "x^3 + (T^2 + T + 1)^2*x + (T^2 + T + 1)^3", "T^2 + T + 1", ((1, 3),))])
+def test_index_primes_of_higher_degree_match_the_algebra_reference(q, fstr, pstr,
+                                                                    pairs):
+    # O_K/pO_K is built over F_q, where a component of type (e, f) has
+    # dimension e*f*deg p; the reference decomposes it over A/p
+    ctx = make_ctx(q, fstr)
+    p = parse_fqpoly(ctx.field, pstr)
+    assert P.singular_primes(ctx) == [p]
+    assert P.primes_above_in_max(ctx, p) == _pairs(_reference_primes_above(ctx, p))
+    assert P.primes_above_in_max(ctx, p) == pairs
+
+
+def test_saturation_runs_only_at_singular_primes(monkeypatch):
+    # disc(f) = [O_K:R]^2 disc(O_K): a p with p || disc(f), or one whose
+    # Kummer-Dedekind primes are all regular, does not divide the index
+    steps = []
+    real = P.p_radical
+
+    def p_radical(order, p):
+        steps.append((order.ctx, p))
+        return real(order, p)
+
+    monkeypatch.setattr(P, "p_radical", p_radical)
+    F = gf(2)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T"))   # disc(f) = T^2
+    assert P.maximal_order(ctx).ideal == Order.monogenic(ctx).ideal
+    assert steps == []
+    for q, fstr in CENSUS_CURVES + [(3, "x^2 - 2")]:
+        field = gf_of_order(q)
+        ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+        for c in (ctx, P.infinity_context(ctx)):
+            P.maximal_order(c)
+    assert steps
+    for c, p in steps:
+        assert p in P.singular_primes(c)
 
 
 def test_regular_primes_skip_the_algebra_decomposition(monkeypatch):
@@ -461,6 +518,50 @@ def test_splitting_checks_name_the_stage_and_instance(monkeypatch):
     with pytest.raises(InternalCheckError, match="^kummer_dedekind: .* "
                        r"q = 3, f = x\^2 \+ 2\*T, p = T \+ 1$"):
         P.primes_above_in_max(ctx, p)
+
+
+def test_internal_checks_name_the_stage_and_instance(monkeypatch):
+    from gekeler import amatrix
+    from gekeler.errors import InternalCheckError
+    from gekeler.quotient import LatticeQuotient
+    F = gf(3)
+    T = FqPoly.gen(F)
+    where = "for q = 3, f = x^2 + 2*T^3"
+
+    def fresh():
+        return AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+
+    def fail(*args, **kwargs):
+        raise InternalCheckError("minimal polynomial search ran away")
+
+    order = Order.monogenic(fresh())
+    with monkeypatch.context() as m:
+        m.setattr(amatrix, "det", lambda gram: FqPoly.zero(F))
+        with pytest.raises(InternalCheckError) as exc:
+            P.order_discriminant(order)
+    assert str(exc.value) == ("order_discriminant: degenerate trace form on "
+                              f"an order {where}")
+    # a kalgebra failure in the saturation, and in the splitting at T
+    with monkeypatch.context() as m:
+        m.setattr(kalgebra.FiniteAlgebra, "nilradical_basis", fail)
+        with pytest.raises(InternalCheckError) as exc:
+            P.maximal_order(fresh())
+    assert str(exc.value) == ("maximal_order: minimal polynomial search ran "
+                              f"away {where}, p = T")
+    ctx = fresh()
+    P.maximal_order(ctx)
+    with monkeypatch.context() as m:
+        m.setattr(kalgebra.FiniteAlgebra, "minimal_polynomial", fail)
+        with pytest.raises(InternalCheckError) as exc:
+            P.primes_above_in_max(ctx, T)
+    assert str(exc.value) == ("primes_above_in_max: minimal polynomial search "
+                              f"ran away {where}, p = T")
+    # the quotient refuses a top lattice that is not a ring: (1/T) R
+    ctx = fresh()
+    top = Order.monogenic(ctx).ideal.scale(
+        KElement(ctx, (FqPoly.one(F), FqPoly.zero(F)), T))
+    with pytest.raises(InternalCheckError, match="^the top lattice is not a ring$"):
+        LatticeQuotient(top, top.scale(KElement.from_fqpoly(ctx, T))).algebra()
 
 
 def _ddf_pattern(k, fbar):

@@ -584,3 +584,34 @@ def test_rank3_counts_match_raw_subspace_oracle(cubic_cusp2):
     # one overorder carries two classes
     assert sorted(len(cl) for _, cl in report.by_overorder) == [1, 1, 1, 2]
     assert oracle_global == 5
+
+
+def test_weak_class_checks_name_the_stage_and_instance(monkeypatch):
+    from gekeler import weakeq
+    F = gf(2)
+    T = FqPoly.gen(F)
+    where = "for q = 2, f = x^3 + T^4, p = T"
+
+    def window_of_the_non_gorenstein_order():
+        ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^4"))  # nothing cached
+        (s,) = [s for s in p_overorders(ctx, T).orders if not is_gorenstein(s)]
+        return Order.monogenic(ctx), s
+
+    base, s = window_of_the_non_gorenstein_order()
+    with monkeypatch.context() as m:
+        m.setattr(weakeq, "_stabilized_by_none", lambda k, others, w: False)
+        with pytest.raises(InternalCheckError) as exc:
+            weak_classes(base, s, T)
+    assert str(exc.value) == ("weak_classes: S/f is missing from its own "
+                              f"window {where}")
+    # keep S/f alone: a unit of O/f outside S/f moves it to a W not kept
+    base, s = window_of_the_non_gorenstein_order()
+    sat = p_saturation(base.ctx, T).ideal
+    quo, _ = invariant_window(sat, s.ideal.colon(sat), s)
+    s_sub = tuple(quo.image(s.ideal))
+    with monkeypatch.context() as m:
+        m.setattr(weakeq, "_stabilized_by_none", lambda k, others, w: w == s_sub)
+        with pytest.raises(InternalCheckError) as exc:
+            weak_classes(base, s, T)
+    assert str(exc.value) == ("weak_classes: a unit moved W out of the "
+                              f"window {where}")

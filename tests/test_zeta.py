@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_ctx
+from conftest import CENSUS_CURVES, make_ctx
 from gekeler import zeta as Z
 from gekeler.errors import InputError, InternalCheckError
 
@@ -152,17 +152,6 @@ def test_weil_gate_rejects_root_off_the_circle():
     # real Weil polynomial y + 5 has its root outside [-2 sqrt 5, 2 sqrt 5]
     with pytest.raises(InternalCheckError):
         Z.LPolynomial(1, 1, (1, 5, 5), 5)
-
-
-# the curves of the census benchmark workload, whose constant field is F_q
-# except for x^2 - 2 over F_3 (m = 2)
-CENSUS_CURVES = [
-    (3, "x^2 - T"), (5, "x^2 - (T^3 + T + 1)"), (2, "x^3 + T*x + T^4 + T + 1"),
-    (3, "x^2 - (T^2 + 1)"), (2, "x^2 + x + T^7"), (3, "x^2 - (T^5 + 2*T + 1)"),
-    (3, "x^2 - (T^7 + T + 2)"), (4, "x^2 + x + T^5 + T^3 + a"),
-    (4, "x^2 + x + T^5 + a"), (5, "x^2 - (T^5 + T + 1)"), (7, "x^2 - (T^5 + 3)"),
-    (11, "x^2 - (T^5 + T + 1)"),
-]
 
 
 def _fresh_ctx(q, fstr):
