@@ -1,14 +1,15 @@
 """Irreducibility and factor counts for f in A[x] monic in x.
 
-The separable route lifts a squarefree factorization of f mod p to
-precision p^K with quadratic Hensel steps, then recombines lifted factors
-into true divisors; the coefficient-degree bound r * deg_T(f) caps the
-precision.  The inseparable case peels Frobenius: f(x) = g(x^p) is
-irreducible iff g is irreducible and not every coefficient of g is a p-th
-power in F_q(T).
+The separable route reduces f modulo a few small primes p; where f mod p
+stays irreducible, so does f.  Otherwise it lifts the squarefree
+factorization with the fewest factors to precision p^K with quadratic
+Hensel steps, then recombines lifted factors into true divisors; the
+coefficient-degree bound r * deg_T(f) caps the precision.  The
+inseparable case peels Frobenius: f(x) = g(x^p) is irreducible iff g is
+irreducible and not every coefficient of g is a p-th power in F_q(T).
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import InputError, InternalCheckError
 from .fqpoly import FqPoly, monic_irreducibles
@@ -22,9 +23,13 @@ def _lift_generic(field, R, coeffs):
     return BiPoly(field, [R.lift(c) for c in coeffs])
 
 
-def _choose_hensel_prime(f):
-    """Smallest monic irreducible p with f squarefree mod p; the linear
-    primes are tried lazily, so that a large q builds no sieve."""
+SCANNED_PRIMES = 8
+
+
+def _squarefree_reductions(f):
+    """(p, A/p, f mod p) for the primes p of A with f squarefree mod p,
+    smallest degree first; the linear primes are tried lazily, so that a
+    large q builds no sieve."""
     field = f.field
     cap = 2 * (f.deg_x + 1) * (f.max_coeff_degree() + 2)
     for d in range(1, cap):
@@ -33,8 +38,29 @@ def _choose_hensel_prime(f):
             R, fb = f.reduce_mod(p)
             der = gpoly.derivative(R, fb)
             if der and gpoly.deg(gpoly.gcd(R, fb, der)) == 0:
-                return p
-    raise InternalCheckError("no squarefree reduction found")  # pragma: no cover
+                yield p, R, fb
+
+
+def _choose_hensel_prime(f, seed=0):
+    """A prime p of A with f squarefree mod p, and the factors of f mod p.
+
+    The factors mod the first SCANNED_PRIMES such p are counted by their
+    distinct-degree parts.  The first p that keeps f irreducible ends the
+    scan: f is monic in x, so by Gauss's lemma it is irreducible too.
+    Otherwise f is factored mod the first p with the fewest factors.
+    """
+    best = None
+    for p, R, fb in islice(_squarefree_reductions(f), SCANNED_PRIMES):
+        count = sum(gpoly.deg(part) // d
+                    for part, d in gpoly.distinct_degree(R, fb))
+        if count == 1:
+            return p, [fb]
+        if best is None or count < best[0]:
+            best = (count, p, R, fb)
+    if best is None:  # pragma: no cover
+        raise InternalCheckError("no squarefree reduction found")
+    _, p, R, fb = best
+    return p, [fac for fac, _ in gpoly.factor(R, fb, seed=seed)]
 
 
 def _hensel_pair(f, g, h, u, v, p, target):
@@ -108,9 +134,7 @@ def factor_squarefree_bivariate(f, seed=0):
     if f.deg_x == 1:
         return [f]
     field = f.field
-    p = _choose_hensel_prime(f)
-    R, fb = f.reduce_mod(p)
-    local = [fac for fac, _ in gpoly.factor(R, fb, seed=seed)]
+    p, local = _choose_hensel_prime(f, seed)
     if len(local) == 1:
         return [f]
     bound = f.deg_x * max(f.max_coeff_degree(), 0)

@@ -131,6 +131,8 @@ def _run_icm(args):
 
 def _run_ratio(args):
     ctx, p = _parse_job(args, need_prime=True)
+    if args.level is not None:   # a level over budget is refused first
+        oracle_mod.check_matrix_budget(p, args.level, ctx.r, args.budget)
     report = _echo(args, ctx, p)
     report.update(gekeler_ratio(ctx, p).to_json_dict())
     if args.level is not None:

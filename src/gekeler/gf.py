@@ -69,38 +69,61 @@ class GF:
         q, p, e = self.q, self.p, self.e
         n = q - 1
         gen = next(g for g in range(2, q) if self._has_full_order(g))
+        # The exp table is stepped on packed ints: digit j of an element
+        # sits in bits [w*j, w*(j+1)), wide enough for a sum of two digits,
+        # so adding two packed elements adds them digitwise, and one
+        # carry-free pass (reduce) subtracts p from each digit >= p.  A
+        # step looks up gen * a for the low and the high digits of a.
+        w = p.bit_length() + 1
+        ones = sum(1 << (w * j) for j in range(e))
+        bias = (2 ** (w - 1) - p) * ones
+
+        def reduce(s):
+            return s - p * (((s + bias) >> (w - 1)) & ones)
+
+        def multiples(v):
+            out = [0]
+            for _ in range(p - 1):
+                out.append(reduce(out[-1] + v))
+            return out
+
+        # the columns of multiplication by gen: gen * x^j, packed, for j < e
         m_low = self.modulus[:-1]
+        digits = self._poly_digits(gen, e)
+        columns = []
+        for _ in range(e):
+            columns.append(sum(c << (w * j) for j, c in enumerate(digits)))
+            top, digits = digits[-1], [0] + digits[:-1]
+            digits = [(a - top * c) % p for a, c in zip(digits, m_low)]
 
-        def times_x(v):
-            top = v[-1]
-            v = [0] + v[:-1]
-            return [(a - top * c) % p for a, c in zip(v, m_low)] if top else v
+        def chunk_tables(positions):
+            """Keyed by the packed digits at `positions` of each element a
+            supported there: the packed gen * a, and the int a."""
+            shift = w * positions[0]
+            rows = [(0, 0, 0)]
+            for j in positions:
+                d_cols = list(enumerate(multiples(columns[j])))
+                rows = [(key + (d << (w * j)), reduce(img + d_col), val + d * p ** j)
+                        for key, img, val in rows for d, d_col in d_cols]
+            return ({key >> shift: img for key, img, _ in rows},
+                    {key >> shift: val for key, _, val in rows})
 
-        # exp[i + 1] = gen * exp[i] on digit lists: sum_j gen_j * x^j * exp[i]
-        gen_digits = gpoly.normalize(self._poly_digits(gen, e))
+        half = e // 2
+        high_shift = w * half
+        low_mask = (1 << high_shift) - 1
+        gen_low, val_low = chunk_tables(range(half))
+        gen_high, val_high = chunk_tables(range(half, e))
         exp = [1] * n
         log = [0] * q
-        cur = [1] + [0] * (e - 1)
+        cur = 1
         for i in range(n):
-            val = 0
-            for c in reversed(cur):
-                val = val * p + c
+            lo, hi = cur & low_mask, cur >> high_shift
+            val = val_low[lo] + val_high[hi]
             exp[i] = val
             log[val] = i
-            acc, shifted = [0] * e, cur
-            for j, c in enumerate(gen_digits):
-                if j:
-                    shifted = times_x(shifted)
-                if c:
-                    acc = [(a + c * b) % p for a, b in zip(acc, shifted)]
-            cur = acc
+            cur = reduce(gen_low[lo] + gen_high[hi])
         # 1 + g^k adds 1 to the lowest digit; -1 marks 1 + g^k = 0
-        zech = [0] * n
-        for k in range(n):
-            a = exp[k]
-            low = a % p
-            one_plus = a - low + (low + 1) % p
-            zech[k] = log[one_plus] if one_plus else -1
+        zech = [log[a - a % p + (a + 1) % p] if a != p - 1 else -1 for a in exp]
         self._exp = exp + exp
         self._log = log
         self._zech = zech + zech

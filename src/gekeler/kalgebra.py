@@ -4,7 +4,7 @@ Built over k = F_q by `quotient.LatticeQuotient.algebra`.  For S/pS: the
 nilradical as the kernel of an iterated Frobenius (the |k|-power map is
 k-linear), and the local components of O_K/pO_K through idempotents from
 coprime factorizations of minimal polynomials.  For O/(S:O): generators
-of its unit group.
+and the order of its unit group.
 """
 
 import itertools
@@ -69,6 +69,14 @@ class FiniteAlgebra:
             base = self.mul(base, base)
             n >>= 1
         return out
+
+    def subalgebra(self, basis, pivots):
+        """The subalgebra spanned by an RREF basis that holds 1 and is
+        closed under products, in that basis: a vector of the span has the
+        entries at the pivots as its coordinates."""
+        struct = [[tuple(self.mul(u, v)[c] for c in pivots) for v in basis]
+                  for u in basis]
+        return FiniteAlgebra(self.k, struct, [self.one[c] for c in pivots])
 
     def basis_vector(self, i):
         k = self.k
@@ -181,21 +189,25 @@ def split_local_components(alg):
     return final
 
 
-def unit_generators(alg):
-    """Generators of the unit group of a commutative algebra over k = GF(q).
+def unit_group(alg):
+    """Generators of the unit group of a commutative algebra B over
+    k = GF(q), and its order.
 
     With J the nilradical, B^x maps onto (B/J)^x with kernel 1 + J.  So a
     lift of a generator of each residue field of B/J, 1 off its local
     component, and 1 + c*b for c in an F_p-basis of k and b in a basis of
     J adapted to J > J^2 > ... generate B^x: (1 + J^i)/(1 + J^(i+1)) is
-    the additive group J^i/J^(i+1).
+    the additive group J^i/J^(i+1).  The order is |J| prod (|E_i| - 1)
+    over the residue fields E_i, that is |B| prod (1 - 1/|E_i|).
     """
     k = alg.k
     rad = alg.nilradical_basis()
     rad_piv = klinalg.rref(k, rad)[1]
     gens = []
+    order = k.order ** len(rad)
     for eps in split_local_components(alg):
-        z = _residue_generator(alg, eps, rad, rad_piv)
+        z, size = _residue_generator(alg, eps, rad, rad_piv)
+        order *= size - 1
         if z is not None:
             gens.append(alg.add(z, alg.sub(alg.one, eps)))
     powers = [rad]
@@ -210,12 +222,13 @@ def unit_generators(alg):
                 span, piv = klinalg.rref(k, span + [b])
     for c in [k.element(k.p ** i) for i in range(k.e)]:
         gens += [alg.add(alg.one, alg.scale(c, b)) for b in adapted]
-    return gens
+    return gens, order
 
 
 def _residue_generator(alg, eps, rad, rad_piv):
     """An element of eps*B whose image generates the multiplicative group of
-    the residue field of that local component, or None if it is F_2."""
+    the residue field of that local component, or None if it is F_2; and
+    the size of that residue field."""
     k = alg.k
     comp_rad, comp_piv = klinalg.rref(k, [alg.mul(eps, v) for v in rad])
     lifts = klinalg.span_basis(k, [
@@ -223,7 +236,7 @@ def _residue_generator(alg, eps, rad, rad_piv):
         for j in range(alg.dim)])
     n = k.order ** len(lifts) - 1
     if n == 1:
-        return None
+        return None, 2
     exps = [n // r for r in gpoly.prime_divisors(n)]
     for coeffs in itertools.product(list(k.elements()), repeat=len(lifts)):
         if all(c == k.zero() for c in coeffs):
@@ -233,7 +246,7 @@ def _residue_generator(alg, eps, rad, rad_piv):
             z = alg.add(z, alg.scale(c, v))
         if not any(klinalg.in_span(k, rad, rad_piv, alg.sub(alg.pow(z, m), eps))
                    for m in exps):
-            return z
+            return z, n + 1
     raise InternalCheckError("residue field has no primitive element")  # pragma: no cover
 
 

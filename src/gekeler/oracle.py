@@ -159,12 +159,18 @@ def _perm_sign(perm):
     return sign
 
 
-def _budgeted_ring(p, n, r, budget):
-    """A/p^n, tabulated only once its r x r matrices fit the budget."""
+def check_matrix_budget(p, n, r, budget):
+    """Refuse, before any table is built, to enumerate the r x r matrices
+    over A/p^n when there are more than the budget."""
     total = TruncatedRing.checked_size(p, n) ** (r * r)
     if total > budget:
         raise BudgetExceeded(
             f"enumerating {total} matrices exceeds the budget {budget}")
+
+
+def _budgeted_ring(p, n, r, budget):
+    """A/p^n, tabulated only once its r x r matrices fit the budget."""
+    check_matrix_budget(p, n, r, budget)
     return TruncatedRing(p, n)
 
 

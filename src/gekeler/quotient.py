@@ -1,12 +1,15 @@
 """Finite quotients top/bottom of lattices in K, as F_q-spaces with lifts.
 
 `invariant_window` is the one enumeration the pipeline runs: the
-subspaces of top/bottom invariant under a given order.  Its pullbacks
+subspaces of top/bottom invariant under a given order, all of them or
+those above the image of a given lattice.  Its pullbacks
 (`submodule_lattices`) are the R-submodules of O/R (overorders); the
 S-submodules of O/(S:O) (weak class representatives of a non-Gorenstein
 overorder S) stay subspaces of the ring O/(S:O) (`LatticeQuotient.algebra`),
-where O is the p-saturation of R.  Invariant subspaces are found by a walk
-up by covers, canonicalized via RREF, so results are deterministic.
+where O is the p-saturation of R, and are walked from S/(S:O) up when
+every weak class meets that interval.  Invariant subspaces are found by a
+walk up by covers from the start subspace, canonicalized via RREF, so
+results are deterministic.
 `LatticeQuotient.pullback` is the one map from F_q vectors back to
 lattices, and `LatticeQuotient.algebra` the one construction of S/pS
 (whose nilradical is pulled back by the saturation in `primes`) and O/f.
@@ -150,19 +153,21 @@ class LatticeQuotient:
         return functools.reduce(poly_lcm, parts, FqPoly.one(F))
 
 
-def invariant_window(top, bottom, ring):
+def invariant_window(top, bottom, ring, start=None):
     """V = top/bottom and the RREF bases of its subspaces invariant under T
-    and under each basis element of `ring`, an order that stabilizes both.
-    A matrix in the F_q-span of the identity fixes every subspace and stays
-    out of the walk, which finds covers with the action of the radical of
-    the index."""
+    and under each basis element of `ring`, an order that stabilizes both;
+    given a `ring`-module lattice `start` between bottom and top, only
+    those that contain its image.  A matrix in the F_q-span of the
+    identity fixes every subspace and stays out of the walk, which finds
+    covers with the action of the radical of the index."""
     ctx = top.ctx
     quo = LatticeQuotient(top, bottom)
     t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
     mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
     mats = [m for m in mats if not _is_scalar(ctx.field, m)]
     nil = quo.action_matrix(KElement.from_fqpoly(ctx, quo.index_radical()))
-    return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil)
+    base = () if start is None else tuple(quo.image(start))
+    return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil, base)
 
 
 def submodule_lattices(top, bottom, ring):
@@ -205,19 +210,20 @@ def _closure(field, mats, basis, pivots, vec):
     return basis, pivots
 
 
-def invariant_subspaces(field, dim, mats, nil):
-    """All subspaces of F_q^dim invariant under the given matrices, for a
-    nilpotent `nil` that commutes with them.
+def invariant_subspaces(field, dim, mats, nil, start=()):
+    """All subspaces of F_q^dim invariant under the given matrices that
+    contain the invariant subspace `start` (an RREF row tuple; empty by
+    default), for a nilpotent `nil` that commutes with the matrices.
 
-    A breadth-first walk up by covers.  A cover of an invariant W is
-    W + U with U simple modulo W; nil acts on U as 0, so U is the closure
-    of any v in it, and nil*v lies in W.  Each W found is therefore closed
-    with one v per line of {v : nil*v in W}/W.  A closure that is not a
-    cover is invariant all the same.  Returns RREF row tuples sorted by
-    (dimension, encoding).
+    A breadth-first walk up by covers from `start`.  A cover of an
+    invariant W is W + U with U simple modulo W; nil acts on U as 0, so U
+    is the closure of any v in it, and nil*v lies in W.  Each W found is
+    therefore closed with one v per line of {v : nil*v in W}/W.  A closure
+    that is not a cover is invariant all the same.  Returns RREF row
+    tuples sorted by (dimension, encoding).
     """
-    seen = {()}
-    walk = [((), [])]
+    seen = {start}
+    walk = [(start, klinalg.rref(field, start)[1])]
     for basis, pivots in walk:   # the walk grows while it is read
         for v in _cover_lines(field, dim, nil, basis, pivots):
             nb, np_ = _closure(field, mats, basis, pivots, v)

@@ -1,11 +1,13 @@
 """Weak equivalence classes and the local ideal class monoid at p.
 
-Let O be the p-saturation of R and S a p-overorder.  A Gorenstein S has
-the one weak class [S] (Bass 1963; Marseglia 2020, "Computing the ideal
-class monoid of an order"); `is_gorenstein` needs two colons and one
-product, and every order of rank 2 passes it.  For any other S, every
-weak class has a representative in S's own window f <= I <= O, f = (S:O),
-and the window is linear algebra over F_q on the ring V = O/f:
+Let O be the p-saturation of R, S a p-overorder and f = (S:O) its
+conductor, the one colon taken per S.  A Gorenstein S has the one weak
+class [S] (Bass 1963; Marseglia 2020, "Computing the ideal class monoid
+of an order"), and by Bass's length criterion S is Gorenstein exactly
+when deg [O:f] = 2 deg [S:f], both read off HNF diagonals; every order of
+rank 2 is.  For any other S, every weak class has a representative in
+S's own window f <= I <= O, and the window is linear algebra over F_q on
+the ring V = O/f:
 
 - Stabilizer rule.  A window lattice I is an S-invariant subspace W of V,
   and (I:I) lies in O because O_p is maximal, while f*I <= I.  So
@@ -17,7 +19,13 @@ and the window is linear algebra over F_q on the ring V = O/f:
   f <= (I:O) = xf gives x^-1 f <= f, and x is a unit.  Two weakly
   equivalent kept lattices therefore differ by a unit of O_p, on which
   1 + f acts trivially: the weak classes are the orbits of V^x on the kept
-  W.  V^x is generated, not enumerated (`kalgebra.unit_generators`).
+  W.  V^x is generated, not enumerated (`kalgebra.unit_group`).
+- Interval rule.  A kept W maps onto a nonzero subspace of each residue
+  field of the c local components of V, so its non-units lie in c proper
+  subspaces of W.  An F_q-space is no union of c <= q proper subspaces,
+  so then W holds a unit u, and u^-1 W, in W's orbit, contains 1 and
+  hence S/f.  So when c <= q the walk starts at S/f, and the orbits are
+  closed under the unit generators from the kept W above S/f.
 
 [S] is the orbit of S/f and comes first, represented by S; every other
 class is represented by the canonically first pullback of its orbit, in
@@ -36,7 +44,7 @@ from .quotient import invariant_window
 from . import kalgebra
 from . import klinalg
 from .primes import (_internal, _naming, _require_prime, kummer_dedekind,
-                     p_saturation, singular_primes)
+                     p_saturation, primes_above_in_max, singular_primes)
 from .overorders import p_overorders
 
 
@@ -73,25 +81,16 @@ def globally_weakly_equivalent(i, j):
     return (i.colon(j) * j.colon(i)).contains_one()
 
 
-def is_gorenstein(s_order):
-    """Is the overorder S of the monogenic R Gorenstein?
-
-    R^t = f'(pi)^{-1} R gives S^t = f'(pi)^{-1} (R:S), so S^t is an
-    invertible S-ideal iff (S:J)J = S for J = (R:S); the scalar cancels.
-    """
-    s = s_order.ideal
-    j = FracIdeal.unit_ideal(s.ctx).colon(s)
-    return s.colon(j) * j == s
-
-
 def weak_classes(base, s_order, p):
     """Pairwise inequivalent representatives of the weak classes at p with
     multiplicator ring S, for a p-overorder S; [S] comes first.
 
-    A Gorenstein S has the single class [S].  Otherwise the S-invariant
-    subspaces W of O/f, f = (S:O), whose stabilizer is S/f are split into
-    orbits of (O/f)^x; [S] is the orbit of S/f, and every other orbit is
-    represented by the canonically first of its pullbacks.
+    One colon gives f = (S:O).  A Gorenstein S has the single class [S].
+    Otherwise the S-invariant subspaces W of O/f whose stabilizer is S/f
+    are split into orbits of (O/f)^x; [S] is the orbit of S/f, and every
+    other orbit is represented by the canonically first of its pullbacks.
+    The walk starts at S/f when every orbit meets the interval above it
+    (`_interval_suffices`), and at 0 otherwise.
     """
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
@@ -104,9 +103,11 @@ def weak_classes(base, s_order, p):
     s = s_order.ideal
     if not (s.contains(base.ideal) and sat.ideal.contains(s)):
         raise InputError("S must satisfy R subseteq S subseteq O")
+    cond = s.colon(sat.ideal)
     reps = [s]
-    if not is_gorenstein(s_order):
-        quo, subs = invariant_window(sat.ideal, s.colon(sat.ideal), s_order)
+    if not _gorenstein_by_lengths(sat.ideal, s, cond):
+        start = s if _interval_suffices(ctx, p) else None
+        quo, subs = invariant_window(sat.ideal, cond, s_order, start)
         with _naming(ctx, "weak_classes", p):
             reps += _orbit_representatives(quo, subs, s_order)
     out = tuple(WeakClassRep(rep, s_order) for rep in reps)
@@ -114,10 +115,36 @@ def weak_classes(base, s_order, p):
     return out
 
 
+def _gorenstein_by_lengths(o, s, f):
+    """Bass's criterion for S with conductor f = (S:O): S is Gorenstein
+    exactly when deg [O:f] = 2 deg [S:f]."""
+    return _covolume(f) - _covolume(o) == 2 * (_covolume(f) - _covolume(s))
+
+
+def _covolume(lattice):
+    """deg det of an A-basis of the lattice, read off its HNF diagonal, so
+    that deg [L:M] = _covolume(M) - _covolume(L) for M <= L."""
+    diagonal = sum(int(row[i].degree) for i, row in enumerate(lattice.num))
+    return diagonal - lattice.ctx.r * int(lattice.den.degree)
+
+
+def _interval_suffices(ctx, p):
+    """Does every orbit of kept W meet the interval [S/f, O/f]?  It does
+    when the c local components of O/f number at most q, and c is at most
+    the number of primes of O above p, which is at most r."""
+    q = ctx.field.q
+    return ctx.r <= q or len(primes_above_in_max(ctx, p)) <= q
+
+
 def _orbit_representatives(quo, subs, s_order):
     """The classes other than [S] in the window f <= I <= O, f = (S:O),
-    given as V = O/f and its S-invariant subspaces: the canonically first
-    lattice of each unit orbit, in canonical order."""
+    given as V = O/f and its S-invariant subspaces (all of them, or those
+    above S/f): the canonically first lattice of each whole unit orbit, in
+    canonical order.  The units that fix a kept W are those of its
+    stabilizer S/f, so each orbit has |V^x| / |(S/f)^x| members, and all
+    of them share that stabilizer: the first member of an orbit found
+    outside the given subspaces is tested for it before it joins, and the
+    orbit's size is checked."""
     k = quo.ctx.field
     alg = quo.algebra()
     s_sub = tuple(quo.image(s_order.ideal))
@@ -126,28 +153,38 @@ def _orbit_representatives(quo, subs, s_order):
               for j in range(alg.dim) if j not in s_piv]
     kept = [w for w in subs if _stabilized_by_none(k, others, w)]
     # a unit in S/f maps every S-invariant W onto itself
-    units = [alg.mult_matrix(u) for u in kalgebra.unit_generators(alg)
+    gens, v_units = kalgebra.unit_group(alg)
+    units = [alg.mult_matrix(u) for u in gens
              if not klinalg.in_span(k, s_sub, s_piv, u)]
     index = {w: i for i, w in enumerate(kept)}
     if s_sub not in index:
         raise InternalCheckError("S/f is missing from its own window")
-    orbit_of = [None] * len(kept)
+    size = v_units // kalgebra.unit_group(alg.subalgebra(s_sub, s_piv))[1]
+    placed = set()
     orbits = []
     for start in [index[s_sub]] + list(range(len(kept))):
-        if orbit_of[start] is not None:
+        if start in placed:
             continue
-        orbit_of[start] = len(orbits)
+        placed.add(start)
         members = [start]
+        checked = False
         for i in members:   # the orbit grows while it is read
             for m in units:
                 image = tuple(klinalg.span_basis(
                     k, [klinalg.matmul_vec(k, m, v) for v in kept[i]]))
                 j = index.get(image)
-                if j is None:
-                    raise InternalCheckError("a unit moved W out of the window")
-                if orbit_of[j] is None:
-                    orbit_of[j] = len(orbits)
+                if j is None:   # outside the interval, or a fault
+                    if not (checked or _stabilized_by_none(k, others, image)):
+                        raise InternalCheckError("a unit moved W out of the window")
+                    checked = True
+                    j = index[image] = len(kept)
+                    kept.append(image)
+                if j not in placed:
+                    placed.add(j)
                     members.append(j)
+        if len(members) != size:
+            raise InternalCheckError(f"a unit orbit has {len(members)} members, "
+                                     f"not |V^x|/|(S/f)^x| = {size}")
         orbits.append(members)
     reps = [min((quo.pullback(kept[i]) for i in members),
                 key=lambda l: l.canonical_key()) for members in orbits[1:]]

@@ -177,3 +177,27 @@ def test_divmod_monic_identity():
     F = gf(3)
     with pytest.raises(InputError):
         parse_bipoly(F, "x^3 + T").divmod_monic(parse_bipoly(F, "T*x - 1"))
+
+
+def _benchmark_curves():
+    """(q, f) of every job of the benchmark's fixed workloads."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return sorted({(int(job[job.index("--q") + 1]), job[job.index("--f") + 1])
+                   for job in workloads.ICM_WINDOW + workloads.CENSUS})
+
+
+@pytest.mark.parametrize("q,fstr", _benchmark_curves())
+def test_benchmark_curves_are_proved_irreducible_without_a_lift(monkeypatch, q, fstr):
+    # a prime of degree <= 2 keeps each of them irreducible
+    from gekeler import bifactor
+
+    def refuse(*args):
+        raise AssertionError("Hensel lift")
+
+    monkeypatch.setattr(bifactor, "_hensel_lift_list", refuse)
+    assert is_irreducible_bivariate(parse_bipoly(gf_of_order(q), fstr))

@@ -147,6 +147,21 @@ def test_oracle_budget_is_checked_before_the_tables(argv, size):
                    "budget 10000000\n")
 
 
+def test_ratio_level_over_budget_is_refused_before_the_local_ratio(monkeypatch):
+    # q^(n deg p) fixes the number of matrices, so the refusal needs no ratio
+    from gekeler import cli
+
+    def refuse(*args):
+        raise AssertionError("the local ratio was computed")
+
+    monkeypatch.setattr(cli, "gekeler_ratio", refuse)
+    code, out, err = run_cli(["ratio", "--q", "2", "--f", "x^3 - T^8",
+                              "--prime", "T", "--level", "9"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: enumerating {2 ** 81} matrices exceeds the "
+                   "budget 10000000\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_check_depth_below_one_is_rejected(depth):
     code, out, err = run_cli(["product", "--q", "3", "--f", "x^2 - T",

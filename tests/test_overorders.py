@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import ORACLE_CURVES, make_ctx
+from gorenstein_oracle import is_gorenstein
 from gekeler import klinalg
 from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly, monic_irreducibles
@@ -12,7 +13,6 @@ from gekeler.ideals import Order, index_ideal
 from gekeler.primes import maximal_order, singular_primes
 from gekeler.overorders import p_overorders, p_saturation
 from gekeler.quotient import LatticeQuotient, invariant_subspaces
-from gekeler.weakeq import is_gorenstein
 from gekeler.errors import InputError, InseparableError
 
 

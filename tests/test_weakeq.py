@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import ORACLE_CURVES, make_ctx
+from gorenstein_oracle import is_gorenstein
+from property_suite import CONTEXT_POOL
 from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly, poly_lcm
 from gekeler.context import AlgebraContext, KElement
@@ -15,11 +17,10 @@ from gekeler.primes import (infinity_context, maximal_order, p_saturation,
 from gekeler.overorders import p_overorders
 from gekeler.quotient import (LatticeQuotient, invariant_subspaces,
                               invariant_window, submodule_lattices)
-from gekeler.kalgebra import unit_generators
+from gekeler.kalgebra import unit_group
 from gekeler import klinalg
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
-                            local_icm, globally_weakly_equivalent,
-                            is_gorenstein)
+                            local_icm, globally_weakly_equivalent)
 from gekeler.errors import InputError, InternalCheckError
 
 
@@ -286,9 +287,15 @@ def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
                 assert quo.pullback(sub) == _r_span_pullback(quo, sub)
 
 
+# over F_2 at T, O/f has c = 3 > q local components in some window of each
+# three-branch curve, where a kept W can hold no unit, so the walk there
+# must start at 0
+THREE_BRANCH_CURVES = [(2, "x*(x+T)*(x^2+T) + T^5"),
+                       (2, "x*(x+T^2)*(x+T+T^2) + T^7")]
+
 # F_4 needs 1 + c*b for both c in an F_2-basis of the constants
 WEAK_CURVES = ORACLE_CURVES + [(2, "x^3 - T^7"), (2, "x^3 - T^8"),
-                               (4, "x^3 - T^4")]
+                               (4, "x^3 - T^4")] + THREE_BRANCH_CURVES
 
 
 def _colon_collapse(s_order, p):
@@ -383,7 +390,7 @@ def test_unit_generators_generate_the_unit_group(q, fstr):
                  if len(klinalg.rref(k, alg.mult_matrix(z))[0]) == alg.dim}
         group = {alg.one}
         frontier = [alg.one]
-        gens = unit_generators(alg)
+        gens, order = unit_group(alg)
         for z in frontier:   # the frontier grows while it is read
             for g in gens:
                 zg = alg.mul(z, g)
@@ -391,6 +398,7 @@ def test_unit_generators_generate_the_unit_group(q, fstr):
                     group.add(zg)
                     frontier.append(zg)
         assert group == units
+        assert order == len(units)
 
 
 def test_weak_classes_take_no_colon_per_window_lattice(monkeypatch):
@@ -615,3 +623,98 @@ def test_weak_class_checks_name_the_stage_and_instance(monkeypatch):
             weak_classes(base, s, T)
     assert str(exc.value) == ("weak_classes: a unit moved W out of the "
                               f"window {where}")
+
+
+@pytest.mark.parametrize("q,fstr,m_p", [curve + (m_p,) for curve, m_p
+                                        in zip(THREE_BRANCH_CURVES, (7, 10))])
+def test_three_branch_windows_walk_from_zero(q, fstr, m_p):
+    # three primes of O above T exceed q = 2, so the walk covers the whole
+    # window; the colon collapse (test_unit_orbits_match_the_colon_collapse)
+    # confirms each class
+    from gekeler import weakeq
+    ctx = make_ctx(q, fstr)
+    T = FqPoly.gen(ctx.field)
+    assert not weakeq._interval_suffices(ctx, T)
+    assert local_icm(ctx, T).m_p == m_p
+
+
+def test_interval_walk_tests_a_few_hundred_stabilizers(monkeypatch):
+    # x^3 - T^10 over F_2 at T: the whole windows hold 10,091 S-invariant
+    # subspaces, the intervals above S/f 214
+    from gekeler import weakeq
+    calls = []
+    stabilized = weakeq._stabilized_by_none
+    monkeypatch.setattr(weakeq, "_stabilized_by_none",
+                        lambda *args: calls.append(1) or stabilized(*args))
+    field = gf(2)
+    ctx = AlgebraContext(field, parse_bipoly(field, "x^3 - T^10"))
+    assert local_icm(ctx, FqPoly.gen(field)).m_p == 27
+    assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("q,fstr", [(2, "x^3 - T^5"), (2, "x^3 - T^8"),
+                                    (3, "x^4 + T^3")])
+def test_weak_classes_take_one_colon_per_overorder(monkeypatch, q, fstr):
+    field = gf(q)
+    ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+    T = FqPoly.gen(field)
+    orders = p_overorders(ctx, T).orders
+    colons = []
+    colon = FracIdeal.colon
+    monkeypatch.setattr(FracIdeal, "colon",
+                        lambda i, j: colons.append(1) or colon(i, j))
+    for s in orders:
+        del colons[:]
+        weak_classes(Order.monogenic(ctx), s, T)
+        assert len(colons) == 1
+
+
+GORENSTEIN_CURVES = list(dict.fromkeys(
+    ORACLE_CURVES + CONTEXT_POOL + THREE_BRANCH_CURVES
+    + [(2, "x^3 - T^8"), (3, "x^4 - T^5")]))
+
+
+@pytest.mark.parametrize("q,fstr", GORENSTEIN_CURVES)
+def test_length_criterion_matches_the_two_colon_oracle(q, fstr):
+    from gekeler import weakeq
+    finite = make_ctx(q, fstr)
+    for ctx in (finite, infinity_context(finite)):
+        for p in singular_primes(ctx):
+            sat = p_saturation(ctx, p).ideal
+            for s in p_overorders(ctx, p).orders:
+                cond = s.ideal.colon(sat)
+                assert (weakeq._gorenstein_by_lengths(sat, s.ideal, cond)
+                        == is_gorenstein(s))
+
+
+def test_orbit_size_check_names_the_stage_and_instance(monkeypatch):
+    # with one unit generator of O/f left, the orbit of S/f is too small
+    from gekeler import kalgebra
+    F = gf(2)
+    T = FqPoly.gen(F)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^4"))
+    (s,) = [s for s in p_overorders(ctx, T).orders if not is_gorenstein(s)]
+    unit_group = kalgebra.unit_group
+    monkeypatch.setattr(kalgebra, "unit_group",
+                        lambda alg: (unit_group(alg)[0][:1], unit_group(alg)[1]))
+    with pytest.raises(InternalCheckError) as exc:
+        weak_classes(Order.monogenic(ctx), s, T)
+    msg = str(exc.value)
+    assert msg.startswith("weak_classes: a unit orbit has ")
+    assert msg.endswith("for q = 2, f = x^3 + T^4, p = T")
+
+
+@pytest.mark.parametrize("power,m_p,counts", [(5, 7, [1, 1, 1, 2, 2]),
+                                              (4, 5, [1, 1, 1, 2])])
+def test_degree_two_prime_matches_its_base_change(power, m_p, counts):
+    # the completion of F_2[T] at T^2+T+1 is F_4[[t]], t = T^2+T+1, so the
+    # local ring of x^3 - (T^2+T+1)^n there is that of x^3 - T^n over F_4
+    ctx = make_ctx(2, f"x^3 - (T^2+T+1)^{power}")
+    F = ctx.field
+    p = FqPoly(F, (1, 1, 1))
+    over_f4 = make_ctx(4, f"x^3 - T^{power}")
+    base = local_icm(over_f4, FqPoly.gen(over_f4.field))
+    report = local_icm(ctx, p)
+    for rep in (report, base):
+        assert rep.m_p == m_p
+        assert sorted(len(cl) for _, cl in rep.by_overorder) == counts
