@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -197,6 +198,16 @@ def _run_oracle(args):
     return report
 
 
+def _check_out(path):
+    """Refuse an --out path that cannot be written before any work is done:
+    a directory, a missing parent directory, or no write permission."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(target, os.W_OK)):
+        raise InputError(f"cannot write --out {path}")
+
+
 _RUNNERS = {
     "primes": _run_primes,
     "overorders": _run_overorders,
@@ -216,6 +227,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.monotonic()
     try:
+        if args.out:
+            _check_out(args.out)
         report = _RUNNERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -225,8 +238,13 @@ def main(argv=None):
         return 1
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     print(f"elapsed: {time.monotonic() - t0:.3f}s", file=sys.stderr)

@@ -1,19 +1,25 @@
 """Prime splitting, discriminants, singular primes, and maximal orders.
 
-Splitting of a prime p in the monogenic order goes through Kummer-
-Dedekind with the remainder criterion for regularity; singular_primes,
-the one test of p-maximality, runs it only where p^2 | disc(f) =
-[O_K:R]^2 disc(O_K).  Splitting in the maximal order is a splitting type,
-the sorted pairs (e, f) of the primes of O_K above p, and no ideal of O_K
-is built: at p not dividing disc(f) it is the distinct-degree pattern of
-f mod p; at the other regular p it is Kummer-Dedekind again (Dedekind's
-criterion); only at the singular primes is it read off the local
-components of O_K/pO_K.  The census of the primes of one degree lists no
-prime: type_counts counts the splitting types of the Frobenius orbits of
-GF(q^D), and only the primes of disc(f) are built, by factoring it.  The
-maximal order is the product of the radical saturations at the singular
-primes, each the p-saturation of R, validated by the conductor-
-discriminant identity; its last step at p builds S/pS = O_K/pO_K over F_q.
+Everything at a prime p of A starts from one Dedekind record per (ctx, p)
+(Cohen, GTM 138, Thm 6.1.4): the factors g_i^e_i of f mod p, and z, the
+gcd of (prod G_i^e_i - f)/p mod p, prod g_i and prod g_i^(e_i - 1), for
+lifts G_i of the g_i.  The Kummer-Dedekind prime of g_i is singular
+exactly when g_i divides z, which is the remainder rule "f mod G_i
+vanishes mod p^2"; singular_primes, the one test of p-maximality, reads
+the record only where p^2 | disc(f) = [O_K:R]^2 disc(O_K), and the
+record builds no ideal (kummer_dedekind builds them for its report).
+Splitting in the maximal order is a splitting type, the sorted pairs
+(e, f) of the primes of O_K above p: at p not dividing disc(f) it is the
+distinct-degree pattern of f mod p; at the other regular p it is the
+record's (e_i, deg g_i) (Dedekind's criterion); only at the singular
+primes is it read off the local components of O_K/pO_K.  The census of
+the primes of one degree lists no prime: type_counts counts the
+splitting types of the Frobenius orbits of GF(q^D), and only the primes
+of disc(f) are built, by factoring it.  The maximal order is the product
+of the saturations at the singular primes, each the p-saturation of R,
+validated by the conductor-discriminant identity.  A saturation opens at
+Dedekind's R' = R + (U(pi)/p) R, U a lift of (f mod p)/z, and goes on by
+radical steps; its last step at p builds S/pS = O_K/pO_K over F_q.
 """
 
 import contextlib
@@ -25,7 +31,7 @@ from .errors import BudgetExceeded, InputError, InternalCheckError
 from .gf import embedding, fits_table, gf
 from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
-from .bipoly import BiPoly, discriminant
+from .bipoly import discriminant
 from .residue import ResidueField
 from .context import AlgebraContext, KElement
 from .ideals import FracIdeal, Order, index_ideal
@@ -95,38 +101,102 @@ def _require_prime(ctx, p):
         ctx.cache[key] = True
 
 
+@dataclass(frozen=True)
+class DedekindRecord:
+    """Dedekind's criterion at p for R = A[x]/f (Cohen, GTM 138, Thm 6.1.4).
+
+    k = A/p; `factors` holds the pairs (g_i, e_i) of f mod p = prod g_i^e_i,
+    each g_i a monic irreducible coefficient tuple over k.  With G_i the
+    lifts of the g_i, F = (prod G_i^e_i - f)/p, and z is
+    gcd(F mod p, prod g_i, prod g_i^(e_i - 1)) over k.
+    """
+    k: ResidueField
+    factors: tuple
+    z: tuple
+
+    def regular(self, g):
+        """Is the Kummer-Dedekind prime (p, G(pi)) of the factor g regular?
+        It is not exactly when g divides z."""
+        return bool(gpoly.rem(self.k, self.z, g))
+
+
+def dedekind(ctx, p):
+    """The Dedekind record of R at p, memoised per context.
+
+    p does not divide [O_K:R] exactly when z = 1, and the prime of R above
+    p from the factor g_i is singular exactly when g_i divides z: since
+    G_i divides prod G_j^e_j, the remainder of f upon division by G_i is
+    -p times that of F, so this is the rule "e_i >= 2 and that remainder
+    vanishes mod p^2".
+    """
+    key = ("dedekind", p)
+    if key in ctx.cache:
+        return ctx.cache[key]
+    _require_prime(ctx, p)
+    k, fbar = ctx.f.reduce_mod(p)
+    factors = tuple((tuple(g), e) for g, e in gpoly.factor(k, fbar, seed=ctx.seed))
+    if sum(e * gpoly.deg(g) for g, e in factors) != ctx.r:
+        raise _internal(ctx, "kummer_dedekind", "sum of e*f is not r", p)
+    ring = ctx.ring
+    lifted = (ring.one(),)
+    for g, e in factors:
+        g_lift = _lift_to_ax(k, g)
+        for _ in range(e):
+            lifted = gpoly.mul(ring, lifted, g_lift)
+    excess = []   # F mod p
+    for c in gpoly.sub(ring, lifted, ctx.f.coeffs):
+        quot, rem = c.divmod(p)
+        if not rem.is_zero():
+            raise _internal(ctx, "kummer_dedekind",
+                            "prod g_i^e_i - f is not divisible by p", p)
+        excess.append(k.project(quot))
+    rad, tail = (k.one(),), (k.one(),)
+    for g, e in factors:
+        rad = gpoly.mul(k, rad, g)
+        for _ in range(e - 1):
+            tail = gpoly.mul(k, tail, g)
+    z = gpoly.gcd(k, gpoly.gcd(k, gpoly.normalize(excess), rad), tail)
+    ctx.cache[key] = DedekindRecord(k, factors, z)
+    return ctx.cache[key]
+
+
+def _lift_to_ax(k, g):
+    """The coefficients in A of the lift of a polynomial g over k = A/p."""
+    return tuple(k.lift(c) for c in g)
+
+
+def dedekind_order(ctx, p):
+    """R' = R + (U(pi)/p) R for U the lift of (f mod p)/z: the ring of
+    multipliers of the radical of pR, with [R':R] = p^(deg z) (Cohen,
+    GTM 138, Thm 6.1.4)."""
+    rec = dedekind(ctx, p)
+    k, fbar = ctx.f.reduce_mod(p)
+    u = ctx.eval_at_pi(_lift_to_ax(k, gpoly.divmod_poly(k, fbar, rec.z)[0]))
+    cols = [tuple(c * p for c in e) for e in ctx.power_vectors]
+    cols += [ctx.mult_vectors(u, e) for e in ctx.power_vectors]
+    return Order(FracIdeal.from_columns(ctx, cols, p), check=False)
+
+
 def kummer_dedekind(order, p):
     """Splitting of p in the monogenic order R = A[pi] with regularity flags.
 
-    Factor f mod p; the factor g of multiplicity e yields the prime
-    (p, g(pi)) with residue degree deg g, singular exactly when e >= 2 and
-    the remainder of f upon division by the lift of g vanishes mod p^2.
+    Read from the Dedekind record: the factor g of multiplicity e of f mod
+    p yields the prime (p, G(pi)) with residue degree deg g, regular unless
+    g divides z.  Only this report builds the ideals.
     """
     ctx = order.ctx
     if order.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("Kummer-Dedekind splitting needs the monogenic order")
-    _require_prime(ctx, p)
     key = ("kd", p)
     if key in ctx.cache:
         return ctx.cache[key]
-    k = ResidueField(p, check=False)
-    _, fbar = ctx.f.reduce_mod(p)
-    factors = gpoly.factor(k, fbar, seed=ctx.seed)
-    p2 = p * p
+    rec = dedekind(ctx, p)
+    p_el = KElement.from_fqpoly(ctx, p)
     primes = []
-    for gbar, e in factors:
-        g = BiPoly(ctx.field, [k.lift(c) for c in gbar])
-        f_res = gpoly.deg(gbar)
-        ideal = FracIdeal.from_elements(ctx, [KElement.from_fqpoly(ctx, p),
-                                              KElement(ctx, ctx.eval_at_pi(g.coeffs))])
-        if e == 1:
-            regular = True
-        else:
-            _, rem = ctx.f.divmod_monic(g)
-            regular = any(not (c % p2).is_zero() for c in rem.coeffs)
-        primes.append(PrimeAbove(p, ideal, e, f_res, regular))
-    if sum(q.e * q.f_res for q in primes) != ctx.r:
-        raise _internal(ctx, "kummer_dedekind", "sum of e*f is not r", p)
+    for g, e in rec.factors:
+        g_pi = KElement(ctx, ctx.eval_at_pi(_lift_to_ax(rec.k, g)))
+        ideal = FracIdeal.from_elements(ctx, [p_el, g_pi])
+        primes.append(PrimeAbove(p, ideal, e, gpoly.deg(g), rec.regular(g)))
     primes.sort(key=lambda q: q.ideal.canonical_key())
     report = SplittingReport(p, tuple(primes))
     ctx.cache[key] = report
@@ -331,8 +401,12 @@ def p_radical(order, p):
 
 def maximal_order(ctx):
     """Integral closure O_K of A in K by p-saturation at the singular primes;
-    the identity checks disc(O_K), kept as ctx.cache["max_disc"].  The last
-    step at p leaves S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)]."""
+    the identity checks disc(O_K), kept as ctx.cache["max_disc"].
+
+    Each saturation opens at Dedekind's R' (`dedekind_order`), which is
+    the first radical step (rad:rad), and goes on with radical steps S ->
+    (rad:rad) until one leaves S fixed.  That last step at p leaves
+    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)]."""
     ctx.require_separable()
     if "max_order" in ctx.cache:
         return ctx.cache["max_order"]
@@ -341,7 +415,7 @@ def maximal_order(ctx):
     base = Order.monogenic(ctx)
     result = base
     for p in singular_primes(ctx):
-        sat = base
+        sat = dedekind_order(ctx, p)
         for _ in range(mults[p] + 2):
             with _naming(ctx, "maximal_order", p):
                 rad, alg = p_radical(sat, p)
@@ -377,13 +451,13 @@ def p_saturation(ctx, p):
 def singular_primes(ctx):
     """Monic irreducible p of A lying below a singular prime of R.  Only a p
     whose square divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index,
-    so Kummer-Dedekind runs at no other p."""
+    and such a p does exactly when its Dedekind record has z != 1; no
+    ideal is built."""
     ctx.require_separable()
     if "singular" in ctx.cache:
         return ctx.cache["singular"]
-    base = Order.monogenic(ctx)
-    out = [p for p, mult in discriminant_factors(ctx) if mult > 1
-           and any(not q.regular for q in kummer_dedekind(base, p).primes)]
+    out = [p for p, mult in discriminant_factors(ctx)
+           if mult > 1 and gpoly.deg(dedekind(ctx, p).z) > 0]
     out.sort(key=poly_order_key)
     ctx.cache["singular"] = out
     return out
@@ -394,15 +468,15 @@ def primes_above_in_max(ctx, p):
 
     At a p that is not singular every Kummer-Dedekind prime P of R above p
     is regular, so p does not divide [O_K:R], R and O_K agree at p and the
-    pairs are those of the P.  At a singular p the saturation has built
+    pairs are the (e_i, deg g_i) of the Dedekind record; no ideal is
+    built.  At a singular p the saturation has built
     O_K/pO_K over F_q, and it is decomposed into its local components
     O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
     that dimension less the dimension of its meet with the nilradical.
     """
     ctx.require_separable()
     if p not in singular_primes(ctx):
-        kd = kummer_dedekind(Order.monogenic(ctx), p)
-        return tuple(sorted((q.e, q.f_res) for q in kd.primes))
+        return tuple(sorted((e, gpoly.deg(g)) for g, e in dedekind(ctx, p).factors))
     maximal_order(ctx)
     alg, deg = ctx.cache[("O_K/p", p)], int(p.degree)
     k = alg.k

@@ -18,7 +18,7 @@ lattices, and `LatticeQuotient.algebra` the one construction of S/pS
 import functools
 import itertools
 
-from .errors import InputError, InternalCheckError
+from .errors import InternalCheckError
 from .fqpoly import FqPoly, poly_lcm
 from .context import KElement
 from .ideals import FracIdeal
@@ -106,7 +106,7 @@ class LatticeQuotient:
             # vec / (z.den * top.den)
             coords = self.top.coordinates(vec, z.den * self.top.den)
             if coords is None:
-                raise InputError("element does not stabilize the top lattice")
+                raise InternalCheckError("element does not stabilize the top lattice")
             out_cols.append(self.reduce_top_coords(coords))
         return [tuple(out_cols[c][rw] for c in range(self.dim))
                 for rw in range(self.dim)]

@@ -1,13 +1,15 @@
 """Weak equivalence classes and the local ideal class monoid at p.
 
 Let O be the p-saturation of R, S a p-overorder and f = (S:O) its
-conductor, the one colon taken per S.  A Gorenstein S has the one weak
-class [S] (Bass 1963; Marseglia 2020, "Computing the ideal class monoid
-of an order"), and by Bass's length criterion S is Gorenstein exactly
-when deg [O:f] = 2 deg [S:f], both read off HNF diagonals; every order of
-rank 2 is.  For any other S, every weak class has a representative in
-S's own window f <= I <= O, and the window is linear algebra over F_q on
-the ring V = O/f:
+conductor.  A Gorenstein S has the one weak class [S] (Bass 1963;
+Marseglia 2020, "Computing the ideal class monoid of an order").  R is
+monogenic, O is regular at p and every order of rank at most 2 is
+Gorenstein (Bass, "On the ubiquity of Gorenstein rings", 1963), so these
+take no colon; any other S takes one, f, and by Bass's length criterion
+it is Gorenstein exactly when deg [O:f] = 2 deg [S:f], both read off HNF
+diagonals.  For a non-Gorenstein S, every weak class has a representative
+in S's own window f <= I <= O, and the window is linear algebra over F_q
+on the ring V = O/f:
 
 - Stabilizer rule.  A window lattice I is an S-invariant subspace W of V,
   and (I:I) lies in O because O_p is maximal, while f*I <= I.  So
@@ -85,31 +87,40 @@ def weak_classes(base, s_order, p):
     """Pairwise inequivalent representatives of the weak classes at p with
     multiplicator ring S, for a p-overorder S; [S] comes first.
 
-    One colon gives f = (S:O).  A Gorenstein S has the single class [S].
-    Otherwise the S-invariant subspaces W of O/f whose stabilizer is S/f
-    are split into orbits of (O/f)^x; [S] is the orbit of S/f, and every
-    other orbit is represented by the canonically first of its pullbacks.
-    The walk starts at S/f when every orbit meets the interval above it
-    (`_interval_suffices`), and at 0 otherwise.
+    S is checked to lie between R and O.  R (monogenic), O (regular at p)
+    and every order of rank at most 2 are Gorenstein and take no colon;
+    any other S takes one, f = (S:O), and a Gorenstein S has the single
+    class [S].  Otherwise the S-invariant subspaces W of O/f whose
+    stabilizer is S/f are split into orbits of (O/f)^x; [S] is the orbit
+    of S/f, and every other orbit is represented by the canonically first
+    of its pullbacks.  The walk starts at S/f when every orbit meets the
+    interval above it (`_interval_suffices`), and at 0 otherwise.
     """
     ctx = base.ctx
     if base.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("weak class search needs the monogenic base order")
     _require_prime(ctx, p)
+    s, sat = s_order.ideal, p_saturation(ctx, p).ideal
+    if not (s.contains(base.ideal) and sat.contains(s)):
+        raise InputError("S must satisfy R subseteq S subseteq O")
+    return _weak_classes(ctx, p, s_order)
+
+
+def _weak_classes(ctx, p, s_order):
+    """weak_classes for a p-overorder S known to lie between R and O."""
     cache_key = ("weak", p, s_order.canonical_key())
     if cache_key in ctx.cache:
         return ctx.cache[cache_key]
-    sat = p_saturation(ctx, p)
+    sat = p_saturation(ctx, p).ideal
     s = s_order.ideal
-    if not (s.contains(base.ideal) and sat.ideal.contains(s)):
-        raise InputError("S must satisfy R subseteq S subseteq O")
-    cond = s.colon(sat.ideal)
     reps = [s]
-    if not _gorenstein_by_lengths(sat.ideal, s, cond):
-        start = s if _interval_suffices(ctx, p) else None
-        quo, subs = invariant_window(sat.ideal, cond, s_order, start)
-        with _naming(ctx, "weak_classes", p):
-            reps += _orbit_representatives(quo, subs, s_order)
+    if ctx.r >= 3 and s not in (FracIdeal.unit_ideal(ctx), sat):
+        cond = s.colon(sat)
+        if not _gorenstein_by_lengths(sat, s, cond):
+            start = s if _interval_suffices(ctx, p) else None
+            with _naming(ctx, "weak_classes", p):
+                quo, subs = invariant_window(sat, cond, s_order, start)
+                reps += _orbit_representatives(quo, subs, s_order)
     out = tuple(WeakClassRep(rep, s_order) for rep in reps)
     ctx.cache[cache_key] = out
     return out
@@ -225,7 +236,7 @@ def local_icm(ctx, p):
     groups = []
     total = 0
     for s_order in p_overorders(ctx, p).orders:
-        classes = weak_classes(base, s_order, p)
+        classes = _weak_classes(ctx, p, s_order)
         total += len(classes)
         groups.append((s_order, classes))
     if total < 1:

@@ -17,6 +17,12 @@ ORACLE_CURVES = [
     (3, "x^4 + T^3"),
 ]
 
+# over F_2 at T, O/f has c = 3 > q local components in some window of each
+# three-branch curve, where a kept W can hold no unit, so the walk there
+# must start at 0
+THREE_BRANCH_CURVES = [(2, "x*(x+T)*(x^2+T) + T^5"),
+                       (2, "x*(x+T^2)*(x+T+T^2) + T^7")]
+
 # the curves of the census benchmark workload, whose constant field is F_q
 # except for x^2 - 2 over F_3 (m = 2)
 CENSUS_CURVES = [

@@ -257,6 +257,75 @@ def test_out_file(tmp_path):
     assert rep["g"] == 0
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_path_that_cannot_be_written_is_refused_first(tmp_path, monkeypatch,
+                                                          where):
+    # the path is checked before any work: the job never runs
+    from gekeler import cli
+    path = tmp_path / "nonexistent" / "x.json" if where == "missing" else tmp_path
+
+    def refuse(args):
+        raise AssertionError("ran the job")
+
+    monkeypatch.setitem(cli._RUNNERS, "icm", refuse)
+    code, out, err = run_cli(["icm", "--q", "3", "--f", "x^2 - T^3",
+                              "--prime", "T", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {path}\n"
+
+
+def test_product_builds_no_kummer_dedekind_ideal(monkeypatch):
+    # the singular primes and the splitting types read the Dedekind record
+    from gekeler.ideals import FracIdeal
+
+    def refuse(*args):
+        raise AssertionError("built a Kummer-Dedekind ideal")
+
+    monkeypatch.setattr(FracIdeal, "from_elements", staticmethod(refuse))
+    for q, f in [(3, "x^2 - T^3*(T + 1)^3"), (2, "x^2 + T*x + T^3"),
+                 (2, "x^3 - T^5"), (3, "x^4 + T^3")]:
+        code, out, _ = run_cli(["product", "--q", str(q), "--f", f])
+        assert code == 0 and json.loads(out)["singular"]
+
+
+def test_lost_endpoint_order_is_an_internal_failure(monkeypatch):
+    # a walk that drops O is a fault of the program, not of the input
+    from gekeler import overorders
+    real = overorders.submodule_lattices
+    monkeypatch.setattr(overorders, "submodule_lattices",
+                        lambda top, bottom, ring: [l for l in real(top, bottom, ring)
+                                                   if l != top])
+    code, out, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
+                              "--prime", "T"])
+    assert code == 1
+    assert out == ""
+    assert err == ("internal invariant failure: p_overorders: enumeration "
+                   "lost an endpoint order for q = 2, f = x^3 + T^5, p = T\n")
+
+
+def test_unstable_top_lattice_is_an_internal_failure(monkeypatch):
+    # a ring that does not map the top of a quotient into itself is a
+    # fault of the program: here O acting on R/TR
+    from gekeler import overorders
+    from gekeler.context import KElement
+    from gekeler.fqpoly import FqPoly
+    from gekeler.ideals import Order
+    real = overorders.submodule_lattices
+
+    def o_on_r_mod_t(top, bottom, ring):
+        t = KElement.from_fqpoly(bottom.ctx, FqPoly.gen(bottom.ctx.field))
+        return real(bottom, bottom.scale(t), Order(top, check=False))
+
+    monkeypatch.setattr(overorders, "submodule_lattices", o_on_r_mod_t)
+    code, _, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
+                            "--prime", "T"])
+    assert code == 1
+    assert err == ("internal invariant failure: p_overorders: element does "
+                   "not stabilize the top lattice for q = 2, f = x^3 + T^5, "
+                   "p = T\n")
+
+
 def test_rationals_are_reduced_with_positive_denominator():
     code, out, _ = run_cli(["ratio", "--q", "3", "--f", "x^2 - T^3",
                             "--prime", "T + 1"])

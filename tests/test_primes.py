@@ -3,12 +3,13 @@ import sys
 
 import pytest
 
-from conftest import CENSUS_CURVES, make_ctx
+from conftest import CENSUS_CURVES, ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from property_suite import CONTEXT_POOL
 import census_oracle
 from gekeler.gf import GF, gf, gf_of_order
 from gekeler.gf import embedding as gf_embedding
 from gekeler.fqpoly import FqPoly, monic_irreducibles
+from gekeler.bipoly import BiPoly
 from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.context import AlgebraContext
 from gekeler import gpoly, kalgebra, klinalg
@@ -259,6 +260,90 @@ def _pairs(primes):
     return tuple(sorted((q.e, q.f_res) for q in primes))
 
 
+def _remainder_rule_regular(ctx, p, g, e):
+    """The p^2-remainder rule, the reference for the Dedekind record: the
+    prime (p, G(pi)) of a factor g of multiplicity e of f mod p is regular
+    when e = 1 or f mod G, G the lift of g, does not vanish mod p^2."""
+    if e == 1:
+        return True
+    k = ResidueField(p, check=False)
+    _, rem = ctx.f.divmod_monic(BiPoly(ctx.field, [k.lift(c) for c in g]))
+    return any(not (c % (p * p)).is_zero() for c in rem.coeffs)
+
+
+DEDEKIND_CURVES = list(dict.fromkeys(
+    ORACLE_CURVES + CONTEXT_POOL + THREE_BRANCH_CURVES
+    + [(2, "x^3 - (T^2+T+1)^5")]))
+
+
+def _dedekind_cases():
+    """(ctx, p) for every prime p of disc(f) of each DEDEKIND_CURVES curve
+    and of its model at infinity."""
+    for q, fstr in DEDEKIND_CURVES:
+        finite = make_ctx(q, fstr)
+        for ctx in (finite, P.infinity_context(finite)):
+            for p, _ in P.discriminant_factors(ctx):
+                yield ctx, p
+
+
+def test_dedekind_regularity_is_the_remainder_rule():
+    seen = 0
+    for ctx, p in _dedekind_cases():
+        rec = P.dedekind(ctx, p)
+        for g, e in rec.factors:
+            assert rec.regular(g) == _remainder_rule_regular(ctx, p, g, e)
+            seen += 1
+        # and at two primes of each degree 1, 2 that need not divide disc(f)
+        for d in (1, 2):
+            for p2 in list(monic_irreducibles(ctx.field, d))[:2]:
+                rec = P.dedekind(ctx, p2)
+                assert all(rec.regular(g) == _remainder_rule_regular(ctx, p2, g, e)
+                           for g, e in rec.factors)
+    assert seen >= 40
+
+
+def test_dedekind_order_is_the_first_radical_step():
+    # R' = R + (U(pi)/p) R equals (rad:rad) for rad the radical of pR, and
+    # [R':R] = p^(deg z), at every singular p of the pools, the two
+    # three-branch curves, a degree-2 prime and their models at infinity
+    covered = set()
+    for ctx, p in _dedekind_cases():
+        if p not in P.singular_primes(ctx):
+            assert gpoly.deg(P.dedekind(ctx, p).z) == 0
+            continue
+        R = Order.monogenic(ctx)
+        z = P.dedekind(ctx, p).z
+        rad, _ = P.p_radical(R, p)
+        first = P.dedekind_order(ctx, p).ideal
+        assert first == rad.colon(rad)
+        assert gpoly.deg(z) > 0
+        assert index_ideal(first, R.ideal) == (p ** gpoly.deg(z)).monic()
+        covered.add((ctx.f.to_str(ctx.tvar, ctx.xvar), p.to_str(ctx.tvar)))
+    degree_two = make_ctx(2, "x^3 - (T^2+T+1)^5")
+    assert (degree_two.f.to_str(), "T^2 + T + 1") in covered
+    assert len(covered) == 26
+
+
+def test_dedekind_faults_name_the_stage_and_instance(monkeypatch):
+    # a lift whose product is not f mod p leaves prod G_i^e_i - f outside pA[x]
+    from gekeler.cli import main
+    real = P._lift_to_ax
+    F = gf(3)
+
+    def shifted(k, g):
+        lifted = real(k, g)
+        return (lifted[0] + FqPoly.one(F),) + lifted[1:]
+
+    monkeypatch.setattr(P, "_lift_to_ax", shifted)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+    with pytest.raises(InternalCheckError) as exc:
+        P.singular_primes(ctx)
+    assert str(exc.value) == ("kummer_dedekind: prod g_i^e_i - f is not "
+                              "divisible by p for q = 3, f = x^2 + 2*T^3, p = T")
+    code = main(["primes", "--q", "3", "--f", "x^2 - T^3"])
+    assert code == 1
+
+
 def test_primes_above_in_max():
     ctx = make_ctx(3, "x^2 - T^3")
     F = ctx.field
@@ -438,37 +523,28 @@ def test_quadratic_splitting_type_by_euler_criterion(q, fstr):
 
 
 def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
-    # partial_products and l_polynomial read splitting types: ideals are
-    # built (by kummer_dedekind, the one caller of FracIdeal.from_elements)
-    # only at p | disc(f) and at the infinite place; the census lists no
-    # prime, so none is sieved and none meets the Rabin test
+    # partial_products and l_polynomial read splitting types: the Dedekind
+    # record is read only at p | disc(f) and at the infinite place, and no
+    # ideal is built (kummer_dedekind, the one caller of
+    # FracIdeal.from_elements, is not called); the census lists no prime,
+    # so none is sieved and none meets the Rabin test
     from gekeler import gpoly, weakeq
     from gekeler.ratios import partial_products
     from gekeler.zeta import constant_field_degree, l_polynomial
-    kd_calls, outside_kd, rabin_calls, inside = [], [], [], []
-    real_kd = P.kummer_dedekind
-    real_from_elements = FracIdeal.from_elements
+    records, rabin_calls = [], []
+    real_dedekind = P.dedekind
     real_is_irreducible = gpoly.is_irreducible
 
-    def kummer_dedekind(order, p):
-        kd_calls.append((order.ctx, p))
-        inside.append(p)
-        try:
-            return real_kd(order, p)
-        finally:
-            inside.pop()
-
-    def from_elements(ctx, elements):
-        if not inside:
-            outside_kd.append(ctx)
-        return real_from_elements(ctx, elements)
+    def dedekind(ctx, p):
+        records.append((ctx, p))
+        return real_dedekind(ctx, p)
 
     def is_irreducible(F, f):
         rabin_calls.append(f)
         return real_is_irreducible(F, f)
 
-    def refuse(field, degree):
-        raise AssertionError(f"listed the primes of degree {degree}")
+    def refuse(*args):
+        raise AssertionError(f"built an ideal or listed primes: {args!r}")
 
     tower = "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"
     for q, fstr in [(3, "x^2 - T^3"), (3, "x^2 - (T^2 + 1)"), (2, "x^3 - T^4"),
@@ -483,22 +559,22 @@ def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
             gf(field.p, field.e * d)
         with monkeypatch.context() as m:
             m.setattr(P, "monic_irreducibles", refuse)
-            m.setattr(P, "kummer_dedekind", kummer_dedekind)
-            m.setattr(weakeq, "kummer_dedekind", kummer_dedekind)
-            m.setattr(FracIdeal, "from_elements", staticmethod(from_elements))
+            m.setattr(P, "dedekind", dedekind)
+            m.setattr(P, "kummer_dedekind", refuse)
+            m.setattr(weakeq, "kummer_dedekind", refuse)
+            m.setattr(FracIdeal, "from_elements", staticmethod(refuse))
             m.setattr(gpoly, "is_irreducible", is_irreducible)
             partial_products(ctx, 3)
             l_polynomial(ctx)
         ictx = P.infinity_context(ctx)
         U = FqPoly.gen(field)
-        assert kd_calls
-        for kctx, p in kd_calls:
+        assert records
+        for kctx, p in records:
             assert kctx in (ctx, ictx)
             assert ((kctx is ictx and p == U)
                     or (P.discriminant_of_f(kctx) % p).is_zero())
-        assert outside_kd == []
         assert rabin_calls == []
-        kd_calls.clear()
+        records.clear()
 
 
 def test_splitting_checks_name_the_stage_and_instance(monkeypatch):

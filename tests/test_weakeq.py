@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import ORACLE_CURVES, make_ctx
+from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from gorenstein_oracle import is_gorenstein
 from property_suite import CONTEXT_POOL
 from gekeler.gf import gf
@@ -286,12 +286,6 @@ def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
             for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil):
                 assert quo.pullback(sub) == _r_span_pullback(quo, sub)
 
-
-# over F_2 at T, O/f has c = 3 > q local components in some window of each
-# three-branch curve, where a kept W can hold no unit, so the walk there
-# must start at 0
-THREE_BRANCH_CURVES = [(2, "x*(x+T)*(x^2+T) + T^5"),
-                       (2, "x*(x+T^2)*(x+T+T^2) + T^7")]
 
 # F_4 needs 1 + c*b for both c in an F_2-basis of the constants
 WEAK_CURVES = ORACLE_CURVES + [(2, "x^3 - T^7"), (2, "x^3 - T^8"),
@@ -663,10 +657,14 @@ def test_weak_classes_take_one_colon_per_overorder(monkeypatch, q, fstr):
     colon = FracIdeal.colon
     monkeypatch.setattr(FracIdeal, "colon",
                         lambda i, j: colons.append(1) or colon(i, j))
+    # R and O are Gorenstein without a conductor; every other S of these
+    # rank >= 3 orders takes exactly the one colon f = (S:O)
+    ends = (Order.monogenic(ctx), p_saturation(ctx, T))
+    assert ctx.r >= 3 and all(end in orders for end in ends)
     for s in orders:
         del colons[:]
         weak_classes(Order.monogenic(ctx), s, T)
-        assert len(colons) == 1
+        assert len(colons) == (0 if s in ends else 1)
 
 
 GORENSTEIN_CURVES = list(dict.fromkeys(
@@ -718,3 +716,68 @@ def test_degree_two_prime_matches_its_base_change(power, m_p, counts):
     for rep in (report, base):
         assert rep.m_p == m_p
         assert sorted(len(cl) for _, cl in rep.by_overorder) == counts
+
+
+@pytest.mark.parametrize("q,fstr", GORENSTEIN_CURVES)
+def test_orders_that_skip_the_conductor_are_gorenstein(q, fstr):
+    # weak_classes takes no colon for R, O and any order of rank <= 2, on
+    # the grounds that each is Gorenstein; the two-colon oracle agrees
+    finite = make_ctx(q, fstr)
+    for ctx in (finite, infinity_context(finite)):
+        for p in singular_primes(ctx):
+            orders = p_overorders(ctx, p).orders
+            skipped = [s for s in orders if ctx.r <= 2
+                       or s in (Order.monogenic(ctx), p_saturation(ctx, p))]
+            assert len(skipped) >= 2
+            assert all(is_gorenstein(s) for s in skipped)
+
+
+def _count_work(monkeypatch, q, fstr):
+    """local_icm at T on a fresh context, counting colons and p-radicals."""
+    from gekeler import primes
+    calls = {"colon": 0, "p_radical": 0}
+    colon, p_radical = FracIdeal.colon, primes.p_radical
+
+    def counted_colon(i, j):
+        calls["colon"] += 1
+        return colon(i, j)
+
+    def counted_p_radical(order, p):
+        calls["p_radical"] += 1
+        return p_radical(order, p)
+
+    monkeypatch.setattr(FracIdeal, "colon", counted_colon)
+    monkeypatch.setattr(primes, "p_radical", counted_p_radical)
+    field = gf(q)
+    ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+    return local_icm(ctx, FqPoly.gen(field)), calls
+
+
+def test_local_icm_takes_no_colon_whose_answer_is_known(monkeypatch):
+    # the saturation opens at Dedekind's order, one radical step early,
+    # and R, O and the orders of rank 2 take no conductor colon
+    report, calls = _count_work(monkeypatch, 2, "x^3 - T^5")
+    assert report.m_p == 7
+    assert calls["colon"] <= 6 and calls["p_radical"] == 3
+    monkeypatch.undo()
+    report, calls = _count_work(monkeypatch, 3, "x^2 - T^7")
+    assert report.m_p == 4
+    assert calls["colon"] <= 3 and calls["p_radical"] == 3
+
+
+def test_local_icm_trusts_its_own_overorders(monkeypatch):
+    # the public weak_classes checks R <= S <= O; local_icm hands it the
+    # p-overorders it has just enumerated and skips the check
+    contains = []
+    real = FracIdeal.contains
+    monkeypatch.setattr(FracIdeal, "contains",
+                        lambda i, j: contains.append(1) or real(i, j))
+    field = gf(2)
+    ctx = AlgebraContext(field, parse_bipoly(field, "x^3 - T^4"))
+    T = FqPoly.gen(field)
+    orders = p_overorders(ctx, T).orders
+    del contains[:]
+    local_icm(ctx, T)
+    assert contains == []
+    weak_classes(Order.monogenic(ctx), orders[1], T)
+    assert len(contains) == 2
