@@ -227,6 +227,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.monotonic()
     try:
+        if args.budget < 1:
+            raise InputError("--budget must be >= 1")
         if args.out:
             _check_out(args.out)
         report = _RUNNERS[args.command](args)

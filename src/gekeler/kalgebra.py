@@ -1,10 +1,11 @@
 """Finite commutative algebras over a finite field k, via structure constants.
 
 Built over k = F_q by `quotient.LatticeQuotient.algebra`.  For S/pS: the
-nilradical as the kernel of an iterated Frobenius (the |k|-power map is
-k-linear), and the local components of O_K/pO_K through idempotents from
-coprime factorizations of minimal polynomials.  For O/(S:O): generators
-and the order of its unit group.
+nilradical as the kernel of an iterated Frobenius Phi: x -> x^|k| (which
+is k-linear), and the local components of O_K/pO_K by Berlekamp's split:
+the fixed space of Phi is the k-span of the primitive idempotents, so its
+dimension counts the components and its elements split them.  For
+O/(S:O): generators and the order of its unit group.
 """
 
 import itertools
@@ -12,6 +13,28 @@ import itertools
 from .errors import InternalCheckError
 from . import klinalg
 from . import gpoly
+
+
+def table_product(k, struct, u, v):
+    """The sum of u_i v_j struct[i][j]: the product of u and v under the
+    structure constants struct, which need not be those of a ring."""
+    n = len(struct)
+    out = [k.zero()] * n
+    for i in range(n):
+        ui = u[i]
+        if ui == k.zero():
+            continue
+        row = struct[i]
+        for j in range(n):
+            vj = v[j]
+            if vj == k.zero():
+                continue
+            c = k.mul(ui, vj)
+            bij = row[j]
+            for t in range(n):
+                if bij[t] != k.zero():
+                    out[t] = k.add(out[t], k.mul(c, bij[t]))
+    return tuple(out)
 
 
 class FiniteAlgebra:
@@ -22,26 +45,11 @@ class FiniteAlgebra:
         self.struct = struct          # struct[i][j] = coords of b_i * b_j
         self.one = tuple(one)
         self.dim = len(struct)
+        self._frobenius = None
+        self._nilradical = None
 
     def mul(self, u, v):
-        k = self.k
-        n = self.dim
-        out = [k.zero()] * n
-        for i in range(n):
-            ui = u[i]
-            if ui == k.zero():
-                continue
-            row = self.struct[i]
-            for j in range(n):
-                vj = v[j]
-                if vj == k.zero():
-                    continue
-                c = k.mul(ui, vj)
-                bij = row[j]
-                for t in range(n):
-                    if bij[t] != k.zero():
-                        out[t] = k.add(out[t], k.mul(c, bij[t]))
-        return tuple(out)
+        return table_product(self.k, self.struct, u, v)
 
     def scale(self, c, u):
         k = self.k
@@ -85,34 +93,36 @@ class FiniteAlgebra:
         return tuple(vec)
 
     def frobenius_matrix(self):
-        """Matrix (rows) of x -> x^|k| in the chosen basis."""
-        k = self.k
-        cols = [self.pow(self.basis_vector(j), k.order) for j in range(self.dim)]
-        return [tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)]
+        """Matrix (rows) of Phi: x -> x^|k| in the chosen basis, built once."""
+        if self._frobenius is None:
+            k = self.k
+            cols = [self.pow(self.basis_vector(j), k.order) for j in range(self.dim)]
+            self._frobenius = [tuple(cols[j][i] for j in range(self.dim))
+                               for i in range(self.dim)]
+        return self._frobenius
 
     def nilradical_basis(self):
-        """RREF basis of the nilradical (kernel of an iterated Frobenius)."""
-        k = self.k
-        phi = self.frobenius_matrix()
-        j = 0
-        power = 1
-        while power < self.dim:
-            power *= k.order
-            j += 1
-        j = max(j, 1)
-        mat = phi
-        for _ in range(j - 1):
-            mat = klinalg.matmul(k, mat, phi)
-        return klinalg.span_basis(k, klinalg.kernel(k, mat))
+        """RREF basis of the nilradical (kernel of an iterated Frobenius),
+        built once."""
+        if self._nilradical is None:
+            k = self.k
+            phi = self.frobenius_matrix()
+            j = 0
+            power = 1
+            while power < self.dim:
+                power *= k.order
+                j += 1
+            j = max(j, 1)
+            mat = phi
+            for _ in range(j - 1):
+                mat = klinalg.matmul(k, mat, phi)
+            self._nilradical = tuple(klinalg.span_basis(k, klinalg.kernel(k, mat)))
+        return self._nilradical
 
-    def minimal_polynomial(self, z, identity=None):
-        """Monic minimal polynomial of z (as generic gpoly coeff list).
-
-        `identity` replaces 1 when working inside a component e*B.
-        """
+    def minimal_polynomial(self, z):
+        """Monic minimal polynomial of z (as generic gpoly coeff list)."""
         k = self.k
-        one = self.one if identity is None else identity
-        powers = [one]
+        powers = [self.one]
         while True:
             mat = [[powers[m][i] for m in range(len(powers))]
                    for i in range(self.dim)]
@@ -125,68 +135,78 @@ class FiniteAlgebra:
             if len(powers) > self.dim + 1:  # pragma: no cover
                 raise InternalCheckError("minimal polynomial search ran away")
 
-    def eval_poly(self, coeffs, z, identity=None):
-        """Evaluate a generic k[x] polynomial at z, with `identity` as 1."""
-        k = self.k
-        one = self.one if identity is None else identity
-        out = tuple(k.zero() for _ in range(self.dim))
-        for c in reversed(coeffs):
-            out = self.mul(out, z)
-            if c != k.zero():
-                out = self.add(out, self.scale(c, one))
-        return out
-
 
 def split_local_components(alg):
-    """Orthogonal idempotents of the local components of a commutative algebra.
+    """Orthogonal idempotents of the local components of a commutative
+    algebra B over k, in canonical order.
 
-    Splits along coprime primary parts of minimal polynomials of a
-    deterministic element sequence (basis vectors, then pairwise products
-    of basis vectors); a component with no splitting element is local.
+    Berlekamp's split (Bell Syst. Tech. J. 46, 1967; Cohen, GTM 138,
+    Sec. 3.4).  On a local component with residue field E an element
+    fixed by Phi: x -> x^|k| is a root of X^|k| - X, which is separable
+    and has its |k| roots in k inside E, so it is a constant: the fixed
+    space ker(Phi - 1) is the k-span of the c primitive idempotents.  So
+    B is local exactly when that space is a line.  Otherwise an element z
+    of it takes a value in k on each component, its minimal polynomial is
+    the product of X - a over those values, and the Lagrange products
+    prod_(b != a) (z - b)/(a - b) are the idempotents of the components
+    where z is a; the elements of a basis of the fixed space, taken in
+    turn, separate every two components.
     """
     k = alg.k
+    phi = alg.frobenius_matrix()
+    fixed = klinalg.kernel(k, [
+        tuple(k.sub(e, k.one()) if i == j else e for j, e in enumerate(row))
+        for i, row in enumerate(phi)])
+    idempotents = [alg.one] if fixed else []   # the zero ring has none
+    for z in fixed:
+        if len(idempotents) == len(fixed):
+            break
+        roots = [k.neg(g[0]) for g, _ in gpoly.factor(k, alg.minimal_polynomial(z))]
+        parts = [_lagrange_idempotent(alg, z, a, roots) for a in roots]
+        idempotents = [e for eps in idempotents for part in parts
+                       for e in [alg.mul(eps, part)]
+                       if any(c != k.zero() for c in e)]
+    if len(idempotents) != len(fixed):  # pragma: no cover
+        raise InternalCheckError("the Frobenius-fixed space did not split")
+    idempotents.sort(key=lambda v: [gpoly.elt_key(c) for c in v])
+    return idempotents
 
-    def sequence_for(comp_basis):
-        seq = list(comp_basis)
-        n = len(comp_basis)
-        for i in range(n):
-            for j in range(i, n):
-                seq.append(alg.mul(comp_basis[i], comp_basis[j]))
-        return seq
 
-    def component_basis(eps):
-        vecs = [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)]
-        return klinalg.span_basis(k, [v for v in vecs
-                                      if any(c != k.zero() for c in v)])
+def _lagrange_idempotent(alg, z, a, roots):
+    """prod over the roots b != a of (z - b)/(a - b)."""
+    k = alg.k
+    out = alg.one
+    for b in roots:
+        if b != a:
+            shifted = alg.sub(z, alg.scale(b, alg.one))
+            out = alg.scale(k.inv(k.sub(a, b)), alg.mul(out, shifted))
+    return out
 
-    final = []
-    work = [alg.one]
-    while work:
-        eps = work.pop()
-        basis = component_basis(eps)
-        split = None
-        for z in sequence_for(basis):
-            m = alg.minimal_polynomial(z, identity=eps)
-            parts = _primary_parts(k, m)
-            if len(parts) > 1:
-                split = (z, m, parts)
-                break
-        if split is None:
-            final.append(eps)
-            continue
-        z, m, parts = split
-        for part in parts:
-            cof = gpoly.divmod_poly(k, m, part)[0]
-            g, u, _ = gpoly.xgcd(k, cof, part)
-            if gpoly.deg(g) != 0:  # pragma: no cover - parts are coprime
-                raise InternalCheckError("primary parts not coprime")
-            e_new = alg.mul(alg.eval_poly(u, z, identity=eps),
-                            alg.eval_poly(cof, z, identity=eps))
-            if alg.mul(e_new, e_new) != e_new:  # pragma: no cover
-                raise InternalCheckError("split produced a non-idempotent")
-            work.append(e_new)
-    final.sort(key=lambda v: [gpoly.elt_key(c) for c in v])
-    return final
+
+def local_components(alg):
+    """(dim eps*B, dim of its residue field) for each local component
+    eps*B of B, in the order of split_local_components.  eps*B meets the
+    nilradical J in eps*J, so its residue field has dimension
+    dim eps*B - dim eps*J."""
+    k = alg.k
+    nil = alg.nilradical_basis()
+    out = []
+    for eps in split_local_components(alg):
+        comp = klinalg.span_basis(
+            k, [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)])
+        rad = klinalg.span_basis(k, [alg.mul(eps, v) for v in nil])
+        out.append((len(comp), len(comp) - len(rad)))
+    return out
+
+
+def unit_count(alg):
+    """|B^x| = |J| prod (|E_i| - 1) over the residue fields E_i of B, read
+    off the local components without building a unit."""
+    q = alg.k.order
+    count = q ** len(alg.nilradical_basis())
+    for _, f_dim in local_components(alg):
+        count *= q ** f_dim - 1
+    return count
 
 
 def unit_group(alg):
@@ -248,19 +268,3 @@ def _residue_generator(alg, eps, rad, rad_piv):
                    for m in exps):
             return z, n + 1
     raise InternalCheckError("residue field has no primitive element")  # pragma: no cover
-
-
-def _primary_parts(k, m):
-    """m = prod of pairwise coprime primary parts g_i^(a_i); returns the parts."""
-    parts = {}
-    for fac, mult in gpoly.factor(k, m):
-        key = tuple(fac)
-        parts[key] = parts.get(key, 0) + mult
-    out = []
-    for fac in sorted(parts,
-                      key=lambda t: (len(t), [gpoly.elt_key(c) for c in t])):
-        power = (k.one(),)
-        for _ in range(parts[fac]):
-            power = gpoly.mul(k, power, fac)
-        out.append(power)
-    return out

@@ -3,17 +3,22 @@
 With O the p-saturation of R (`primes.p_saturation`), the p-overorders
 are exactly the rings between R and O; they correspond one-to-one with
 the overorders of the completed order at p, which is what the downstream
-class-monoid computation consumes.  Candidates are the R-module lattices
-between R and O; a candidate survives if it is multiplicatively closed,
-and the endpoints R and O, which are rings, are not tested.
+class-monoid computation consumes.  Candidates are the R-submodules W of
+O/R.  The lattice L = R + lift(W) is the F_q-span of R and the lifts of a
+basis of W, as W is T-invariant, and R*L lies in L, so L is a ring
+exactly when the product of the lifts of any two basis vectors of W
+reduces mod R into W.  That is tested on O/R, and only the rings are
+pulled back; the endpoints R and O are the zero and the full subspace.
 """
 
 from dataclasses import dataclass
 
 from .fqpoly import FqPoly
 from .ideals import Order
-from .quotient import submodule_lattices
+from .quotient import invariant_window
 from .primes import _internal, _naming, p_saturation, _require_prime
+from . import kalgebra
+from . import klinalg
 
 
 @dataclass(frozen=True)
@@ -28,20 +33,35 @@ class POverorderSet:
 def p_overorders(ctx, p):
     """All p-overorders of R, canonically sorted; contains R and O.
 
-    The R-module lattices between R and O are walked once; each one other
-    than R and O is kept when it is a ring containing 1.  Losing either
-    endpoint is an internal fault.
+    The R-submodules of O/R are walked once; the zero and the full one
+    are R and O, and each other one is pulled back when it is closed
+    under the products of lifts.  A walk without both endpoints is an
+    internal fault.
     """
     ctx.require_separable()
     _require_prime(ctx, p)
     base = Order.monogenic(ctx)
     sat = p_saturation(ctx, p)
-    ends = (base.ideal, sat.ideal)
     with _naming(ctx, "p_overorders", p):
-        lattices = submodule_lattices(sat.ideal, base.ideal, base)
-    orders = [Order(lat, check=False) for lat in lattices
-              if lat in ends or lat.is_order_lattice()]
-    orders.sort(key=lambda s: s.canonical_key())
-    if base not in orders or sat not in orders:
+        quo, subs = invariant_window(sat.ideal, base.ideal, base)
+        table = quo.product_table()
+    if subs[0] or len(subs[-1]) != quo.dim:
         raise _internal(ctx, "p_overorders", "enumeration lost an endpoint order", p)
+    orders = [base] + [Order(quo.pullback(w), check=False) for w in subs[1:-1]
+                       if _closed(ctx.field, table, w)]
+    if quo.dim:
+        orders.append(sat)
+    orders.sort(key=lambda s: s.canonical_key())
     return POverorderSet(p, tuple(orders))
+
+
+def _closed(k, table, w):
+    """Does every product of two vectors of the RREF basis w, under the
+    product table of the slot lifts, lie in the span of w?"""
+    piv = klinalg.rref(k, w)[1]
+    for a, u in enumerate(w):
+        for v in w[a:]:
+            prod = kalgebra.table_product(k, table, u, v)
+            if not klinalg.in_span(k, w, piv, prod):
+                return False
+    return True

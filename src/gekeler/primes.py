@@ -19,7 +19,8 @@ of disc(f) are built, by factoring it.  The maximal order is the product
 of the saturations at the singular primes, each the p-saturation of R,
 validated by the conductor-discriminant identity.  A saturation opens at
 Dedekind's R' = R + (U(pi)/p) R, U a lift of (f mod p)/z, and goes on by
-radical steps; its last step at p builds S/pS = O_K/pO_K over F_q.
+radical steps; its last step at p builds S/pS = O_K/pO_K over F_q, and
+takes no confirming colon where the tame different bound is met.
 """
 
 import contextlib
@@ -38,7 +39,6 @@ from .ideals import FracIdeal, Order, index_ideal
 from .quotient import LatticeQuotient
 from . import gpoly
 from . import kalgebra
-from . import klinalg
 from . import amatrix
 
 
@@ -406,7 +406,23 @@ def maximal_order(ctx):
     Each saturation opens at Dedekind's R' (`dedekind_order`), which is
     the first radical step (rad:rad), and goes on with radical steps S ->
     (rad:rad) until one leaves S fixed.  That last step at p leaves
-    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)]."""
+    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)].
+
+    The step that would confirm S = O takes no colon where the tame bound
+    is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
+    F_q-dimension of the nilradical of S/pS, both read off what the step
+    has built (v_p(disc S) = v_p(disc f) - 2 v_p([S:R]) off the HNF
+    diagonal).  Proof: let O be the p-saturation and i = dim O_p/S_p.
+    Then D(S) = D(O) + 2i, as disc S = [O:S]^2 disc O.  D(O) >= n(O) by
+    Dedekind's different theorem, d_P >= e_P - 1 with equality exactly
+    when the characteristic does not divide e_P (Stichtenoth, Algebraic
+    Function Fields and Codes, Thm 3.5.1), since D(O) = sum d_P f_P deg p
+    and n(O) = sum (e_P - 1) f_P deg p over the primes P of O above p.
+    And n(O) >= n(S) - i: the radical J_S of pS lies in J_O, so O/J_O is
+    a quotient of O/J_S, of dimension i + dim S/J_S.  So D(S) >= n(S) + i,
+    and D(S) = n(S) forces i = 0, S = O.  Conversely the bound is met at O
+    when every e_P is prime to the characteristic, so the colon is taken
+    only on growth steps and at wild primes."""
     ctx.require_separable()
     if "max_order" in ctx.cache:
         return ctx.cache["max_order"]
@@ -419,6 +435,9 @@ def maximal_order(ctx):
         for _ in range(mults[p] + 2):
             with _naming(ctx, "maximal_order", p):
                 rad, alg = p_radical(sat, p)
+            bound = int(p.degree) * (mults[p] - 2 * _index_valuation(sat, p))
+            if bound == len(alg.nilradical_basis()):
+                break
             grown = Order(rad.colon(rad), check=False)
             if grown.ideal == sat.ideal:
                 break
@@ -436,6 +455,24 @@ def maximal_order(ctx):
     ctx.cache["max_disc"] = d_max
     ctx.cache["max_order"] = result
     return result
+
+
+def _index_valuation(order, p):
+    """v_p([S:R]) for an order S containing R = A^r: S is num A^r / den,
+    so [S:R] = den^r / det(num), and num is triangular."""
+    lattice = order.ideal
+    v = order.ctx.r * _valuation(lattice.den, p)
+    return v - sum(_valuation(row[i], p) for i, row in enumerate(lattice.num))
+
+
+def _valuation(a, p):
+    """v_p(a) for a nonzero a in A."""
+    v = 0
+    quot, rem = a.divmod(p)
+    while rem.is_zero():
+        a, v = quot, v + 1
+        quot, rem = a.divmod(p)
+    return v
 
 
 def p_saturation(ctx, p):
@@ -464,7 +501,8 @@ def singular_primes(ctx):
 
 
 def primes_above_in_max(ctx, p):
-    """The sorted pairs (e, f) of the primes of O_K above p.
+    """The sorted pairs (e, f) of the primes of O_K above p, memoised per
+    context.
 
     At a p that is not singular every Kummer-Dedekind prime P of R above p
     is regular, so p does not divide [O_K:R], R and O_K agree at p and the
@@ -472,27 +510,27 @@ def primes_above_in_max(ctx, p):
     built.  At a singular p the saturation has built
     O_K/pO_K over F_q, and it is decomposed into its local components
     O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
-    that dimension less the dimension of its meet with the nilradical.
+    that of its residue field.
     """
     ctx.require_separable()
+    key = ("above", p)
+    if key in ctx.cache:
+        return ctx.cache[key]
     if p not in singular_primes(ctx):
-        return tuple(sorted((e, gpoly.deg(g)) for g, e in dedekind(ctx, p).factors))
-    maximal_order(ctx)
-    alg, deg = ctx.cache[("O_K/p", p)], int(p.degree)
-    k = alg.k
-    nil = alg.nilradical_basis()
-    with _naming(ctx, "primes_above_in_max", p):
-        idempotents = kalgebra.split_local_components(alg)
-    pairs = []
-    for eps in idempotents:
-        comp = klinalg.span_basis(
-            k, [alg.mul(eps, alg.basis_vector(j)) for j in range(alg.dim)])
-        f_dim = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
-        if f_dim <= 0 or f_dim % deg or len(comp) % f_dim:  # pragma: no cover
-            raise _internal(ctx, "primes_above_in_max",
-                            "bad local component dimensions", p)
-        pairs.append((len(comp) // f_dim, f_dim // deg))
-    return tuple(sorted(pairs))
+        pairs = [(e, gpoly.deg(g)) for g, e in dedekind(ctx, p).factors]
+    else:
+        maximal_order(ctx)
+        alg, deg = ctx.cache[("O_K/p", p)], int(p.degree)
+        with _naming(ctx, "primes_above_in_max", p):
+            comps = kalgebra.local_components(alg)
+        pairs = []
+        for dim, f_dim in comps:
+            if f_dim <= 0 or f_dim % deg or dim % f_dim:  # pragma: no cover
+                raise _internal(ctx, "primes_above_in_max",
+                                "bad local component dimensions", p)
+            pairs.append((dim // f_dim, f_dim // deg))
+    ctx.cache[key] = tuple(sorted(pairs))
+    return ctx.cache[key]
 
 
 def infinity_context(ctx):

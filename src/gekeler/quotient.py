@@ -2,8 +2,8 @@
 
 `invariant_window` is the one enumeration the pipeline runs: the
 subspaces of top/bottom invariant under a given order, all of them or
-those above the image of a given lattice.  Its pullbacks
-(`submodule_lattices`) are the R-submodules of O/R (overorders); the
+those above the image of a given lattice.  On O/R they are the
+R-submodules, of which `overorders` pulls back only the rings; the
 S-submodules of O/(S:O) (weak class representatives of a non-Gorenstein
 overorder S) stay subspaces of the ring O/(S:O) (`LatticeQuotient.algebra`),
 where O is the p-saturation of R, and are walked from S/(S:O) up when
@@ -13,6 +13,10 @@ results are deterministic.
 `LatticeQuotient.pullback` is the one map from F_q vectors back to
 lattices, and `LatticeQuotient.algebra` the one construction of S/pS
 (whose nilradical is pulled back by the saturation in `primes`) and O/f.
+The F_q basis of V is the slots T^j b_i, j < deg h_ii, of the HNF h of
+bottom in a basis b of top.  Multiplication by an element, products and
+images are A-linear, so they are solved once per basis column b_i (or
+pair of columns), not once per slot.
 """
 
 import functools
@@ -61,10 +65,18 @@ class LatticeQuotient:
     def reduce_top_coords(self, coords):
         """F_q coordinate tuple of an element given in top coordinates."""
         y = self._residue(coords)
-        out = []
-        for i, j in self.slots:
-            out.append(y[i][j])
-        return tuple(out)
+        return tuple(y[i][j] for i, j in self.slots)
+
+    def _shifted_residues(self, coords, count):
+        """The F_q vectors of T^j y for j < count, for y given by its top
+        coordinates.  bottom is an A-lattice, so T^(j+1) y reduces as T
+        times the residue of T^j y, whose entries have low degree."""
+        y = self._residue(coords)
+        out = [tuple(y[i][j] for i, j in self.slots)]
+        for _ in range(count - 1):
+            y = self._residue([e.shift(1) for e in y])
+            out.append(tuple(y[i][j] for i, j in self.slots))
+        return out
 
     def lift_columns(self, fq_vectors):
         """Power-basis numerator columns (den = top.den) lifting F_q vectors."""
@@ -94,54 +106,64 @@ class LatticeQuotient:
         cols += [tuple(e * b for e in col) for col in self.lift_columns(fq_vectors)]
         return FracIdeal.from_columns(self.ctx, cols, D)
 
+    # -- A-linear maps: one solve per basis column of top, shifted per slot --
+
     def action_matrix(self, z):
         """F_q matrix of multiplication by z on V; needs z * top subseteq top."""
         ctx = self.ctx
         cols = self.top.basis_columns()
         out_cols = []
-        for i, j in self.slots:
-            shifted = tuple(e.shift(j) for e in cols[i])
-            vec = ctx.mult_vectors(z.num, shifted)
-            # the slot element is (T^j * col_i)/top.den, so the product is
+        for i, d in enumerate(self.slot_degrees):
+            if not d:
+                continue
+            # col_i is a numerator over top.den, so the product is
             # vec / (z.den * top.den)
-            coords = self.top.coordinates(vec, z.den * self.top.den)
+            coords = self.top.coordinates(ctx.mult_vectors(z.num, cols[i]),
+                                          z.den * self.top.den)
             if coords is None:
                 raise InternalCheckError("element does not stabilize the top lattice")
-            out_cols.append(self.reduce_top_coords(coords))
+            out_cols += self._shifted_residues(coords, d)
         return [tuple(out_cols[c][rw] for c in range(self.dim))
                 for rw in range(self.dim)]
 
     def image(self, lattice):
         """RREF basis of the image in V of a lattice between bottom and top:
         its A-basis times T^j, j < dim, reduced mod bottom."""
-        vecs = [self.reduce_top_coords(self.top.coordinates(
-                    tuple(e.shift(j) for e in col), lattice.den))
-                for col in lattice.basis_columns() for j in range(self.dim)]
+        vecs = [v for col in lattice.basis_columns()
+                for v in self._shifted_residues(
+                    self.top.coordinates(col, lattice.den), self.dim)]
         return klinalg.span_basis(self.ctx.field, vecs)
+
+    def product_table(self):
+        """struct[a][b]: the F_q vector of the product of the lifts of slots
+        a and b, for an order top; V's structure constants when bottom is
+        a top-ideal."""
+        ctx = self.ctx
+        cols = self.top.basis_columns()
+        den2 = self.top.den * self.top.den
+        degs = self.slot_degrees
+        used = [i for i in range(ctx.r) if degs[i]]
+        products = {}
+        for n, i in enumerate(used):
+            for i2 in used[n:]:
+                coords = self.top.coordinates(ctx.mult_vectors(cols[i], cols[i2]),
+                                              den2)
+                if coords is None:
+                    raise InternalCheckError("the top lattice is not a ring")
+                products[i, i2] = products[i2, i] = self._shifted_residues(
+                    coords, degs[i] + degs[i2] - 1)
+        return [[products[i, i2][j + j2] for i2, j2 in self.slots]
+                for i, j in self.slots]
 
     def algebra(self):
         """V as a ring, for an order top and a top-ideal bottom: the
         structure constants of the slot basis, as a FiniteAlgebra over F_q."""
-        ctx = self.ctx
-        F = ctx.field
-
-        def residue(vec, den):
-            coords = self.top.coordinates(vec, den)
-            if coords is None:
-                raise InternalCheckError("the top lattice is not a ring")
-            return self.reduce_top_coords(coords)
-
-        basis = [tuple(F.one() if t == s else F.zero() for t in range(self.dim))
-                 for s in range(self.dim)]
-        lifts = self.lift_columns(basis)
-        den2 = self.top.den * self.top.den
-        struct = [[None] * self.dim for _ in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                struct[a][b] = struct[b][a] = residue(
-                    ctx.mult_vectors(lifts[a], lifts[b]), den2)
-        one = KElement.one(ctx)
-        return kalgebra.FiniteAlgebra(F, struct, residue(one.num, one.den))
+        one = KElement.one(self.ctx)
+        coords = self.top.coordinates(one.num, one.den)
+        if coords is None:
+            raise InternalCheckError("the top lattice is not a ring")
+        return kalgebra.FiniteAlgebra(self.ctx.field, self.product_table(),
+                                      self.reduce_top_coords(coords))
 
     def index_radical(self):
         """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.
@@ -168,13 +190,6 @@ def invariant_window(top, bottom, ring, start=None):
     nil = quo.action_matrix(KElement.from_fqpoly(ctx, quo.index_radical()))
     base = () if start is None else tuple(quo.image(start))
     return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil, base)
-
-
-def submodule_lattices(top, bottom, ring):
-    """Every ring-module lattice between bottom and top, for an order
-    `ring` that stabilizes both: the pullbacks of `invariant_window`."""
-    quo, subs = invariant_window(top, bottom, ring)
-    return [quo.pullback(sub) for sub in subs]
 
 
 def _is_scalar(field, mat):

@@ -170,7 +170,7 @@ def _orbit_representatives(quo, subs, s_order):
     index = {w: i for i, w in enumerate(kept)}
     if s_sub not in index:
         raise InternalCheckError("S/f is missing from its own window")
-    size = v_units // kalgebra.unit_group(alg.subalgebra(s_sub, s_piv))[1]
+    size = v_units // kalgebra.unit_count(alg.subalgebra(s_sub, s_piv))
     placed = set()
     orbits = []
     for start in [index[s_sub]] + list(range(len(kept))):

@@ -170,6 +170,19 @@ def test_check_depth_below_one_is_rejected(depth):
     assert err == "error: --check-depth must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--q", "3", "--f", "x^2 - T^3", "--prime", "T", "--level", "1",
+     "--budget", "-5"],
+    ["icm", "--q", "3", "--f", "x^2 - T^3", "--prime", "T", "--budget", "-1"],
+    ["oracle", "count", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
+     "--budget", "0"],
+    ["product", "--q", "3", "--f", "x^2 - T", "--budget", "0"]])
+def test_budget_below_one_is_rejected(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be >= 1\n"
+
+
 def test_zeta_elliptic():
     code, out, _ = run_cli(["zeta", "--q", "5", "--f", "x^2 - (T^3 + T + 1)"])
     assert code == 0
@@ -292,10 +305,13 @@ def test_product_builds_no_kummer_dedekind_ideal(monkeypatch):
 def test_lost_endpoint_order_is_an_internal_failure(monkeypatch):
     # a walk that drops O is a fault of the program, not of the input
     from gekeler import overorders
-    real = overorders.submodule_lattices
-    monkeypatch.setattr(overorders, "submodule_lattices",
-                        lambda top, bottom, ring: [l for l in real(top, bottom, ring)
-                                                   if l != top])
+    real = overorders.invariant_window
+
+    def drop_top(top, bottom, ring):
+        quo, subs = real(top, bottom, ring)
+        return quo, [w for w in subs if len(w) != quo.dim]
+
+    monkeypatch.setattr(overorders, "invariant_window", drop_top)
     code, out, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
                               "--prime", "T"])
     assert code == 1
@@ -311,13 +327,13 @@ def test_unstable_top_lattice_is_an_internal_failure(monkeypatch):
     from gekeler.context import KElement
     from gekeler.fqpoly import FqPoly
     from gekeler.ideals import Order
-    real = overorders.submodule_lattices
+    real = overorders.invariant_window
 
     def o_on_r_mod_t(top, bottom, ring):
         t = KElement.from_fqpoly(bottom.ctx, FqPoly.gen(bottom.ctx.field))
         return real(bottom, bottom.scale(t), Order(top, check=False))
 
-    monkeypatch.setattr(overorders, "submodule_lattices", o_on_r_mod_t)
+    monkeypatch.setattr(overorders, "invariant_window", o_on_r_mod_t)
     code, _, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
                             "--prime", "T"])
     assert code == 1

@@ -324,6 +324,80 @@ def test_dedekind_order_is_the_first_radical_step():
     assert len(covered) == 26
 
 
+def _radical_chain(start, p):
+    """S -> (rad:rad) from the order `start` until it stops."""
+    chain = [start]
+    while True:
+        rad, _ = P.p_radical(chain[-1], p)
+        grown = Order(rad.colon(rad), check=False)
+        if grown == chain[-1]:
+            return chain
+        chain.append(grown)
+
+
+def _valuation(a, p):
+    v = 0
+    while (a % p).is_zero():
+        a, v = a // p, v + 1
+    return v
+
+
+def test_saturation_is_the_colon_fixed_point():
+    # the tame stop ends each saturation where the radical steps from R
+    # stop, at every singular p of the pools and their models at infinity
+    seen = 0
+    for ctx, p in _dedekind_cases():
+        if p in P.singular_primes(ctx):
+            assert P.p_saturation(ctx, p) == _radical_chain(Order.monogenic(ctx), p)[-1]
+            seen += 1
+    assert seen == 26
+
+
+def test_tame_bound_is_met_only_at_the_end_of_a_chain():
+    # D(S) = deg p * v_p(disc S), from the trace form, and n(S), the
+    # dimension of the nilradical of S/pS: D(S) >= n(S) along the radical
+    # chain from Dedekind's order, with equality only at its end, and there
+    # exactly when every e is prime to the characteristic
+    wild = 0
+    for ctx, p in _dedekind_cases():
+        if p not in P.singular_primes(ctx):
+            continue
+        terms = []
+        for order in _radical_chain(P.dedekind_order(ctx, p), p):
+            d = int(p.degree) * _valuation(P.order_discriminant(order), p)
+            terms.append((d, len(P.p_radical(order, p)[1].nilradical_basis())))
+        assert all(d > n for d, n in terms[:-1])
+        tame = all(e % ctx.field.p for e, _ in P.primes_above_in_max(ctx, p))
+        assert terms[-1][0] >= terms[-1][1]
+        assert (terms[-1][0] == terms[-1][1]) == tame
+        wild += not tame
+    assert wild == 2
+
+
+def test_wild_saturation_takes_the_confirming_colon(monkeypatch):
+    # at infinity x*(x+T)*(x^2+T) + T^5 (q=2) has one place, with e = 4,
+    # so D(O) > n(O) and only the colon of the radical of O shows that O
+    # is maximal; at T, x^3 - T^5 (e = 3) stops without it
+    F = gf(2)
+    U = FqPoly.gen(F)
+    taken = []
+    real = FracIdeal.colon
+
+    def colon(self, other):
+        taken.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(FracIdeal, "colon", colon)
+    wild = P.infinity_context(AlgebraContext(
+        F, parse_bipoly(F, "x*(x+T)*(x^2+T) + T^5")))
+    tame = AlgebraContext(F, parse_bipoly(F, "x^3 - T^5"))
+    for ctx, e, confirmed in ((wild, 4, True), (tame, 3, False)):
+        taken.clear()
+        sat = P.p_saturation(ctx, U)
+        assert P.primes_above_in_max(ctx, U) == ((e, 1),)
+        assert (P.p_radical(sat, U)[0] in taken) == confirmed
+
+
 def test_dedekind_faults_name_the_stage_and_instance(monkeypatch):
     # a lift whose product is not f mod p leaves prod G_i^e_i - f outside pA[x]
     from gekeler.cli import main
@@ -627,7 +701,8 @@ def test_internal_checks_name_the_stage_and_instance(monkeypatch):
     ctx = fresh()
     P.maximal_order(ctx)
     with monkeypatch.context() as m:
-        m.setattr(kalgebra.FiniteAlgebra, "minimal_polynomial", fail)
+        # the local split reads the Frobenius and needs no minimal polynomial
+        m.setattr(kalgebra.FiniteAlgebra, "frobenius_matrix", fail)
         with pytest.raises(InternalCheckError) as exc:
             P.primes_above_in_max(ctx, T)
     assert str(exc.value) == ("primes_above_in_max: minimal polynomial search "

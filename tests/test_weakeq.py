@@ -16,12 +16,19 @@ from gekeler.primes import (infinity_context, maximal_order, p_saturation,
                             singular_primes)
 from gekeler.overorders import p_overorders
 from gekeler.quotient import (LatticeQuotient, invariant_subspaces,
-                              invariant_window, submodule_lattices)
-from gekeler.kalgebra import unit_group
+                              invariant_window)
+from gekeler.kalgebra import unit_count, unit_group
 from gekeler import klinalg
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
                             local_icm, globally_weakly_equivalent)
 from gekeler.errors import InputError, InternalCheckError
+
+
+def submodule_lattices(top, bottom, ring):
+    """Every ring-module lattice between bottom and top, for an order
+    `ring` that stabilizes both: the pullbacks of `invariant_window`."""
+    quo, subs = invariant_window(top, bottom, ring)
+    return [quo.pullback(sub) for sub in subs]
 
 
 def test_weak_classes_maximal_order_is_single():
@@ -379,7 +386,8 @@ def test_unit_generators_generate_the_unit_group(q, fstr):
     for ctx, p, s, _, _ in _non_gorenstein_windows(q, fstr):
         k = ctx.field
         sat = p_saturation(ctx, p).ideal
-        alg = LatticeQuotient(sat, s.ideal.colon(sat)).algebra()
+        quo = LatticeQuotient(sat, s.ideal.colon(sat))
+        alg = quo.algebra()
         units = {z for z in itertools.product(k.elements(), repeat=alg.dim)
                  if len(klinalg.rref(k, alg.mult_matrix(z))[0]) == alg.dim}
         group = {alg.one}
@@ -392,7 +400,12 @@ def test_unit_generators_generate_the_unit_group(q, fstr):
                     group.add(zg)
                     frontier.append(zg)
         assert group == units
-        assert order == len(units)
+        assert order == len(units) == unit_count(alg)
+        # a unit of V in S/f is a unit of the finite ring S/f
+        s_sub = quo.image(s.ideal)
+        s_piv = klinalg.rref(k, s_sub)[1]
+        assert unit_count(alg.subalgebra(s_sub, s_piv)) == sum(
+            klinalg.in_span(k, s_sub, s_piv, u) for u in units)
 
 
 def test_weak_classes_take_no_colon_per_window_lattice(monkeypatch):
