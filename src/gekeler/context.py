@@ -7,10 +7,34 @@ monic denominator.  A product in K is a product in A[x] followed by the
 remainder mod f, both run by gpoly over fqpoly.poly_ring.
 """
 
-from .errors import InputError, ReducibleError, InseparableError
+import contextlib
+
+from .errors import (InputError, InternalCheckError, ReducibleError,
+                     InseparableError)
 from .fqpoly import FqPoly, gcd_list, poly_ring
 from .bifactor import is_irreducible_bivariate
 from . import gpoly
+
+
+def _internal(ctx, stage, what, p=None):
+    """InternalCheckError naming the stage and instance (q, f) and, when
+    given, the prime p; p may be text."""
+    if isinstance(p, FqPoly):
+        p = p.to_str(ctx.tvar)
+    where = "" if p is None else f", p = {p}"
+    return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
+                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
+
+
+@contextlib.contextmanager
+def _naming(ctx, stage, p=None):
+    """Re-raise a helper's bare InternalCheckError (bifactor, kalgebra,
+    quotient, LPolynomial) through _internal, naming the stage and the
+    instance."""
+    try:
+        yield
+    except InternalCheckError as exc:
+        raise _internal(ctx, stage, str(exc), p) from None
 
 
 class AlgebraContext:
@@ -29,9 +53,10 @@ class AlgebraContext:
         self.separable = not f.derivative_x().is_zero()
         # results derived from f (orders, splittings, places), keyed by kind
         self.cache = {}
-        if check and not is_irreducible_bivariate(f, seed=seed):
-            raise ReducibleError(f"f = {f.to_str(tvar, xvar)} is reducible over "
-                                 f"F_{field.q}({tvar})")
+        with _naming(self, "is_irreducible_bivariate"):
+            if check and not is_irreducible_bivariate(f, seed=seed):
+                raise ReducibleError(f"f = {f.to_str(tvar, xvar)} is reducible "
+                                     f"over F_{field.q}({tvar})")
         zero, one = self.ring.zero(), self.ring.one()
         # the power basis 1, pi, ..., pi^(r-1) as unit vectors
         self.power_vectors = tuple(

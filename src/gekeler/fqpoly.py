@@ -3,10 +3,12 @@
 The coefficient tuple lists coefficients by increasing degree; the zero
 polynomial is the empty tuple and its degree is the sentinel NEG_INF,
 which compares below every integer so degree bounds never need a special
-case.  Values are immutable and hashable.  The arithmetic is gpoly's: each
-operator passes the coefficient tuples to gpoly and wraps the normalised
-tuple it returns without scanning or copying it again.  The extended gcd
-and modular powers are gpoly.xgcd and gpoly.powmod, on coefficient tuples.
+case.  Values are immutable and hashable.  The arithmetic is gpoly's: an
+operator whose answer is an operand (x + 0, x - 0, x * 1, 0 * x, 0 // b,
+x // 1) returns it at once; any other passes the coefficient tuples to
+gpoly and wraps the normalised tuple it returns without scanning or
+copying it again.  The extended gcd and modular powers are gpoly.xgcd and
+gpoly.powmod, on coefficient tuples.
 """
 
 import functools
@@ -85,16 +87,27 @@ class FqPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         return _wrap(self.field, gpoly.add(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
         return _wrap(self.field, gpoly.neg(self.field, self.coeffs))
 
     def __sub__(self, other):
+        if not other.coeffs:
+            return self
         return _wrap(self.field, gpoly.sub(self.field, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        return _wrap(self.field, gpoly.mul(self.field, self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or b == (1,):
+            return self
+        if not b or a == (1,):
+            return other
+        return _wrap(self.field, gpoly.mul(self.field, a, b))
 
     def scale(self, c):
         return _wrap(self.field, gpoly.scale(self.field, self.coeffs, c))
@@ -116,6 +129,10 @@ class FqPoly:
         return out
 
     def divmod(self, other):
+        if other.coeffs == (1,):
+            return self, _wrap(self.field, ())
+        if not self.coeffs and other.coeffs:
+            return self, self
         quot, rem = gpoly.divmod_poly(self.field, self.coeffs, other.coeffs)
         return _wrap(self.field, quot), _wrap(self.field, rem)
 

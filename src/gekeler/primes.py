@@ -23,18 +23,17 @@ radical steps; its last step at p builds S/pS = O_K/pO_K over F_q, and
 takes no confirming colon where the tame different bound is met.
 """
 
-import contextlib
 import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError, InternalCheckError
+from .errors import BudgetExceeded, InputError
 from .gf import embedding, fits_table, gf
 from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
 from .bipoly import discriminant
 from .residue import ResidueField
-from .context import AlgebraContext, KElement
+from .context import AlgebraContext, KElement, _internal, _naming
 from .ideals import FracIdeal, Order, index_ideal
 from .quotient import LatticeQuotient
 from . import gpoly
@@ -70,26 +69,6 @@ class SplittingReport:
             "p": self.p.to_str(tvar),
             "primes": [q.to_json_dict() for q in self.primes],
         }
-
-
-def _internal(ctx, stage, what, p=None):
-    """InternalCheckError naming the stage and instance (q, f) and, when
-    given, the prime p; p may be text."""
-    if isinstance(p, FqPoly):
-        p = p.to_str(ctx.tvar)
-    where = "" if p is None else f", p = {p}"
-    return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
-                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
-
-
-@contextlib.contextmanager
-def _naming(ctx, stage, p=None):
-    """Re-raise a helper's bare InternalCheckError (kalgebra, quotient,
-    LPolynomial) through _internal, naming the stage and the instance."""
-    try:
-        yield
-    except InternalCheckError as exc:
-        raise _internal(ctx, stage, str(exc), p) from None
 
 
 def _require_prime(ctx, p):
@@ -391,12 +370,12 @@ def order_discriminant(order):
 
 
 def p_radical(order, p):
-    """The radical of pS in S (Frobenius-kernel method), the pullback of the
-    nilradical of S/pS, and S/pS itself as an F_q-algebra."""
+    """S/pS as the quotient of lattices and as an F_q-algebra.  The radical
+    of pS in S (Frobenius-kernel method) is quo.pullback of the nilradical
+    of alg, one HNF, taken only by a caller that uses it."""
     quo = LatticeQuotient(order.ideal,
                           order.ideal.scale(KElement.from_fqpoly(order.ctx, p)))
-    alg = quo.algebra()
-    return quo.pullback(alg.nilradical_basis()), alg
+    return quo, quo.algebra()
 
 
 def maximal_order(ctx):
@@ -406,7 +385,9 @@ def maximal_order(ctx):
     Each saturation opens at Dedekind's R' (`dedekind_order`), which is
     the first radical step (rad:rad), and goes on with radical steps S ->
     (rad:rad) until one leaves S fixed.  That last step at p leaves
-    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)].
+    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)].  Each step builds S/pS
+    and its nilradical first; the nilradical is pulled back to the
+    radical lattice only on a step that goes on to take the colon.
 
     The step that would confirm S = O takes no colon where the tame bound
     is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
@@ -434,10 +415,12 @@ def maximal_order(ctx):
         sat = dedekind_order(ctx, p)
         for _ in range(mults[p] + 2):
             with _naming(ctx, "maximal_order", p):
-                rad, alg = p_radical(sat, p)
+                quo, alg = p_radical(sat, p)
+                nil = alg.nilradical_basis()
             bound = int(p.degree) * (mults[p] - 2 * _index_valuation(sat, p))
-            if bound == len(alg.nilradical_basis()):
+            if bound == len(nil):
                 break
+            rad = quo.pullback(nil)
             grown = Order(rad.colon(rad), check=False)
             if grown.ideal == sat.ideal:
                 break

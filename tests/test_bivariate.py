@@ -201,3 +201,25 @@ def test_benchmark_curves_are_proved_irreducible_without_a_lift(monkeypatch, q, 
 
     monkeypatch.setattr(bifactor, "_hensel_lift_list", refuse)
     assert is_irreducible_bivariate(parse_bipoly(gf_of_order(q), fstr))
+
+
+@pytest.mark.parametrize("seam,what", [
+    ("_choose_hensel_prime", "no squarefree reduction found"),
+    ("_hensel_lift_list", "Hensel step lost divisibility")])
+def test_irreducibility_faults_name_the_stage_and_instance(monkeypatch, capsys,
+                                                           seam, what):
+    # a fault inside the Hensel lifting reaches the user with the stage and
+    # (q, f), not as a bare invariant message
+    from gekeler import bifactor
+    from gekeler.cli import main
+    from gekeler.errors import InternalCheckError
+
+    def fail(*args, **kwargs):
+        raise InternalCheckError(what)
+
+    monkeypatch.setattr(bifactor, seam, fail)
+    code = main(["primes", "--q", "3", "--f", "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"internal invariant failure: is_irreducible_bivariate: {what} for "
+        "q = 3, f = x^4 + (T^3 + 2*T + 1)*x^2 + T^6 + T^4 + T^2\n")

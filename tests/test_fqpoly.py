@@ -4,7 +4,7 @@ import pytest
 
 from gekeler import fqpoly, gpoly
 from gekeler.bifactor import is_irreducible_bivariate
-from gekeler.errors import BudgetExceeded
+from gekeler.errors import BudgetExceeded, InputError
 from gekeler.gf import gf, gf_of_order
 from gekeler.parse import parse_bipoly
 from gekeler.fqpoly import (FqPoly, NEG_INF, poly_gcd, poly_lcm,
@@ -205,3 +205,67 @@ def test_operator_results_are_normalised():
                 assert isinstance(res.coeffs, tuple)
                 assert not res.coeffs or res.coeffs[-1] != 0
                 assert res == FqPoly(F, list(res.coeffs))
+
+
+def _operands(F, rng):
+    """0, 1, the other constants and dense polynomials of degree 1 to 5."""
+    out = [FqPoly.zero(F), FqPoly.one(F)]
+    out += [FqPoly.const(F, c) for c in range(2, F.q)]
+    for d in range(1, 6):
+        top = rng.randrange(1, F.q)
+        out.append(FqPoly(F, [rng.randrange(F.q) for _ in range(d)] + [top]))
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2)])
+def test_operators_match_gpoly_on_every_operand_kind(p, e):
+    # the short-circuits for 0 and 1 give gpoly's answer in the operands'
+    # field, and division by the zero polynomial raises, 0 by 0 included
+    F = gf(p, e)
+    rng = random.Random(53 + F.q)
+    ops = _operands(F, rng)
+    for a in ops:
+        for b in ops + [rand_poly(F, 3, rng) for _ in range(3)]:
+            expected = {"+": gpoly.add(F, a.coeffs, b.coeffs),
+                        "-": gpoly.sub(F, a.coeffs, b.coeffs),
+                        "*": gpoly.mul(F, a.coeffs, b.coeffs)}
+            got = {"+": a + b, "-": a - b, "*": a * b}
+            if b.is_zero():
+                for divide in (a.divmod, a.__floordiv__, a.__mod__, a.exact_div):
+                    with pytest.raises(ZeroDivisionError):
+                        divide(b)
+            else:
+                quot, rem = gpoly.divmod_poly(F, a.coeffs, b.coeffs)
+                expected.update({"q": quot, "r": rem, "//": quot, "%": rem})
+                got["q"], got["r"] = a.divmod(b)
+                got["//"], got["%"] = a // b, a % b
+                if rem:
+                    with pytest.raises(InputError):
+                        a.exact_div(b)
+                else:
+                    expected["exact"], got["exact"] = quot, a.exact_div(b)
+            for op, res in got.items():
+                assert res.field is F and res.coeffs == expected[op], (op, a, b)
+
+
+def test_zero_and_one_operands_call_no_gpoly_routine(monkeypatch):
+    F = gf(3, 2)
+    zero, one = FqPoly.zero(F), FqPoly.one(F)
+    x = FqPoly(F, (2, 0, 5))
+
+    def refuse(*args):
+        raise AssertionError("gpoly called on a 0 or 1 operand")
+
+    for name in dir(gpoly):
+        if not name.startswith("_") and callable(getattr(gpoly, name)):
+            monkeypatch.setattr(gpoly, name, refuse)
+    for y in (zero, one, x):
+        assert y + zero is y and zero + y is y and y - zero is y
+        assert y * one is y and one * y is y
+        assert (y * zero).is_zero() and (zero * y).is_zero()
+        assert y // one is y and (y % one).is_zero()
+        if y:
+            assert zero.divmod(y) == (zero, zero)
+            assert zero.exact_div(y) is zero
+    with pytest.raises(AssertionError):
+        x * x

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import io
 import random
+import sys
 from pathlib import Path
 
 from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
@@ -149,19 +150,39 @@ def test_a_linear_quotient_maps_match_the_slot_oracles():
     assert seen == 138
 
 
-def _icm_window_argvs():
+def _workload_argvs(name):
+    """The argvs of one benchmark workload, read from perfbench."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ICM_WINDOW
+    return getattr(module, name)
+
+
+def _count_radical_pullbacks(monkeypatch):
+    """A list that grows by one for each lattice pulled back while
+    maximal_order runs: the radicals of its saturation steps."""
+    pulled = []
+    real, code = LatticeQuotient.pullback, P.maximal_order.__code__
+
+    def pullback(self, fq_vectors):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if frame is not None:
+            pulled.append(self)
+        return real(self, fq_vectors)
+
+    monkeypatch.setattr(LatticeQuotient, "pullback", pullback)
+    return pulled
 
 
 def test_icm_window_pass_reads_local_structure(monkeypatch):
     # one in-process pass of the 9 icm_window jobs: the saturations stop at
     # the tame bound and take 15 colons (26 before), no local algebra is
-    # split by minimal polynomials, and O_K/pO_K is split once per (ctx, p)
-    colons, radicals, splits = [], [], []
+    # split by minimal polynomials, O_K/pO_K is split once per (ctx, p),
+    # and a radical is pulled back only for a colon, 10 of them (21 before)
+    colons, built, splits = [], [], []
     real_colon, real_radical = FracIdeal.colon, P.p_radical
     real_split = kalgebra.split_local_components
 
@@ -170,9 +191,9 @@ def test_icm_window_pass_reads_local_structure(monkeypatch):
         return real_colon(self, other)
 
     def p_radical(order, p):
-        out = real_radical(order, p)
-        radicals.append(out[1])
-        return out
+        quo, alg = real_radical(order, p)
+        built.append(alg)
+        return quo, alg
 
     def split(alg):
         splits.append(alg)
@@ -185,9 +206,22 @@ def test_icm_window_pass_reads_local_structure(monkeypatch):
     monkeypatch.setattr(P, "p_radical", p_radical)
     monkeypatch.setattr(kalgebra, "split_local_components", split)
     monkeypatch.setattr(kalgebra.FiniteAlgebra, "minimal_polynomial", refuse)
-    for argv in _icm_window_argvs():
+    pulled = _count_radical_pullbacks(monkeypatch)
+    for argv in _workload_argvs("ICM_WINDOW"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(argv)) == 0
     assert len(colons) <= 15
-    per_algebra = [sum(a is r for a in splits) for r in radicals]
+    assert len(pulled) <= 10
+    per_algebra = [sum(a is r for a in splits) for r in built]
     assert max(per_algebra) == 1 and sum(per_algebra) == 3
+
+
+def test_census_pass_pulls_back_no_radical(monkeypatch):
+    # the census saturations all stop at the tame bound, so none of them
+    # pulls its nilradical back to a lattice (one before)
+    pulled = _count_radical_pullbacks(monkeypatch)
+    for argv in _workload_argvs("CENSUS"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(list(argv))
+    assert pulled == []

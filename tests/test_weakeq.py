@@ -746,7 +746,8 @@ def test_orders_that_skip_the_conductor_are_gorenstein(q, fstr):
 
 
 def _count_work(monkeypatch, q, fstr):
-    """local_icm at T on a fresh context, counting colons and p-radicals."""
+    """local_icm at T on a fresh context, counting colons and the builds of
+    S/pS by p_radical."""
     from gekeler import primes
     calls = {"colon": 0, "p_radical": 0}
     colon, p_radical = FracIdeal.colon, primes.p_radical
@@ -768,7 +769,8 @@ def _count_work(monkeypatch, q, fstr):
 
 def test_local_icm_takes_no_colon_whose_answer_is_known(monkeypatch):
     # the saturation opens at Dedekind's order, one radical step early,
-    # and R, O and the orders of rank 2 take no conductor colon
+    # builds S/pS three times, and R, O and the orders of rank 2 take no
+    # conductor colon
     report, calls = _count_work(monkeypatch, 2, "x^3 - T^5")
     assert report.m_p == 7
     assert calls["colon"] <= 6 and calls["p_radical"] == 3
