@@ -8,6 +8,7 @@ remainder mod f, both run by gpoly over fqpoly.poly_ring.
 """
 
 import contextlib
+import functools
 
 from .errors import (InputError, InternalCheckError, ReducibleError,
                      InseparableError)
@@ -37,6 +38,19 @@ def _naming(ctx, stage, p=None):
         raise _internal(ctx, stage, str(exc), p) from None
 
 
+def memoized(fn):
+    """Cache fn(ctx, *args) in ctx.cache under (fn, *args): the one memo
+    rule for what a context derives from f.  A call that raises caches
+    nothing, so it raises again when asked again."""
+    @functools.wraps(fn)
+    def cached(ctx, *args):
+        key = (fn, *args)
+        if key not in ctx.cache:
+            ctx.cache[key] = fn(ctx, *args)
+        return ctx.cache[key]
+    return cached
+
+
 class AlgebraContext:
     def __init__(self, field, f, seed=0, check=True, tvar="T", xvar="x"):
         if f.deg_x < 1:
@@ -51,7 +65,7 @@ class AlgebraContext:
         self.tvar = tvar
         self.xvar = xvar
         self.separable = not f.derivative_x().is_zero()
-        # results derived from f (orders, splittings, places), keyed by kind
+        # results derived from f (orders, splittings, places), kept by memoized
         self.cache = {}
         with _naming(self, "is_irreducible_bivariate"):
             if check and not is_irreducible_bivariate(f, seed=seed):

@@ -5,10 +5,10 @@ polynomial is the empty tuple and its degree is the sentinel NEG_INF,
 which compares below every integer so degree bounds never need a special
 case.  Values are immutable and hashable.  The arithmetic is gpoly's: an
 operator whose answer is an operand (x + 0, x - 0, x * 1, 0 * x, 0 // b,
-x // 1) returns it at once; any other passes the coefficient tuples to
-gpoly and wraps the normalised tuple it returns without scanning or
-copying it again.  The extended gcd and modular powers are gpoly.xgcd and
-gpoly.powmod, on coefficient tuples.
+x // 1, x % b for deg x < deg b) returns it at once; any other passes
+the coefficient tuples to gpoly and wraps the normalised tuple it returns
+without scanning or copying it again.  The extended gcd and modular
+powers are gpoly.xgcd and gpoly.powmod, on coefficient tuples.
 """
 
 import functools
@@ -129,11 +129,12 @@ class FqPoly:
         return out
 
     def divmod(self, other):
-        if other.coeffs == (1,):
+        a, b = self.coeffs, other.coeffs
+        if b == (1,):
             return self, _wrap(self.field, ())
-        if not self.coeffs and other.coeffs:
-            return self, self
-        quot, rem = gpoly.divmod_poly(self.field, self.coeffs, other.coeffs)
+        if len(a) < len(b):   # deg a < deg b, so b != 0
+            return (_wrap(self.field, ()) if a else self), self
+        quot, rem = gpoly.divmod_poly(self.field, a, b)
         return _wrap(self.field, quot), _wrap(self.field, rem)
 
     def __floordiv__(self, other):
@@ -231,11 +232,14 @@ def poly_lcm(a, b):
 
 
 def gcd_list(polys, field):
+    """Monic gcd of the polys, 0 when none is nonzero; it starts from the
+    first nonzero one and stops at 1."""
     g = FqPoly.zero(field)
     for p in polys:
-        g = poly_gcd(g, p)
-        if g.is_one():
-            return g
+        if p:
+            g = poly_gcd(g, p) if g else p.monic()
+            if g.is_one():
+                return g
     return g
 
 

@@ -9,7 +9,7 @@ by such a global lattice.
 
 from .errors import InputError, NotContained
 from .fqpoly import FqPoly, poly_lcm, gcd_list
-from .context import KElement
+from .context import KElement, memoized
 from . import amatrix
 
 
@@ -62,13 +62,11 @@ class FracIdeal:
         return FracIdeal.from_columns(ctx, cols, den)
 
     @staticmethod
+    @memoized
     def unit_ideal(ctx):
-        """The monogenic order R = A[pi] as a lattice, built once per context."""
-        if "unit" not in ctx.cache:
-            F = ctx.field
-            ctx.cache["unit"] = FracIdeal(ctx, amatrix.mat_identity(F, ctx.r),
-                                          FqPoly.one(F))
-        return ctx.cache["unit"]
+        """The monogenic order R = A[pi] as a lattice."""
+        return FracIdeal(ctx, amatrix.mat_identity(ctx.field, ctx.r),
+                         FqPoly.one(ctx.field))
 
     # -- structure ----------------------------------------------------------
 
@@ -85,6 +83,12 @@ class FracIdeal:
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    def covolume(self):
+        """deg det of an A-basis, read off the HNF diagonal, so that
+        deg [L:M] = M.covolume() - L.covolume() for M <= L."""
+        diagonal = sum(int(row[i].degree) for i, row in enumerate(self.num))
+        return diagonal - self.ctx.r * int(self.den.degree)
 
     def canonical_key(self):
         """Deterministic sort key (degree-graded encoding of the HNF)."""

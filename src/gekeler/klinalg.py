@@ -124,25 +124,3 @@ def matmul_vec(k, rows, vec):
         out.append(acc)
     return tuple(out)
 
-
-def intersect_spans(k, basis1, basis2):
-    """Basis of the intersection of two spans inside k^n."""
-    if not basis1 or not basis2:
-        return []
-    n = len(basis1[0])
-    # rows of [B1; B2]^T stacked: kernel of [B1^T | -B2^T]
-    cols = len(basis1) + len(basis2)
-    rows = []
-    for i in range(n):
-        row = [b[i] for b in basis1] + [k.neg(b[i]) for b in basis2]
-        rows.append(row)
-    out = []
-    for kv in kernel(k, rows):
-        vec = [k.zero()] * n
-        for c, b in zip(kv[: len(basis1)], basis1):
-            if c != k.zero():
-                for j in range(n):
-                    vec[j] = k.add(vec[j], k.mul(c, b[j]))
-        if any(e != k.zero() for e in vec):
-            out.append(tuple(vec))
-    return span_basis(k, out)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .fqpoly import FqPoly
 from .ideals import Order
 from .quotient import invariant_window
-from .primes import _internal, _naming, p_saturation, _require_prime
+from .context import _internal, _naming
+from .primes import p_saturation, _require_prime
 from . import kalgebra
 from . import klinalg
 

@@ -8,19 +8,21 @@ exactly when g_i divides z, which is the remainder rule "f mod G_i
 vanishes mod p^2"; singular_primes, the one test of p-maximality, reads
 the record only where p^2 | disc(f) = [O_K:R]^2 disc(O_K), and the
 record builds no ideal (kummer_dedekind builds them for its report).
-Splitting in the maximal order is a splitting type, the sorted pairs
-(e, f) of the primes of O_K above p: at p not dividing disc(f) it is the
-distinct-degree pattern of f mod p; at the other regular p it is the
-record's (e_i, deg g_i) (Dedekind's criterion); only at the singular
-primes is it read off the local components of O_K/pO_K.  The census of
-the primes of one degree lists no prime: type_counts counts the
-splitting types of the Frobenius orbits of GF(q^D), and only the primes
-of disc(f) are built, by factoring it.  The maximal order is the product
-of the saturations at the singular primes, each the p-saturation of R,
-validated by the conductor-discriminant identity.  A saturation opens at
-Dedekind's R' = R + (U(pi)/p) R, U a lift of (f mod p)/z, and goes on by
-radical steps; its last step at p builds S/pS = O_K/pO_K over F_q, and
-takes no confirming colon where the tame different bound is met.
+Splitting in the maximal order is read by primes_above_in_max alone, as
+the sorted pairs (e, f) of the primes of O_K above p: at p not dividing
+disc(f) it is the distinct-degree pattern of f mod p; at the other
+regular p it is the record's (e_i, deg g_i) (Dedekind's criterion); only
+at the singular primes is it read off the local components of O_K/pO_K.
+The census of the primes of one degree lists no prime: type_counts
+counts the splitting types of the Frobenius orbits of GF(q^D), and only
+the primes of disc(f) are built, by factoring it.  The maximal order is
+the product of the saturations at the singular primes (_saturation, the
+p-saturation of R with its O/pO), validated by the conductor-discriminant
+identity.  A saturation opens at Dedekind's R' = R + (U(pi)/p) R, U a
+lift of (f mod p)/z, and goes on by radical steps; its last step at p
+builds S/pS = O_K/pO_K over F_q, and takes no confirming colon where the
+tame different bound is met.  Every fact derived here is memoised per
+context by context.memoized.
 """
 
 import functools
@@ -31,9 +33,9 @@ from .errors import BudgetExceeded, InputError
 from .gf import embedding, fits_table, gf
 from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
-from .bipoly import discriminant
+from .bipoly import discriminant, infinity_model
 from .residue import ResidueField
-from .context import AlgebraContext, KElement, _internal, _naming
+from .context import AlgebraContext, KElement, _internal, _naming, memoized
 from .ideals import FracIdeal, Order, index_ideal
 from .quotient import LatticeQuotient
 from . import gpoly
@@ -99,8 +101,9 @@ class DedekindRecord:
         return bool(gpoly.rem(self.k, self.z, g))
 
 
+@memoized
 def dedekind(ctx, p):
-    """The Dedekind record of R at p, memoised per context.
+    """The Dedekind record of R at p.
 
     p does not divide [O_K:R] exactly when z = 1, and the prime of R above
     p from the factor g_i is singular exactly when g_i divides z: since
@@ -108,9 +111,6 @@ def dedekind(ctx, p):
     -p times that of F, so this is the rule "e_i >= 2 and that remainder
     vanishes mod p^2".
     """
-    key = ("dedekind", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
     _require_prime(ctx, p)
     k, fbar = ctx.f.reduce_mod(p)
     factors = tuple((tuple(g), e) for g, e in gpoly.factor(k, fbar, seed=ctx.seed))
@@ -135,8 +135,7 @@ def dedekind(ctx, p):
         for _ in range(e - 1):
             tail = gpoly.mul(k, tail, g)
     z = gpoly.gcd(k, gpoly.gcd(k, gpoly.normalize(excess), rad), tail)
-    ctx.cache[key] = DedekindRecord(k, factors, z)
-    return ctx.cache[key]
+    return DedekindRecord(k, factors, z)
 
 
 def _lift_to_ax(k, g):
@@ -182,64 +181,41 @@ def kummer_dedekind(order, p):
     return report
 
 
+@memoized
 def discriminant_of_f(ctx):
-    """Monic disc(f), computed once per context."""
-    if "disc" not in ctx.cache:
-        ctx.cache["disc"] = discriminant(ctx.f)
-    return ctx.cache["disc"]
+    """Monic disc(f)."""
+    return discriminant(ctx.f)
 
 
+@memoized
 def discriminant_factors(ctx):
     """The pairs (p, multiplicity) of the prime factorization of disc(f),
-    in (degree, encoding) order; factored once per context, and each p is
-    recorded as a verified prime."""
-    if "disc_factors" not in ctx.cache:
-        out = []
-        for fac, mult in gpoly.factor(ctx.field, list(discriminant_of_f(ctx).coeffs),
-                                      seed=ctx.seed):
-            p = FqPoly(ctx.field, fac)
-            ctx.cache[("prime", p)] = True
-            out.append((p, mult))
-        ctx.cache["disc_factors"] = out
-    return ctx.cache["disc_factors"]
+    in (degree, encoding) order; each p is recorded as a verified prime."""
+    out = []
+    for fac, mult in gpoly.factor(ctx.field, list(discriminant_of_f(ctx).coeffs),
+                                  seed=ctx.seed):
+        p = FqPoly(ctx.field, fac)
+        ctx.cache[("prime", p)] = True
+        out.append((p, mult))
+    return out
 
 
 def _pattern(k, fbar):
     """The splitting type at p not dividing disc(f), from f mod p over a
     field k isomorphic to A/p: its distinct-degree factor g_d gives
-    deg(g_d)/d unramified primes of residue degree d."""
+    deg(g_d)/d unramified primes of residue degree d (Rosen, GTM 210,
+    ch. 3)."""
     return tuple(sorted((1, d) for g, d in gpoly.distinct_degree(k, fbar)
                         for _ in range(gpoly.deg(g) // d)))
-
-
-def splitting_type(ctx, p):
-    """The pairs (e, f) of the primes of O_K above p, in increasing order.
-
-    At p not dividing disc(f), f mod p is squarefree and R is maximal at p,
-    so the type is the pattern of f mod p (Rosen, GTM 210, ch. 3).  At
-    p | disc(f) it is primes_above_in_max.
-    """
-    key = ("type", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    ctx.require_separable()
-    _require_prime(ctx, p)
-    if (discriminant_of_f(ctx) % p).is_zero():
-        pairs = primes_above_in_max(ctx, p)
-    else:
-        pairs = _pattern(*ctx.f.reduce_mod(p))
-    if sum(e * f for e, f in pairs) != ctx.r:
-        raise _internal(ctx, "splitting_type", "sum of e*f is not r", p)
-    ctx.cache[key] = tuple(sorted(pairs))
-    return ctx.cache[key]
 
 
 _SPLIT, _INERT = ((1, 1), (1, 1)), ((1, 2),)
 
 
+@memoized
 def type_counts(ctx, degree):
     """Counter of the splitting types of the primes of the given degree
-    that do not divide disc(f); memoised per context.
+    that do not divide disc(f).
 
     No prime is listed.  A prime p of degree D has the type of f(alpha, x)
     over E = GF(q^D) for any root alpha of p, because A/p = F_q(alpha)
@@ -256,9 +232,6 @@ def type_counts(ctx, degree):
     anything.  The orbits walked and the primes of disc(f) of degree D
     must number as many as Gauss's count of the primes of degree D.
     """
-    key = ("type_counts", degree)
-    if key in ctx.cache:
-        return ctx.cache[key]
     ctx.require_separable()
     field = ctx.field
     size = field.q ** degree
@@ -280,7 +253,6 @@ def type_counts(ctx, degree):
         if sum(e * f for e, f in pairs) != ctx.r:
             raise _internal(ctx, "type_counts", "sum of e*f is not r",
                             f"a prime of degree {degree}")
-    ctx.cache[key] = counts
     return counts
 
 
@@ -378,22 +350,46 @@ def p_radical(order, p):
     return quo, quo.algebra()
 
 
+@memoized
 def maximal_order(ctx):
-    """Integral closure O_K of A in K by p-saturation at the singular primes;
-    the identity checks disc(O_K), kept as ctx.cache["max_disc"].
+    """Integral closure O_K of A in K: the product of the saturations at
+    the singular primes (`_saturation`), checked by the conductor-
+    discriminant identity, whose disc(O_K) it keeps as
+    ctx.cache["max_disc"].  Every saturation is built here first, so
+    p_saturation and primes_above_in_max, which run this before they
+    read one, only ever read a checked saturation."""
+    ctx.require_separable()
+    disc = discriminant_of_f(ctx)
+    base = Order.monogenic(ctx)
+    result = base
+    for p in singular_primes(ctx):
+        result = Order(result.ideal * _saturation(ctx, p)[0].ideal, check=False)
+    idx = index_ideal(result.ideal, base.ideal)
+    d_max = order_discriminant(result)
+    if d_max * idx * idx != disc:
+        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
+                        "failed", f"each factor of {disc.to_str(ctx.tvar)}")
+    ctx.cache["max_disc"] = d_max
+    return result
 
-    Each saturation opens at Dedekind's R' (`dedekind_order`), which is
+
+@memoized
+def _saturation(ctx, p):
+    """(O, O/pO) for the p-saturation O of R at a singular p, with
+    O/pO = O_K/pO_K over F_q; its faults name the stage maximal_order.
+
+    The saturation opens at Dedekind's R' (`dedekind_order`), which is
     the first radical step (rad:rad), and goes on with radical steps S ->
-    (rad:rad) until one leaves S fixed.  That last step at p leaves
-    S/pS = O_K/pO_K as ctx.cache[("O_K/p", p)].  Each step builds S/pS
-    and its nilradical first; the nilradical is pulled back to the
-    radical lattice only on a step that goes on to take the colon.
+    (rad:rad) until one leaves S fixed.  Each step builds S/pS and its
+    nilradical first; the nilradical is pulled back to the radical
+    lattice only on a step that goes on to take the colon.
 
     The step that would confirm S = O takes no colon where the tame bound
     is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
     F_q-dimension of the nilradical of S/pS, both read off what the step
-    has built (v_p(disc S) = v_p(disc f) - 2 v_p([S:R]) off the HNF
-    diagonal).  Proof: let O be the p-saturation and i = dim O_p/S_p.
+    has built: disc S = [S:R]^-2 disc f, and [S:R] is a power of p of
+    degree -S.covolume(), so D(S) = deg p * v_p(disc f) + 2 S.covolume().
+    Proof: let O be the p-saturation and i = dim O_p/S_p.
     Then D(S) = D(O) + 2i, as disc S = [O:S]^2 disc O.  D(O) >= n(O) by
     Dedekind's different theorem, d_P >= e_P - 1 with equality exactly
     when the characteristic does not divide e_P (Stichtenoth, Algebraic
@@ -404,106 +400,69 @@ def maximal_order(ctx):
     and D(S) = n(S) forces i = 0, S = O.  Conversely the bound is met at O
     when every e_P is prime to the characteristic, so the colon is taken
     only on growth steps and at wild primes."""
-    ctx.require_separable()
-    if "max_order" in ctx.cache:
-        return ctx.cache["max_order"]
-    disc = discriminant_of_f(ctx)
-    mults = dict(discriminant_factors(ctx))
-    base = Order.monogenic(ctx)
-    result = base
-    for p in singular_primes(ctx):
-        sat = dedekind_order(ctx, p)
-        for _ in range(mults[p] + 2):
-            with _naming(ctx, "maximal_order", p):
-                quo, alg = p_radical(sat, p)
-                nil = alg.nilradical_basis()
-            bound = int(p.degree) * (mults[p] - 2 * _index_valuation(sat, p))
-            if bound == len(nil):
-                break
-            rad = quo.pullback(nil)
-            grown = Order(rad.colon(rad), check=False)
-            if grown.ideal == sat.ideal:
-                break
-            sat = grown
-        else:  # pragma: no cover
-            raise _internal(ctx, "maximal_order", "saturation did not converge", p)
-        ctx.cache[("sat", p)] = sat
-        ctx.cache[("O_K/p", p)] = alg
-        result = Order(result.ideal * sat.ideal, check=False)
-    idx = index_ideal(result.ideal, base.ideal)
-    d_max = order_discriminant(result)
-    if d_max * idx * idx != disc:
-        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
-                        "failed", f"each factor of {disc.to_str(ctx.tvar)}")
-    ctx.cache["max_disc"] = d_max
-    ctx.cache["max_order"] = result
-    return result
-
-
-def _index_valuation(order, p):
-    """v_p([S:R]) for an order S containing R = A^r: S is num A^r / den,
-    so [S:R] = den^r / det(num), and num is triangular."""
-    lattice = order.ideal
-    v = order.ctx.r * _valuation(lattice.den, p)
-    return v - sum(_valuation(row[i], p) for i, row in enumerate(lattice.num))
-
-
-def _valuation(a, p):
-    """v_p(a) for a nonzero a in A."""
-    v = 0
-    quot, rem = a.divmod(p)
-    while rem.is_zero():
-        a, v = quot, v + 1
-        quot, rem = a.divmod(p)
-    return v
+    mult = dict(discriminant_factors(ctx))[p]
+    sat = dedekind_order(ctx, p)
+    for _ in range(mult + 2):
+        with _naming(ctx, "maximal_order", p):
+            quo, alg = p_radical(sat, p)
+            nil = alg.nilradical_basis()
+        if int(p.degree) * mult + 2 * sat.ideal.covolume() == len(nil):
+            break
+        rad = quo.pullback(nil)
+        grown = Order(rad.colon(rad), check=False)
+        if grown.ideal == sat.ideal:
+            break
+        sat = grown
+    else:  # pragma: no cover
+        raise _internal(ctx, "maximal_order", "saturation did not converge", p)
+    return sat, alg
 
 
 def p_saturation(ctx, p):
-    """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R.
-
-    maximal_order records it for every singular p; R is p-maximal at every
-    other p.
-    """
+    """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R:
+    the checked `_saturation` at a singular p, and R at every other p."""
     maximal_order(ctx)
-    return ctx.cache.get(("sat", p), Order.monogenic(ctx))
+    if p in singular_primes(ctx):
+        return _saturation(ctx, p)[0]
+    return Order.monogenic(ctx)
 
 
+@memoized
 def singular_primes(ctx):
     """Monic irreducible p of A lying below a singular prime of R.  Only a p
     whose square divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index,
     and such a p does exactly when its Dedekind record has z != 1; no
     ideal is built."""
     ctx.require_separable()
-    if "singular" in ctx.cache:
-        return ctx.cache["singular"]
     out = [p for p, mult in discriminant_factors(ctx)
            if mult > 1 and gpoly.deg(dedekind(ctx, p).z) > 0]
     out.sort(key=poly_order_key)
-    ctx.cache["singular"] = out
     return out
 
 
+@memoized
 def primes_above_in_max(ctx, p):
-    """The sorted pairs (e, f) of the primes of O_K above p, memoised per
-    context.
+    """The sorted pairs (e, f) of the primes of O_K above p: the splitting
+    type of p, the one reader of it; no ideal is built.
 
-    At a p that is not singular every Kummer-Dedekind prime P of R above p
-    is regular, so p does not divide [O_K:R], R and O_K agree at p and the
-    pairs are the (e_i, deg g_i) of the Dedekind record; no ideal is
-    built.  At a singular p the saturation has built
+    At p not dividing disc(f), f mod p is squarefree and R is maximal at
+    p, so the type is the distinct-degree pattern of f mod p.  At another
+    p that is not singular every Kummer-Dedekind prime of R above p is
+    regular, so R and O_K agree at p and the pairs are the (e_i, deg g_i)
+    of the Dedekind record.  At a singular p the saturation has built
     O_K/pO_K over F_q, and it is decomposed into its local components
     O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
-    that of its residue field.
+    that of its residue field.  Every branch must give sum e*f = r.
     """
     ctx.require_separable()
-    key = ("above", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    if p not in singular_primes(ctx):
+    _require_prime(ctx, p)
+    if not (discriminant_of_f(ctx) % p).is_zero():
+        pairs = _pattern(*ctx.f.reduce_mod(p))
+    elif p not in singular_primes(ctx):
         pairs = [(e, gpoly.deg(g)) for g, e in dedekind(ctx, p).factors]
     else:
         maximal_order(ctx)
-        alg, deg = ctx.cache[("O_K/p", p)], int(p.degree)
+        alg, deg = _saturation(ctx, p)[1], int(p.degree)
         with _naming(ctx, "primes_above_in_max", p):
             comps = kalgebra.local_components(alg)
         pairs = []
@@ -512,21 +471,20 @@ def primes_above_in_max(ctx, p):
                 raise _internal(ctx, "primes_above_in_max",
                                 "bad local component dimensions", p)
             pairs.append((dim // f_dim, f_dim // deg))
-    ctx.cache[key] = tuple(sorted(pairs))
-    return ctx.cache[key]
+    if sum(e * f for e, f in pairs) != ctx.r:
+        raise _internal(ctx, "primes_above_in_max", "sum of e*f is not r", p)
+    return tuple(sorted(pairs))
 
 
+@memoized
 def infinity_context(ctx):
     """Context for the monic integral model at infinity (T = 1/U)."""
     ctx.require_separable()
-    if "inf_ctx" not in ctx.cache:
-        from .bipoly import infinity_model
-        g, _ = infinity_model(ctx.f)
-        ictx = AlgebraContext(ctx.field, g, seed=ctx.seed, check=False,
-                              tvar="U", xvar="y")
-        ictx.cache[("prime", FqPoly.gen(ctx.field))] = True   # U is prime
-        ctx.cache["inf_ctx"] = ictx
-    return ctx.cache["inf_ctx"]
+    g, _ = infinity_model(ctx.f)
+    ictx = AlgebraContext(ctx.field, g, seed=ctx.seed, check=False,
+                          tvar="U", xvar="y")
+    ictx.cache[("prime", FqPoly.gen(ctx.field))] = True   # U is prime
+    return ictx
 
 
 def infinity_order(ctx):
@@ -537,4 +495,4 @@ def infinity_order(ctx):
 def infinite_places(ctx):
     """The splitting type of (U) in the model at infinity: the pairs (e, f)
     of the places over T = infinity."""
-    return splitting_type(infinity_context(ctx), FqPoly.gen(ctx.field))
+    return primes_above_in_max(infinity_context(ctx), FqPoly.gen(ctx.field))

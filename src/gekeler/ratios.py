@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fqpoly import FqPoly
-from .primes import (_internal, discriminant_factors, singular_primes,
-                     splitting_type, type_counts)
+from .context import _internal
+from .primes import (discriminant_factors, primes_above_in_max, singular_primes,
+                     type_counts)
 from .weakeq import local_icm
 from .zeta import l_polynomial
 from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_BUDGET
@@ -63,7 +64,7 @@ def gekeler_ratio(ctx, p):
     ctx.require_separable()
     m_p = orbit_count(ctx, p)
     big_q = ctx.field.q ** int(p.degree)
-    pairs = splitting_type(ctx, p)
+    pairs = primes_above_in_max(ctx, p)
     value = _local_value(m_p, big_q, pairs)
     if value <= 0:  # pragma: no cover
         raise _internal(ctx, "gekeler_ratio", "local ratio must be positive", p)

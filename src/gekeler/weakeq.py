@@ -45,8 +45,9 @@ from .ideals import FracIdeal, Order
 from .quotient import invariant_window
 from . import kalgebra
 from . import klinalg
-from .primes import (_internal, _naming, _require_prime, kummer_dedekind,
-                     p_saturation, primes_above_in_max, singular_primes)
+from .context import _internal, _naming, memoized
+from .primes import (_require_prime, kummer_dedekind, p_saturation,
+                     primes_above_in_max, singular_primes)
 from .overorders import p_overorders
 
 
@@ -106,11 +107,9 @@ def weak_classes(base, s_order, p):
     return _weak_classes(ctx, p, s_order)
 
 
+@memoized
 def _weak_classes(ctx, p, s_order):
     """weak_classes for a p-overorder S known to lie between R and O."""
-    cache_key = ("weak", p, s_order.canonical_key())
-    if cache_key in ctx.cache:
-        return ctx.cache[cache_key]
     sat = p_saturation(ctx, p).ideal
     s = s_order.ideal
     reps = [s]
@@ -121,22 +120,13 @@ def _weak_classes(ctx, p, s_order):
             with _naming(ctx, "weak_classes", p):
                 quo, subs = invariant_window(sat, cond, s_order, start)
                 reps += _orbit_representatives(quo, subs, s_order)
-    out = tuple(WeakClassRep(rep, s_order) for rep in reps)
-    ctx.cache[cache_key] = out
-    return out
+    return tuple(WeakClassRep(rep, s_order) for rep in reps)
 
 
 def _gorenstein_by_lengths(o, s, f):
     """Bass's criterion for S with conductor f = (S:O): S is Gorenstein
     exactly when deg [O:f] = 2 deg [S:f]."""
-    return _covolume(f) - _covolume(o) == 2 * (_covolume(f) - _covolume(s))
-
-
-def _covolume(lattice):
-    """deg det of an A-basis of the lattice, read off its HNF diagonal, so
-    that deg [L:M] = _covolume(M) - _covolume(L) for M <= L."""
-    diagonal = sum(int(row[i].degree) for i, row in enumerate(lattice.num))
-    return diagonal - lattice.ctx.r * int(lattice.den.degree)
+    return f.covolume() - o.covolume() == 2 * (f.covolume() - s.covolume())
 
 
 def _interval_suffices(ctx, p):

@@ -19,9 +19,10 @@ from .gf import gf, embedding
 from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
-from .primes import (_internal, _naming, discriminant_factors, maximal_order,
-                     splitting_type, infinite_places, infinity_context,
-                     infinity_order, type_counts)
+from .context import _internal, _naming, memoized
+from .primes import (discriminant_factors, maximal_order, primes_above_in_max,
+                     infinite_places, infinity_context, infinity_order,
+                     type_counts)
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ def _weil_roots_ok(coeffs, g, qm):
     return variations(0) - variations(bound) == len(big_h) - len(chain[-1])
 
 
+@memoized
 def constant_field_degree(ctx):
     """Degree m of the full constant field F_{q^m} of K.
 
@@ -113,8 +115,6 @@ def constant_field_degree(ctx):
     m = 1 with no factor count.
     """
     ctx.require_separable()
-    if "m" in ctx.cache:
-        return ctx.cache["m"]
     field = ctx.field
     g = ctx.r
     for _, f_res in infinite_places(ctx):
@@ -129,15 +129,13 @@ def constant_field_degree(ctx):
         if count_irreducible_factors(fi, seed=ctx.seed) == i:
             m = i
             break
-    ctx.cache["m"] = m
     return m
 
 
+@memoized
 def genus(ctx):
     """Genus over the full constant field, from the discriminants that
     maximal_order keeps for O_K and for the maximal order at infinity."""
-    if "g" in ctx.cache:
-        return ctx.cache["g"]
     m = constant_field_degree(ctx)
     maximal_order(ctx)
     infinity_order(ctx)
@@ -156,17 +154,14 @@ def genus(ctx):
     if g.denominator != 1 or g < 0:
         raise _internal(ctx, "genus", f"genus formula gave {g}; splitting "
                         "or model data is inconsistent")
-    ctx.cache["g"] = int(g)
     return int(g)
 
 
+@memoized
 def count_places(ctx, d):
     """Number of places of K of F_q-degree d (finite and infinite)."""
     if d < 1:
         raise InputError("place degree must be >= 1")
-    key = ("places", d)
-    if key in ctx.cache:
-        return ctx.cache[key]
     count = 0
     for k in range(1, d + 1):
         if d % k != 0:
@@ -175,21 +170,19 @@ def count_places(ctx, d):
             count += n * sum(k * f_res == d for _, f_res in pairs)
         for p, _ in discriminant_factors(ctx):
             if len(p.coeffs) - 1 == k:
-                count += sum(k * f_res == d for _, f_res in splitting_type(ctx, p))
+                count += sum(k * f_res == d for _, f_res in primes_above_in_max(ctx, p))
     # the places over T = infinity lie over (U) in the model at infinity
     count += sum(f_res == d for _, f_res in infinite_places(ctx))
     if count and d % constant_field_degree(ctx):
         # a place of degree not divisible by m contradicts the constant field
         raise _internal(ctx, "count_places",
                         f"found a place of degree {d}, not divisible by m")
-    ctx.cache[key] = count
     return count
 
 
+@memoized
 def l_polynomial(ctx):
     """The zeta numerator L_K over the full constant field F_{q^m}."""
-    if "L" in ctx.cache:
-        return ctx.cache["L"]
     m = constant_field_degree(ctx)
     g = genus(ctx)
     qm = ctx.field.q ** m
@@ -214,6 +207,4 @@ def l_polynomial(ctx):
     for i in range(g - 1, -1, -1):
         a.append(qm ** (g - i) * a[i])
     with _naming(ctx, "l_polynomial"):
-        out = LPolynomial(m, g, tuple(a), qm)
-    ctx.cache["L"] = out
-    return out
+        return LPolynomial(m, g, tuple(a), qm)

@@ -6,7 +6,9 @@ from conftest import make_ctx
 from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly
 from gekeler.bipoly import BiPoly
-from gekeler.context import AlgebraContext, KElement
+from gekeler.context import AlgebraContext, KElement, memoized
+from gekeler.errors import InputError
+from gekeler.parse import parse_bipoly
 
 
 def power_table_product(ctx, u, v):
@@ -71,3 +73,28 @@ def test_gen_of_rank_one():
     assert KElement.gen(ctx) == KElement.from_fqpoly(ctx, T ** 2)
     cusp = make_ctx(3, "x^2 - T^3")
     assert KElement.gen(cusp).num == cusp.power_vectors[1]
+
+
+def test_a_memoized_body_runs_once_per_context_and_arguments():
+    calls = []
+
+    @memoized
+    def square(ctx, n):
+        calls.append((ctx, n))
+        return n * n
+
+    @memoized
+    def refuse(ctx, n):
+        calls.append((ctx, n))
+        raise InputError("refused")
+
+    field = gf_of_order(3)
+    a, b = (AlgebraContext(field, parse_bipoly(field, "x^2 - T")) for _ in range(2))
+    assert [square(c, n) for c in (a, b, a, b) for n in (2, 3, 2)] == [4, 9, 4] * 4
+    assert calls == [(a, 2), (a, 3), (b, 2), (b, 3)]
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(InputError):
+            refuse(a, 5)
+    assert calls == [(a, 5), (a, 5)]
+

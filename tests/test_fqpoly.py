@@ -252,6 +252,7 @@ def test_zero_and_one_operands_call_no_gpoly_routine(monkeypatch):
     F = gf(3, 2)
     zero, one = FqPoly.zero(F), FqPoly.one(F)
     x = FqPoly(F, (2, 0, 5))
+    big = FqPoly(F, (1, 0, 0, 3))
 
     def refuse(*args):
         raise AssertionError("gpoly called on a 0 or 1 operand")
@@ -267,5 +268,30 @@ def test_zero_and_one_operands_call_no_gpoly_routine(monkeypatch):
         if y:
             assert zero.divmod(y) == (zero, zero)
             assert zero.exact_div(y) is zero
+        # a dividend of lower degree is its own remainder
+        quot, rem = y.divmod(big)
+        assert quot.is_zero() and rem is y and y % big is y
+    assert zero // big is zero
     with pytest.raises(AssertionError):
         x * x
+    monkeypatch.undo()
+    for y in (zero, one, x):
+        with pytest.raises(ZeroDivisionError):
+            y.divmod(zero)
+
+
+def test_gcd_list_is_the_poly_gcd_fold():
+    F = gf(3)
+    rng = random.Random(11)
+    zero, one, two = FqPoly.zero(F), FqPoly.one(F), FqPoly.const(F, 2)
+    assert fqpoly.gcd_list([], F).is_zero()
+    assert fqpoly.gcd_list([zero, zero], F).is_zero()
+    common = FqPoly(F, (1, 1))
+    for _ in range(300):
+        polys = [rng.choice([zero, one, two, rand_poly(F, 3, rng),
+                             common * rand_poly(F, 2, rng)])
+                 for _ in range(rng.randrange(1, 5))]
+        fold = zero
+        for a in polys:
+            fold = poly_gcd(fold, a)
+        assert fqpoly.gcd_list(polys, F) == fold

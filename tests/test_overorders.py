@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import ORACLE_CURVES, make_ctx
+from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from gorenstein_oracle import is_gorenstein
 from gekeler import klinalg
 from gekeler.gf import gf_of_order
@@ -268,3 +268,18 @@ def test_walk_matches_line_sweep_on_pipeline_quotients(q, fstr):
             nil = quo.action_matrix(KElement.from_fqpoly(ctx, rad))
             assert (invariant_subspaces(ctx.field, quo.dim, mats, nil)
                     == _oracle_invariant_subspaces(ctx.field, quo.dim, mats))
+
+
+def test_covolume_is_the_degree_of_the_index():
+    # deg [S:R] = -S.covolume(), read off the HNF diagonal, at every
+    # p-overorder S
+    seen = 0
+    for q, fstr in ORACLE_CURVES + THREE_BRANCH_CURVES:
+        ctx = make_ctx(q, fstr)
+        base = Order.monogenic(ctx).ideal
+        assert base.covolume() == 0
+        for p in singular_primes(ctx):
+            for s in p_overorders(ctx, p).orders:
+                assert -s.ideal.covolume() == int(index_ideal(s.ideal, base).degree)
+                seen += 1
+    assert seen > 20

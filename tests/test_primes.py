@@ -247,7 +247,7 @@ def _reference_primes_above(ctx, p):
              for eps in kalgebra.split_local_components(alg)]
     primes = []
     for i, comp in enumerate(comps):
-        f_res = len(comp) - len(klinalg.intersect_spans(k, comp, nil))
+        f_res = len(klinalg.span_basis(k, list(comp) + list(nil))) - len(nil)
         assert f_res > 0 and len(comp) % f_res == 0
         others = [v for j, other in enumerate(comps) if j != i for v in other]
         w = klinalg.span_basis(k, list(nil) + others)
@@ -576,7 +576,7 @@ def test_splitting_type_matches_the_ideal_path():
         for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
             for d in (1, 2, 3):
                 for p in monic_irreducibles(ctx.field, d):
-                    assert P.splitting_type(ctx, p) == _pairs(
+                    assert P.primes_above_in_max(ctx, p) == _pairs(
                         _reference_primes_above(ctx, p))
 
 
@@ -598,8 +598,48 @@ def test_quadratic_splitting_type_by_euler_criterion(q, fstr):
                 continue
             power = gpoly.powmod(F, disc.coeffs, (q ** d - 1) // 2, p.coeffs)
             square = FqPoly(F, power) == one
-            assert P.splitting_type(ctx, p) == (((1, 1), (1, 1)) if square
-                                                else ((1, 2),))
+            assert P.primes_above_in_max(ctx, p) == (((1, 1), (1, 1)) if square
+                                                     else ((1, 2),))
+
+
+def test_a_prime_off_the_discriminant_is_read_with_no_factorization(monkeypatch):
+    # at p not dividing disc(f) the type is the distinct-degree pattern of
+    # f mod p: neither f mod p nor disc(f) is factored, and the pattern
+    # is the Dedekind record's (e_i, deg g_i)
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a polynomial")
+
+    for q, fstr in CONTEXT_POOL:
+        field = gf_of_order(q)
+        ctx = AlgebraContext(field, parse_bipoly(field, fstr))  # nothing cached
+        disc = P.discriminant_of_f(ctx)
+        primes = [p for d in (1, 2) for p in monic_irreducibles(field, d)
+                  if not (disc % p).is_zero()]
+        with monkeypatch.context() as m:
+            m.setattr(gpoly, "factor", refuse)
+            types = [P.primes_above_in_max(ctx, p) for p in primes]
+        assert types == [tuple(sorted((e, gpoly.deg(g))
+                                      for g, e in P.dedekind(ctx, p).factors))
+                         for p in primes]
+
+
+def test_no_fact_at_p_is_kept_under_a_side_key():
+    # every fact at p is memoised under its routine: after icm and product
+    # no saturation, O_K/pO_K or splitting type sits under a key of its own
+    from gekeler.ratios import gekeler_product
+    from gekeler.weakeq import local_icm
+    ctx = make_ctx(3, "x^2 - T^3*(T + 1)^3")
+    singular = P.singular_primes(ctx)
+    assert len(singular) == 2
+    for p in singular:
+        local_icm(ctx, p)
+    gekeler_product(ctx)
+    side = [k for c in (ctx, P.infinity_context(ctx)) for k in c.cache
+            if isinstance(k, tuple) and k[0] in ("sat", "O_K/p", "above", "type")]
+    assert side == []
+    for p in singular:
+        assert (P._saturation.__wrapped__, p) in ctx.cache
+        assert (P.primes_above_in_max.__wrapped__, p) in ctx.cache
 
 
 def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
@@ -667,13 +707,14 @@ def test_splitting_checks_name_the_stage_and_instance(monkeypatch):
     ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
     monkeypatch.setattr(gpoly, "distinct_degree", lambda k, f: 2 * real_ddf(k, f))
     with pytest.raises(InternalCheckError) as exc:
-        P.splitting_type(ctx, p)
-    assert str(exc.value) == ("splitting_type: sum of e*f is not r for "
+        P.primes_above_in_max(ctx, p)
+    assert str(exc.value) == ("primes_above_in_max: sum of e*f is not r for "
                               "q = 3, f = x^2 + 2*T, p = T + 1")
+    # T divides disc(f) = T and is not singular: its type is the record's
     monkeypatch.setattr(gpoly, "factor", lambda k, f, seed: 2 * real_factor(k, f, seed))
     with pytest.raises(InternalCheckError, match="^kummer_dedekind: .* "
-                       r"q = 3, f = x\^2 \+ 2\*T, p = T \+ 1$"):
-        P.primes_above_in_max(ctx, p)
+                       r"q = 3, f = x\^2 \+ 2\*T, p = T$"):
+        P.primes_above_in_max(ctx, T)
 
 
 def test_internal_checks_name_the_stage_and_instance(monkeypatch):
@@ -897,8 +938,10 @@ def test_census_refuses_a_huge_degree_before_allocating(monkeypatch):
     ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
     monkeypatch.setattr(P, "_orbit_logs", refuse)
     monkeypatch.setattr(P, "monic_irreducibles", refuse)
-    with pytest.raises(BudgetExceeded, match="census of degree 13 over F_3 "):
-        P.type_counts(ctx, 13)
+    for _ in range(2):   # a refusal is not memoised: it is refused again
+        with pytest.raises(BudgetExceeded, match="census of degree 13 over F_3 "):
+            P.type_counts(ctx, 13)
+    assert (P.type_counts.__wrapped__, 13) not in ctx.cache
 
 
 def test_census_reduces_f_only_at_the_discriminant(monkeypatch):
@@ -925,5 +968,5 @@ def test_a_prime_asked_for_alone_builds_no_table(monkeypatch):
     ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
     p = FqPoly(F, (2, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1))
     monkeypatch.setattr(sys.modules["gekeler.gf"], "_FIELD_CACHE", {})
-    assert P.splitting_type(ctx, p) == ((1, 2),)
+    assert P.primes_above_in_max(ctx, p) == ((1, 2),)
     assert sys.modules["gekeler.gf"]._FIELD_CACHE == {}
