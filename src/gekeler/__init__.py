@@ -14,7 +14,7 @@ from .bipoly import BiPoly, discriminant, infinity_model
 from .bifactor import is_irreducible_bivariate
 from .parse import parse_bipoly, parse_fqpoly
 from .context import AlgebraContext, KElement
-from .ideals import FracIdeal, Order, index_ideal
+from .ideals import FracIdeal, Order
 from .amatrix import hnf
 from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,
@@ -23,8 +23,8 @@ from .overorders import POverorderSet, p_overorders
 from .weakeq import (WeakClassRep, LocalICMReport, weak_classes,
                      locally_weakly_equivalent, local_icm)
 from .zeta import LPolynomial, constant_field_degree, genus, count_places, l_polynomial
-from .ratios import (LocalRatio, ProductReport, orbit_count, gekeler_ratio,
-                     gekeler_product, finite_level_ratio, partial_products)
+from .ratios import (LocalRatio, ProductReport, gekeler_ratio, gekeler_product,
+                     finite_level_ratio, partial_products)
 from .oracle import (TruncatedRing, companion_matrix,
                      count_matrices_with_charpoly, brute_orbit_count,
                      commutant_dimension, brute_sl_count, sl_order_closed_form)

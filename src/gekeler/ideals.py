@@ -321,8 +321,3 @@ class Order:
 
     def __repr__(self):
         return f"Order({self.ideal!r})"
-
-
-def index_ideal(big, small):
-    """[big : small] for small subseteq big."""
-    return big.index_in(small)

@@ -5,10 +5,9 @@ nilradical as the kernel of an iterated Frobenius Phi: x -> x^|k| (which
 is k-linear), and the local components of O_K/pO_K by Berlekamp's split:
 the fixed space of Phi is the k-span of the primitive idempotents, so its
 dimension counts the components and its elements split them.  For
-O/(S:O): generators and the order of its unit group.
+V = O/(S:O): the order of its unit group, and one unit per coset of the
+units of S/(S:O), built layer by layer along the powers of the nilradical.
 """
-
-import itertools
 
 from .errors import InternalCheckError
 from . import klinalg
@@ -209,62 +208,57 @@ def unit_count(alg):
     return count
 
 
-def unit_group(alg):
-    """Generators of the unit group of a commutative algebra B over
-    k = GF(q), and its order.
+def unit_transversal(alg, basis):
+    """One unit of B per coset of B^x modulo H = C^x, for the subalgebra C
+    spanned by the given basis, which holds 1.
 
-    With J the nilradical, B^x maps onto (B/J)^x with kernel 1 + J.  So a
-    lift of a generator of each residue field of B/J, 1 off its local
-    component, and 1 + c*b for c in an F_p-basis of k and b in a basis of
-    J adapted to J > J^2 > ... generate B^x: (1 + J^i)/(1 + J^(i+1)) is
-    the additive group J^i/J^(i+1).  The order is |J| prod (|E_i| - 1)
-    over the residue fields E_i, that is |B| prod (1 - 1/|E_i|).
+    With J the nilradical, B^x > 1 + J > 1 + J^2 > ... ends at 1, and as
+    B^x is abelian the products of one element from each layer below form
+    a transversal of B^x/H.  Layer 0 holds one unit of B/J per coset of
+    the units of (C + J)/J, found by listing B/J once: z is a unit when
+    eps*z lies outside J for every primitive idempotent eps.  For i >= 1,
+    1 + x -> x makes (1 + J^i)/(1 + J^(i+1)) the additive group
+    J^i/J^(i+1), in which H has the image of (C meet J^i) + J^(i+1); the
+    basis vectors c of J^i taken while independent modulo C + J^(i+1)
+    span a complement of it (modular law), so layer i is 1 + span(c).
     """
     k = alg.k
     rad = alg.nilradical_basis()
     rad_piv = klinalg.rref(k, rad)[1]
-    gens = []
-    order = k.order ** len(rad)
-    for eps in split_local_components(alg):
-        z, size = _residue_generator(alg, eps, rad, rad_piv)
-        order *= size - 1
-        if z is not None:
-            gens.append(alg.add(z, alg.sub(alg.one, eps)))
-    powers = [rad]
-    while powers[-1]:
-        powers.append(klinalg.span_basis(
-            k, [alg.mul(a, b) for a in rad for b in powers[-1]]))
-    adapted, span, piv = [], [], []
-    for basis in reversed(powers):
-        for b in basis:
-            if not klinalg.in_span(k, span, piv, b):
-                adapted.append(b)
-                span, piv = klinalg.rref(k, span + [b])
-    for c in [k.element(k.p ** i) for i in range(k.e)]:
-        gens += [alg.add(alg.one, alg.scale(c, b)) for b in adapted]
-    return gens, order
-
-
-def _residue_generator(alg, eps, rad, rad_piv):
-    """An element of eps*B whose image generates the multiplicative group of
-    the residue field of that local component, or None if it is F_2; and
-    the size of that residue field."""
-    k = alg.k
-    comp_rad, comp_piv = klinalg.rref(k, [alg.mul(eps, v) for v in rad])
     lifts = klinalg.span_basis(k, [
-        klinalg.reduce(k, comp_rad, comp_piv, alg.mul(eps, alg.basis_vector(j)))
+        klinalg.reduce(k, rad, rad_piv, alg.basis_vector(j))
         for j in range(alg.dim)])
-    n = k.order ** len(lifts) - 1
-    if n == 1:
-        return None, 2
-    exps = [n // r for r in gpoly.prime_divisors(n)]
-    for coeffs in itertools.product(list(k.elements()), repeat=len(lifts)):
-        if all(c == k.zero() for c in coeffs):
-            continue
-        z = tuple(k.zero() for _ in range(alg.dim))
-        for c, v in zip(coeffs, lifts):
-            z = alg.add(z, alg.scale(c, v))
-        if not any(klinalg.in_span(k, rad, rad_piv, alg.sub(alg.pow(z, m), eps))
-                   for m in exps):
-            return z, n + 1
-    raise InternalCheckError("residue field has no primitive element")  # pragma: no cover
+    idempotents = split_local_components(alg)
+    units = [z for z in _span(alg, lifts)   # B/J, reduced mod J
+             if not any(klinalg.in_span(k, rad, rad_piv, alg.mul(eps, z))
+                        for eps in idempotents)]
+    sub_rad, sub_piv = klinalg.rref(k, list(basis) + list(rad))
+    sub_units = [z for z in units if klinalg.in_span(k, sub_rad, sub_piv, z)]
+    out, covered = [], set()
+    for z in units:
+        if z not in covered:
+            out.append(z)
+            covered.update(klinalg.reduce(k, rad, rad_piv, alg.mul(z, h))
+                           for h in sub_units)
+    power = rad
+    while power:
+        nxt = klinalg.span_basis(k, [alg.mul(a, b) for a in rad for b in power])
+        span, piv = klinalg.rref(k, list(basis) + nxt)
+        layer = []
+        for c in power:
+            if not klinalg.in_span(k, span, piv, c):
+                layer.append(c)
+                span, piv = klinalg.rref(k, span + [c])
+        out = [alg.mul(u, alg.add(alg.one, c))
+               for c in _span(alg, layer) for u in out]
+        power = nxt
+    return out
+
+
+def _span(alg, vectors):
+    """Every k-linear combination of the vectors, 0 first."""
+    k = alg.k
+    out = [tuple(k.zero() for _ in range(alg.dim))]
+    for v in vectors:
+        out = [alg.add(u, alg.scale(c, v)) for c in k.elements() for u in out]
+    return out

@@ -36,7 +36,7 @@ from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
 from .bipoly import discriminant, infinity_model
 from .residue import ResidueField
 from .context import AlgebraContext, KElement, _internal, _naming, memoized
-from .ideals import FracIdeal, Order, index_ideal
+from .ideals import FracIdeal, Order
 from .quotient import LatticeQuotient
 from . import gpoly
 from . import kalgebra
@@ -165,9 +165,12 @@ def kummer_dedekind(order, p):
     ctx = order.ctx
     if order.ideal != FracIdeal.unit_ideal(ctx):
         raise InputError("Kummer-Dedekind splitting needs the monogenic order")
-    key = ("kd", p)
-    if key in ctx.cache:
-        return ctx.cache[key]
+    return _splitting_report(ctx, p)
+
+
+@memoized
+def _splitting_report(ctx, p):
+    """kummer_dedekind for the monogenic order of ctx."""
     rec = dedekind(ctx, p)
     p_el = KElement.from_fqpoly(ctx, p)
     primes = []
@@ -176,9 +179,7 @@ def kummer_dedekind(order, p):
         ideal = FracIdeal.from_elements(ctx, [p_el, g_pi])
         primes.append(PrimeAbove(p, ideal, e, gpoly.deg(g), rec.regular(g)))
     primes.sort(key=lambda q: q.ideal.canonical_key())
-    report = SplittingReport(p, tuple(primes))
-    ctx.cache[key] = report
-    return report
+    return SplittingReport(p, tuple(primes))
 
 
 @memoized
@@ -364,7 +365,7 @@ def maximal_order(ctx):
     result = base
     for p in singular_primes(ctx):
         result = Order(result.ideal * _saturation(ctx, p)[0].ideal, check=False)
-    idx = index_ideal(result.ideal, base.ideal)
+    idx = result.ideal.index_in(base.ideal)
     d_max = order_discriminant(result)
     if d_max * idx * idx != disc:
         raise _internal(ctx, "maximal_order", "conductor-discriminant identity "

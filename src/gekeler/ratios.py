@@ -54,15 +54,10 @@ def format_fraction(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def orbit_count(ctx, p):
-    """m_p: conjugacy orbits with charpoly f over the completion at p."""
-    return local_icm(ctx, p).m_p
-
-
 def gekeler_ratio(ctx, p):
     """The exact local ratio at p."""
     ctx.require_separable()
-    m_p = orbit_count(ctx, p)
+    m_p = local_icm(ctx, p).m_p
     big_q = ctx.field.q ** int(p.degree)
     pairs = primes_above_in_max(ctx, p)
     value = _local_value(m_p, big_q, pairs)
@@ -87,7 +82,7 @@ def gekeler_product(ctx):
     sing = []
     value = Fraction(1)
     for p in singular_primes(ctx):
-        m_p = orbit_count(ctx, p)
+        m_p = local_icm(ctx, p).m_p
         sing.append((p, m_p))
         value *= m_p
     lpoly = l_polynomial(ctx)

@@ -21,13 +21,16 @@ on the ring V = O/f:
   f <= (I:O) = xf gives x^-1 f <= f, and x is a unit.  Two weakly
   equivalent kept lattices therefore differ by a unit of O_p, on which
   1 + f acts trivially: the weak classes are the orbits of V^x on the kept
-  W.  V^x is generated, not enumerated (`kalgebra.unit_group`).
+  W.  A unit t with tW = W lies in the stabilizer S/f, so the orbit of
+  every kept W is {tW : t in U} for one transversal U of V^x/(S/f)^x,
+  built layer by layer along the powers of the radical of V
+  (`kalgebra.unit_transversal`), and has |U| members.
 - Interval rule.  A kept W maps onto a nonzero subspace of each residue
   field of the c local components of V, so its non-units lie in c proper
   subspaces of W.  An F_q-space is no union of c <= q proper subspaces,
   so then W holds a unit u, and u^-1 W, in W's orbit, contains 1 and
-  hence S/f.  So when c <= q the walk starts at S/f, and the orbits are
-  closed under the unit generators from the kept W above S/f.
+  hence S/f.  So when c <= q the walk starts at S/f, and U maps the kept
+  W above S/f onto their whole orbits.
 
 [S] is the orbit of S/f and comes first, represented by S; every other
 class is represented by the canonically first pullback of its orbit, in
@@ -142,10 +145,11 @@ def _orbit_representatives(quo, subs, s_order):
     given as V = O/f and its S-invariant subspaces (all of them, or those
     above S/f): the canonically first lattice of each whole unit orbit, in
     canonical order.  The units that fix a kept W are those of its
-    stabilizer S/f, so each orbit has |V^x| / |(S/f)^x| members, and all
-    of them share that stabilizer: the first member of an orbit found
-    outside the given subspaces is tested for it before it joins, and the
-    orbit's size is checked."""
+    stabilizer S/f, so the orbit of W is {tW : t in U} for one transversal
+    U of V^x/(S/f)^x, with |U| distinct members that all share that
+    stabilizer: the first member of an orbit found outside the given
+    subspaces is tested for it, and the sizes of U and of each orbit are
+    checked."""
     k = quo.ctx.field
     alg = quo.algebra()
     s_sub = tuple(quo.image(s_order.ideal))
@@ -153,42 +157,33 @@ def _orbit_representatives(quo, subs, s_order):
     others = [alg.mult_matrix(alg.basis_vector(j))
               for j in range(alg.dim) if j not in s_piv]
     kept = [w for w in subs if _stabilized_by_none(k, others, w)]
-    # a unit in S/f maps every S-invariant W onto itself
-    gens, v_units = kalgebra.unit_group(alg)
-    units = [alg.mult_matrix(u) for u in gens
-             if not klinalg.in_span(k, s_sub, s_piv, u)]
-    index = {w: i for i, w in enumerate(kept)}
-    if s_sub not in index:
+    inside = set(kept)
+    if s_sub not in inside:
         raise InternalCheckError("S/f is missing from its own window")
-    size = v_units // kalgebra.unit_count(alg.subalgebra(s_sub, s_piv))
+    size = (kalgebra.unit_count(alg)
+            // kalgebra.unit_count(alg.subalgebra(s_sub, s_piv)))
+    units = [alg.mult_matrix(t) for t in kalgebra.unit_transversal(alg, s_sub)]
+    if len(units) != size:
+        raise InternalCheckError(f"the unit transversal has {len(units)} members, "
+                                 f"not |V^x|/|(S/f)^x| = {size}")
     placed = set()
     orbits = []
-    for start in [index[s_sub]] + list(range(len(kept))):
-        if start in placed:
+    for w in [s_sub] + kept:
+        if w in placed:
             continue
-        placed.add(start)
-        members = [start]
-        checked = False
-        for i in members:   # the orbit grows while it is read
-            for m in units:
-                image = tuple(klinalg.span_basis(
-                    k, [klinalg.matmul_vec(k, m, v) for v in kept[i]]))
-                j = index.get(image)
-                if j is None:   # outside the interval, or a fault
-                    if not (checked or _stabilized_by_none(k, others, image)):
-                        raise InternalCheckError("a unit moved W out of the window")
-                    checked = True
-                    j = index[image] = len(kept)
-                    kept.append(image)
-                if j not in placed:
-                    placed.add(j)
-                    members.append(j)
-        if len(members) != size:
-            raise InternalCheckError(f"a unit orbit has {len(members)} members, "
-                                     f"not |V^x|/|(S/f)^x| = {size}")
-        orbits.append(members)
-    reps = [min((quo.pullback(kept[i]) for i in members),
-                key=lambda l: l.canonical_key()) for members in orbits[1:]]
+        images = [tuple(klinalg.span_basis(
+            k, [klinalg.matmul_vec(k, m, v) for v in w])) for m in units]
+        outside = next((image for image in images if image not in inside), None)
+        if outside is not None and not _stabilized_by_none(k, others, outside):
+            raise InternalCheckError("a unit moved W out of the window")
+        orbit = set(images)
+        if len(orbit) != size:
+            raise InternalCheckError(f"a unit orbit has {len(orbit)} members, "
+                                     f"not |U| = {size}")
+        placed |= orbit
+        orbits.append(orbit)
+    reps = [min((quo.pullback(w) for w in orbit), key=lambda l: l.canonical_key())
+            for orbit in orbits[1:]]
     return sorted(reps, key=lambda l: l.canonical_key())
 
 

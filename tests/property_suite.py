@@ -10,7 +10,7 @@ import random
 from conftest import make_ctx
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
-from gekeler.ideals import FracIdeal, Order, index_ideal
+from gekeler.ideals import FracIdeal, Order
 from gekeler import amatrix
 from gekeler.primes import singular_primes
 from gekeler.weakeq import local_icm, locally_weakly_equivalent
@@ -69,8 +69,8 @@ def check_index_multiplicativity(ctx, rng):
     z2 = rand_kelement(ctx, rng)
     mid = big.scale(z1).intersect(big)
     small = mid.scale(z2).intersect(mid)
-    assert (index_ideal(big, mid) * index_ideal(mid, small)
-            == index_ideal(big, small))
+    assert (big.index_in(mid) * mid.index_in(small)
+            == big.index_in(small))
 
 
 def check_hnf_canonicity(ctx, rng):

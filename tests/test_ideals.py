@@ -6,7 +6,7 @@ import pytest
 from conftest import make_ctx
 from gekeler.fqpoly import FqPoly
 from gekeler.context import KElement
-from gekeler.ideals import FracIdeal, Order, index_ideal
+from gekeler.ideals import FracIdeal, Order
 from gekeler.errors import InputError, NotContained
 from gekeler import amatrix
 
@@ -144,12 +144,12 @@ def test_colon_properties():
 
 def test_index_ideal_examples():
     ctx, T, R, pi, m, t, ok = cusp_objects()
-    assert index_ideal(m, m).is_one()
+    assert m.index_in(m).is_one()
     TR = R.ideal.scale(KElement.from_fqpoly(ctx, T))
-    assert index_ideal(R.ideal, TR) == T ** 2
-    assert index_ideal(ok, R.ideal) == T
+    assert R.ideal.index_in(TR) == T ** 2
+    assert ok.index_in(R.ideal) == T
     with pytest.raises(NotContained):
-        index_ideal(TR, R.ideal)
+        TR.index_in(R.ideal)
 
 
 def test_index_multiplicativity():
@@ -157,8 +157,8 @@ def test_index_multiplicativity():
     chain = [ok, R.ideal, m, m * m]
     for i in range(len(chain) - 2):
         big, mid, small = chain[i], chain[i + 1], chain[i + 2]
-        assert (index_ideal(big, mid) * index_ideal(mid, small)
-                == index_ideal(big, small))
+        assert (big.index_in(mid) * mid.index_in(small)
+                == big.index_in(small))
 
 
 def test_contains_and_eq():

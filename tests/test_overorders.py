@@ -9,7 +9,7 @@ from gekeler import klinalg
 from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly, monic_irreducibles
 from gekeler.context import KElement
-from gekeler.ideals import Order, index_ideal
+from gekeler.ideals import Order
 from gekeler.primes import maximal_order, singular_primes
 from gekeler.overorders import p_overorders, p_saturation
 from gekeler.quotient import LatticeQuotient, invariant_subspaces
@@ -57,7 +57,7 @@ def test_members_are_p_power_index_rings_between_r_and_saturation():
         assert s.ideal.is_order_lattice()
         assert s.ideal.contains(R.ideal)
         assert sat.ideal.contains(s.ideal)
-        idx = index_ideal(s.ideal, R.ideal)
+        idx = s.ideal.index_in(R.ideal)
         # index is a power of p
         assert idx == T ** v_p(idx, T)
         keys.add(s.canonical_key())
@@ -114,7 +114,7 @@ def test_rank3_overorders_match_numerical_semigroups():
     ctx = make_ctx(2, "x^3 - T^4")
     T = FqPoly.gen(ctx.field)
     out = p_overorders(ctx, T)
-    indexes = sorted(index_ideal(maximal_order(ctx).ideal, s.ideal).to_str()
+    indexes = sorted(maximal_order(ctx).ideal.index_in(s.ideal).to_str()
                      for s in out.orders)
     # gaps of the semigroups: 3, 2, 1, 0 -> indexes T^3, T^2, T, 1
     assert indexes == ["1", "T", "T^2", "T^3"]
@@ -280,6 +280,6 @@ def test_covolume_is_the_degree_of_the_index():
         assert base.covolume() == 0
         for p in singular_primes(ctx):
             for s in p_overorders(ctx, p).orders:
-                assert -s.ideal.covolume() == int(index_ideal(s.ideal, base).degree)
+                assert -s.ideal.covolume() == int(s.ideal.index_in(base).degree)
                 seen += 1
     assert seen > 20

@@ -14,7 +14,7 @@ from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.context import AlgebraContext
 from gekeler import gpoly, kalgebra, klinalg
 from gekeler.context import KElement
-from gekeler.ideals import FracIdeal, Order, index_ideal
+from gekeler.ideals import FracIdeal, Order
 from gekeler.residue import ResidueField
 from gekeler import primes as P
 from gekeler.errors import (BudgetExceeded, InputError, InseparableError,
@@ -59,7 +59,7 @@ def test_splitting_sum_rule_and_norms():
         rep = P.kummer_dedekind(R, p)
         assert sum(q.e * q.f_res for q in rep.primes) == ctx.r
         for q in rep.primes:
-            assert index_ideal(R.ideal, q.ideal) == p ** q.f_res
+            assert R.ideal.index_in(q.ideal) == p ** q.f_res
             norm = F.q ** (int(q.below.degree) * q.f_res)
             assert norm == 3 ** (int(p.degree) * q.f_res)
 
@@ -155,7 +155,7 @@ def test_maximal_order_cusp():
     assert ok.ideal.is_order_lattice()
     # t integral: t^2 = T
     assert t * t == KElement.from_fqpoly(ctx, T)
-    assert index_ideal(ok.ideal, R.ideal) == T
+    assert ok.ideal.index_in(R.ideal) == T
 
 
 def test_maximal_order_trivial_cases():
@@ -169,7 +169,7 @@ def test_conductor_discriminant_identity():
         ctx = make_ctx(q, fstr)
         R = Order.monogenic(ctx)
         ok = P.maximal_order(ctx)
-        idx = index_ideal(ok.ideal, R.ideal)
+        idx = ok.ideal.index_in(R.ideal)
         assert (P.order_discriminant(ok) * idx * idx
                 == P.order_discriminant(R))
         # multiplicator rings land inside O_K
@@ -253,7 +253,7 @@ def _reference_primes_above(ctx, p):
         w = klinalg.span_basis(k, list(nil) + others)
         assert len(w) == alg.dim - f_res
         ideal = _lattice_from_subspace(order, p, w)
-        assert index_ideal(order.ideal, ideal) == (p ** f_res).monic()
+        assert order.ideal.index_in(ideal) == (p ** f_res).monic()
         primes.append(P.PrimeAbove(p, ideal, len(comp) // f_res, f_res, True))
     assert sum(q.e * q.f_res for q in primes) == ctx.r
     primes.sort(key=lambda q: q.ideal.canonical_key())
@@ -322,7 +322,7 @@ def test_dedekind_order_is_the_first_radical_step():
         first = P.dedekind_order(ctx, p).ideal
         assert first == rad.colon(rad)
         assert gpoly.deg(z) > 0
-        assert index_ideal(first, R.ideal) == (p ** gpoly.deg(z)).monic()
+        assert first.index_in(R.ideal) == (p ** gpoly.deg(z)).monic()
         covered.add((ctx.f.to_str(ctx.tvar, ctx.xvar), p.to_str(ctx.tvar)))
     degree_two = make_ctx(2, "x^3 - (T^2+T+1)^5")
     assert (degree_two.f.to_str(), "T^2 + T + 1") in covered
@@ -456,7 +456,7 @@ def test_max_splitting_matches_algebra_reference():
         for ctx in (make_ctx(q, fstr), P.infinity_context(make_ctx(q, fstr))):
             R = Order.monogenic(ctx)
             ok = P.maximal_order(ctx).ideal
-            idx = index_ideal(ok, R.ideal)
+            idx = ok.index_in(R.ideal)
             for d in (1, 2, 3):
                 for p in monic_irreducibles(ctx.field, d):
                     kd = P.kummer_dedekind(R, p).primes

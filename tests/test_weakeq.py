@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -11,13 +12,13 @@ from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly, poly_lcm
 from gekeler.context import AlgebraContext, KElement
 from gekeler.ideals import FracIdeal, Order
-from gekeler.parse import parse_bipoly
+from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.primes import (infinity_context, maximal_order, p_saturation,
                             singular_primes)
 from gekeler.overorders import p_overorders
 from gekeler.quotient import (LatticeQuotient, invariant_subspaces,
                               invariant_window)
-from gekeler.kalgebra import unit_count, unit_group
+from gekeler.kalgebra import unit_count, unit_transversal
 from gekeler import klinalg
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
                             local_icm, globally_weakly_equivalent)
@@ -379,10 +380,13 @@ def test_windows_of_x3_minus_t8_keep_their_lattices_with_io_equal_o():
     assert [len(reps) for *_, reps in windows] == [2] * 5
 
 
-@pytest.mark.parametrize("q,fstr", [(2, "x^3 - T^4"), (2, "x^3 - T^5"),
-                                    (3, "x^4 + T^3"), (4, "x^3 - T^4")])
-def test_unit_generators_generate_the_unit_group(q, fstr):
-    # in O/f, the group the generators span is every invertible element
+TRANSVERSAL_CURVES = list(dict.fromkeys(
+    ORACLE_CURVES + [(4, "x^3 - T^4")] + CONTEXT_POOL + THREE_BRANCH_CURVES))
+
+
+@pytest.mark.parametrize("q,fstr", TRANSVERSAL_CURVES)
+def test_unit_transversal_meets_each_coset_once(q, fstr):
+    # in O/f, each invertible element lies in t*(S/f) for exactly one t of U
     for ctx, p, s, _, _ in _non_gorenstein_windows(q, fstr):
         k = ctx.field
         sat = p_saturation(ctx, p).ideal
@@ -390,22 +394,15 @@ def test_unit_generators_generate_the_unit_group(q, fstr):
         alg = quo.algebra()
         units = {z for z in itertools.product(k.elements(), repeat=alg.dim)
                  if len(klinalg.rref(k, alg.mult_matrix(z))[0]) == alg.dim}
-        group = {alg.one}
-        frontier = [alg.one]
-        gens, order = unit_group(alg)
-        for z in frontier:   # the frontier grows while it is read
-            for g in gens:
-                zg = alg.mul(z, g)
-                if zg not in group:
-                    group.add(zg)
-                    frontier.append(zg)
-        assert group == units
-        assert order == len(units) == unit_count(alg)
+        assert len(units) == unit_count(alg)
         # a unit of V in S/f is a unit of the finite ring S/f
         s_sub = quo.image(s.ideal)
         s_piv = klinalg.rref(k, s_sub)[1]
-        assert unit_count(alg.subalgebra(s_sub, s_piv)) == sum(
-            klinalg.in_span(k, s_sub, s_piv, u) for u in units)
+        s_units = [u for u in units if klinalg.in_span(k, s_sub, s_piv, u)]
+        assert unit_count(alg.subalgebra(s_sub, s_piv)) == len(s_units)
+        cosets = [{alg.mul(t, h) for h in s_units}
+                  for t in unit_transversal(alg, s_sub)]
+        assert all(sum(z in coset for coset in cosets) == 1 for z in units)
 
 
 def test_weak_classes_take_no_colon_per_window_lattice(monkeypatch):
@@ -601,18 +598,20 @@ def test_rank3_counts_match_raw_subspace_oracle(cubic_cusp2):
     assert oracle_global == 5
 
 
+def _non_gorenstein_order_of_x3_minus_t4():
+    F = gf(2)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^4"))  # nothing cached
+    (s,) = [s for s in p_overorders(ctx, FqPoly.gen(F)).orders
+            if not is_gorenstein(s)]
+    return Order.monogenic(ctx), s
+
+
 def test_weak_class_checks_name_the_stage_and_instance(monkeypatch):
     from gekeler import weakeq
     F = gf(2)
     T = FqPoly.gen(F)
     where = "for q = 2, f = x^3 + T^4, p = T"
-
-    def window_of_the_non_gorenstein_order():
-        ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^4"))  # nothing cached
-        (s,) = [s for s in p_overorders(ctx, T).orders if not is_gorenstein(s)]
-        return Order.monogenic(ctx), s
-
-    base, s = window_of_the_non_gorenstein_order()
+    base, s = _non_gorenstein_order_of_x3_minus_t4()
     with monkeypatch.context() as m:
         m.setattr(weakeq, "_stabilized_by_none", lambda k, others, w: False)
         with pytest.raises(InternalCheckError) as exc:
@@ -620,7 +619,7 @@ def test_weak_class_checks_name_the_stage_and_instance(monkeypatch):
     assert str(exc.value) == ("weak_classes: S/f is missing from its own "
                               f"window {where}")
     # keep S/f alone: a unit of O/f outside S/f moves it to a W not kept
-    base, s = window_of_the_non_gorenstein_order()
+    base, s = _non_gorenstein_order_of_x3_minus_t4()
     sat = p_saturation(base.ctx, T).ideal
     quo, _ = invariant_window(sat, s.ideal.colon(sat), s)
     s_sub = tuple(quo.image(s.ideal))
@@ -699,20 +698,71 @@ def test_length_criterion_matches_the_two_colon_oracle(q, fstr):
 
 
 def test_orbit_size_check_names_the_stage_and_instance(monkeypatch):
-    # with one unit generator of O/f left, the orbit of S/f is too small
+    # with the first unit of U repeated |U| times, the orbit of S/f is too
+    # small
     from gekeler import kalgebra
-    F = gf(2)
-    T = FqPoly.gen(F)
-    ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^4"))
-    (s,) = [s for s in p_overorders(ctx, T).orders if not is_gorenstein(s)]
-    unit_group = kalgebra.unit_group
-    monkeypatch.setattr(kalgebra, "unit_group",
-                        lambda alg: (unit_group(alg)[0][:1], unit_group(alg)[1]))
+    base, s = _non_gorenstein_order_of_x3_minus_t4()
+    transversal = kalgebra.unit_transversal
+    monkeypatch.setattr(kalgebra, "unit_transversal",
+                        lambda alg, sub: [transversal(alg, sub)[0]]
+                        * len(transversal(alg, sub)))
     with pytest.raises(InternalCheckError) as exc:
-        weak_classes(Order.monogenic(ctx), s, T)
+        weak_classes(base, s, FqPoly.gen(base.ctx.field))
     msg = str(exc.value)
-    assert msg.startswith("weak_classes: a unit orbit has ")
+    assert msg.startswith("weak_classes: a unit orbit has 1 members, ")
     assert msg.endswith("for q = 2, f = x^3 + T^4, p = T")
+
+
+def test_transversal_size_check_names_the_stage_and_instance(monkeypatch):
+    # with the last unit of U dropped, U misses a coset of (S/f)^x
+    from gekeler import kalgebra
+    base, s = _non_gorenstein_order_of_x3_minus_t4()
+    transversal = kalgebra.unit_transversal
+    monkeypatch.setattr(kalgebra, "unit_transversal",
+                        lambda alg, sub: transversal(alg, sub)[:-1])
+    with pytest.raises(InternalCheckError) as exc:
+        weak_classes(base, s, FqPoly.gen(base.ctx.field))
+    msg = str(exc.value)
+    assert msg.startswith("weak_classes: the unit transversal has ")
+    assert msg.endswith("for q = 2, f = x^3 + T^4, p = T")
+
+
+@pytest.mark.parametrize("q,fstr,prime", [(2, "x^3 - T^8", "T"),
+                                          (2, "x^3 - (T^2+T+1)^5", "T^2+T+1")])
+def test_orbits_apply_each_unit_once_per_class(monkeypatch, q, fstr, prime):
+    # over a local_icm call, _orbit_representatives maps subspaces under at
+    # most (classes of S) * |U| unit matrices per S, |U| = |V^x|/|(S/f)^x|;
+    # each image is one span_basis call it makes itself
+    from gekeler import weakeq
+    applied, bound = [], []
+    span_basis = klinalg.span_basis
+
+    def counted_span_basis(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a comprehension
+            frame = frame.f_back
+        if frame.f_code.co_name == "_orbit_representatives":
+            applied.append(1)
+        return span_basis(*args)
+
+    orbit_representatives = weakeq._orbit_representatives
+
+    def counted_orbit_representatives(quo, subs, s_order):
+        reps = orbit_representatives(quo, subs, s_order)
+        alg = quo.algebra()
+        s_sub = quo.image(s_order.ideal)
+        s_piv = klinalg.rref(quo.ctx.field, s_sub)[1]
+        size = unit_count(alg) // unit_count(alg.subalgebra(s_sub, s_piv))
+        bound.append((len(reps) + 1) * size)
+        return reps
+
+    monkeypatch.setattr(klinalg, "span_basis", counted_span_basis)
+    monkeypatch.setattr(weakeq, "_orbit_representatives",
+                        counted_orbit_representatives)
+    field = gf(q)
+    ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+    local_icm(ctx, parse_fqpoly(field, prime))
+    assert bound and len(applied) <= sum(bound)
 
 
 @pytest.mark.parametrize("power,m_p,counts", [(5, 7, [1, 1, 1, 2, 2]),
