@@ -156,26 +156,10 @@ class FracIdeal:
         return FracIdeal.from_columns(ctx, cols, self.den * z.den)
 
     def intersect(self, other):
+        """I cap J = (I* + J*)*: dual is an inclusion-reversing involution
+        on full lattices, so it turns sums into intersections."""
         self._check_ctx(other)
-        ctx = self.ctx
-        r = ctx.r
-        D = poly_lcm(self.den, other.den)
-        a = D.exact_div(self.den)
-        b = D.exact_div(other.den)
-        n1 = [[e * a for e in row] for row in self.num]
-        n2 = [[e * b for e in row] for row in other.num]
-        stacked = [n1[i] + [-e for e in n2[i]] for i in range(r)]
-        kern = amatrix.kernel_basis(stacked)
-        cols = []
-        for vec in kern:
-            col = []
-            for i in range(r):
-                acc = FqPoly.zero(ctx.field)
-                for j in range(r):
-                    acc = acc + n1[i][j] * vec[j]
-                col.append(acc)
-            cols.append(tuple(col))
-        return FracIdeal.from_columns(ctx, cols, D)
+        return (self.dual() + other.dual()).dual()
 
     def dual(self):
         """I* = {v in K^r : u.v in A for every u in I}, where u.v is the

@@ -10,13 +10,18 @@ where O is the p-saturation of R, and are walked from S/(S:O) up when
 every weak class meets that interval.  Invariant subspaces are found by a
 walk up by covers from the start subspace, canonicalized via RREF, so
 results are deterministic.
-`LatticeQuotient.pullback` is the one map from F_q vectors back to
-lattices, and `LatticeQuotient.algebra` the one construction of S/pS
-(whose nilradical is pulled back by the saturation in `primes`) and O/f.
+`LatticeQuotient.algebra` is the one construction of S/pS (whose
+nilradical is pulled back by the saturation in `primes`) and O/f.
 The F_q basis of V is the slots T^j b_i, j < deg h_ii, of the HNF h of
 bottom in a basis b of top.  Multiplication by an element, products and
 images are A-linear, so they are solved once per basis column b_i (or
 pair of columns), not once per slot.
+`LatticeQuotient.pullback` is the one map from F_q vectors back to
+lattices.  In top's coordinates the slots are the standard monomials of
+A^r/h, so the preimage of a T-invariant W is read off the RREF of W with
+the slots ordered largest term first: per component i, the last row led
+there is column i of the preimage's triangular basis over top, and the
+HNF of those r columns takes no gcd step.
 """
 
 import functools
@@ -62,11 +67,6 @@ class LatticeQuotient:
                     y[t] = y[t] - self.h[t][i] * q
         return y
 
-    def reduce_top_coords(self, coords):
-        """F_q coordinate tuple of an element given in top coordinates."""
-        y = self._residue(coords)
-        return tuple(y[i][j] for i, j in self.slots)
-
     def _shifted_residues(self, coords, count):
         """The F_q vectors of T^j y for j < count, for y given by its top
         coordinates.  bottom is an A-lattice, so T^(j+1) y reduces as T
@@ -78,33 +78,42 @@ class LatticeQuotient:
             out.append(tuple(y[i][j] for i, j in self.slots))
         return out
 
-    def lift_columns(self, fq_vectors):
-        """Power-basis numerator columns (den = top.den) lifting F_q vectors."""
+    def pullback(self, fq_vectors):
+        """The preimage L in top of the span W of F_q vectors, for W
+        invariant under T, read off the echelon form of W.
+
+        Order the slots largest term first (i descending, then j
+        descending) and take the RREF of W.  T maps a vector led by T^j b_i
+        with j + 1 < d_i to one led by T^(j+1) b_i, so the pivots in
+        component i are the T^j b_i with e_i <= j < d_i, for some e_i, and
+        sum (d_i - e_i) = dim W.  The last row led in component i, read as
+        polynomials, is an element of L whose coordinates over top vanish
+        after position i and are monic of degree e_i at i; a component
+        without a pivot (e_i = d_i) takes column i of h.  These r columns
+        lie in L and are upper triangular with monic diagonal, so they span
+        a lattice M in L with deg [top:M] = sum e_i = dim V - dim W =
+        deg [top:L], and M = L.  Their HNF only reduces above the diagonal
+        and strips the content.
+        """
         ctx = self.ctx
         F = ctx.field
-        cols = self.top.basis_columns()
+        r = ctx.r
+        cols = [[self.h[t][i] for t in range(r)] for i in range(r)]
+        rows, pivots = klinalg.rref(F, [v[::-1] for v in fq_vectors])
+        starts = list(itertools.accumulate([0] + self.slot_degrees))
+        for row, piv in zip(rows, pivots):   # the last row led at i stays
+            v = row[::-1]
+            i = self.slots[self.dim - 1 - piv][0]
+            cols[i] = [FqPoly(F, v[starts[t]:starts[t + 1]]) for t in range(r)]
+        basis = self.top.basis_columns()
         out = []
-        for w in fq_vectors:
-            acc = [FqPoly.zero(F)] * ctx.r
-            for s, c in enumerate(w):
-                if c == 0:
-                    continue
-                i, j = self.slots[s]
-                lift = FqPoly(F, (0,) * j + (c,))
-                for t in range(ctx.r):
-                    acc[t] = acc[t] + cols[i][t] * lift
+        for i, col in enumerate(cols):
+            acc = [FqPoly.zero(F)] * r
+            for t in range(i + 1):
+                if not col[t].is_zero():
+                    acc = [a + b * col[t] for a, b in zip(acc, basis[t])]
             out.append(tuple(acc))
-        return out
-
-    def pullback(self, fq_vectors):
-        """The lattice bottom + A-span of the lifted vectors: the preimage
-        of their span when that span is invariant under T."""
-        D = poly_lcm(self.bottom.den, self.top.den)
-        a = D.exact_div(self.bottom.den)
-        b = D.exact_div(self.top.den)
-        cols = [tuple(e * a for e in col) for col in self.bottom.basis_columns()]
-        cols += [tuple(e * b for e in col) for col in self.lift_columns(fq_vectors)]
-        return FracIdeal.from_columns(self.ctx, cols, D)
+        return FracIdeal.from_columns(ctx, out, self.top.den)
 
     # -- A-linear maps: one solve per basis column of top, shifted per slot --
 
@@ -163,7 +172,7 @@ class LatticeQuotient:
         if coords is None:
             raise InternalCheckError("the top lattice is not a ring")
         return kalgebra.FiniteAlgebra(self.ctx.field, self.product_table(),
-                                      self.reduce_top_coords(coords))
+                                      self._shifted_residues(coords, 1)[0])
 
     def index_radical(self):
         """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.

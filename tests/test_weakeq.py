@@ -8,6 +8,7 @@ import pytest
 from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from gorenstein_oracle import is_gorenstein
 from property_suite import CONTEXT_POOL
+import slot_oracle
 from gekeler.gf import gf
 from gekeler.fqpoly import FqPoly, poly_lcm
 from gekeler.context import AlgebraContext, KElement
@@ -268,31 +269,36 @@ def _r_span_pullback(quo, vectors):
     a = D.exact_div(quo.bottom.den)
     b = D.exact_div(quo.top.den)
     cols = [tuple(e * a for e in col) for col in quo.bottom.basis_columns()]
-    for col in quo.lift_columns(vectors):
+    for col in slot_oracle.lift_columns(quo, vectors):
         base = tuple(e * b for e in col)
         for k in range(ctx.r):
             cols.append(ctx.mult_vectors(base, ctx.power_vectors[k]))
     return FracIdeal.from_columns(ctx, cols, D)
 
 
-@pytest.mark.parametrize("q,fstr", ORACLE_CURVES)
+@pytest.mark.parametrize("q,fstr", ORACLE_CURVES + THREE_BRANCH_CURVES
+                         + [(2, "x^3 - (T^2+T+1)^5")])
 def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
     # the A-span of the lifts of a subspace invariant under T and the ring
-    # is a module over the ring already: O/R, then each window (S:O) <= O
-    ctx = make_ctx(q, fstr)
-    R = Order.monogenic(ctx)
-    t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-    for p in singular_primes(ctx):
-        sat = p_saturation(ctx, p).ideal
-        cases = [(R.ideal, R)] + [(s.ideal.colon(sat), s)
-                                  for s in p_overorders(ctx, p).orders
-                                  if not is_gorenstein(s)]
-        for bottom, ring in cases:
-            quo = LatticeQuotient(sat, bottom)
-            mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
-            nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
-            for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil):
-                assert quo.pullback(sub) == _r_span_pullback(quo, sub)
+    # is a module over the ring already: O/R, then each window (S:O) <= O;
+    # and the lattice read off the echelon form is the A-HNF of those lifts
+    finite = make_ctx(q, fstr)
+    for ctx in (finite, infinity_context(finite)):
+        for p in singular_primes(ctx):
+            R = Order.monogenic(ctx)
+            t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+            sat = p_saturation(ctx, p).ideal
+            cases = [(R.ideal, R)] + [(s.ideal.colon(sat), s)
+                                      for s in p_overorders(ctx, p).orders
+                                      if not is_gorenstein(s)]
+            for bottom, ring in cases:
+                quo = LatticeQuotient(sat, bottom)
+                mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
+                nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
+                for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil):
+                    lattice = quo.pullback(sub)
+                    assert lattice == slot_oracle.pullback(quo, sub)
+                    assert lattice == _r_span_pullback(quo, sub)
 
 
 # F_4 needs 1 + c*b for both c in an F_2-basis of the constants
@@ -424,6 +430,38 @@ def test_weak_classes_take_no_colon_per_window_lattice(monkeypatch):
     report = local_icm(ctx, FqPoly.gen(field))
     assert report.m_p == 17
     assert len(colons) <= 4 * len(report.by_overorder)
+
+
+def test_pullbacks_hand_the_hnf_triangular_matrices(monkeypatch):
+    # a pullback reads its r columns off an echelon form, upper triangular
+    # with monic diagonal, so the HNF behind it runs no gcd step; the A-HNF
+    # of bottom and the lifts took r + dim W columns
+    from gekeler import amatrix
+    field = gf(2)
+    ctx = AlgebraContext(field, parse_bipoly(field, "x^3 - T^8"))
+    depth, handed = [], []
+    pullback, hnf = LatticeQuotient.pullback, amatrix.hnf
+
+    def traced_pullback(self, fq_vectors):
+        depth.append(1)
+        try:
+            return pullback(self, fq_vectors)
+        finally:
+            depth.pop()
+
+    def traced_hnf(mat, *args, **kwargs):
+        if depth:
+            handed.append(mat)
+        return hnf(mat, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeQuotient, "pullback", traced_pullback)
+    monkeypatch.setattr(amatrix, "hnf", traced_hnf)
+    assert local_icm(ctx, FqPoly.gen(field)).m_p == 17
+    assert handed
+    r = ctx.r
+    for mat in handed:
+        assert len(mat) == r and all(len(row) == r for row in mat)
+        assert all(mat[i][j].is_zero() for i in range(r) for j in range(i))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
