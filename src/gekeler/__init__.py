@@ -25,6 +25,3 @@ from .weakeq import (WeakClassRep, LocalICMReport, weak_classes,
 from .zeta import LPolynomial, constant_field_degree, genus, count_places, l_polynomial
 from .ratios import (LocalRatio, ProductReport, gekeler_ratio, gekeler_product,
                      finite_level_ratio, partial_products)
-from .oracle import (TruncatedRing, companion_matrix,
-                     count_matrices_with_charpoly, brute_orbit_count,
-                     commutant_dimension, brute_sl_count, sl_order_closed_form)

@@ -21,6 +21,9 @@ class ReducibleError(InputError):
     """f is reducible over F_q(T)."""
 
 
+DEFAULT_BUDGET = 10 ** 7
+
+
 class BudgetExceeded(InputError):
     """An exhaustive enumeration would exceed the configured budget."""
 

@@ -63,9 +63,17 @@ class FiniteAlgebra:
         return tuple(k.sub(a, b) for a, b in zip(u, v))
 
     def mult_matrix(self, z):
-        """Matrix (rows) of multiplication by z in the chosen basis."""
-        cols = [self.mul(z, self.basis_vector(j)) for j in range(self.dim)]
-        return [tuple(col[i] for col in cols) for i in range(self.dim)]
+        """Matrix (rows) of multiplication by z in the chosen basis, read off
+        the structure constants: entry (i, j) is sum_a z_a struct[a][j][i]."""
+        k, zero = self.k, self.k.zero()
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for za, table in zip(z, self.struct):
+            if za != zero:
+                for j, prod in enumerate(table):
+                    for i, c in enumerate(prod):
+                        if c != zero:
+                            rows[i][j] = k.add(rows[i][j], k.mul(za, c))
+        return [tuple(row) for row in rows]
 
     def pow(self, z, n):
         out = self.one

@@ -8,11 +8,9 @@ companion matrix over the rational function field.
 
 from itertools import product as iter_product
 
-from .errors import InputError, BudgetExceeded
+from .errors import DEFAULT_BUDGET, InputError, BudgetExceeded
 from .fqpoly import FqPoly, is_irreducible
 from . import amatrix
-
-DEFAULT_BUDGET = 10 ** 7
 
 
 class TruncatedRing:

@@ -11,9 +11,8 @@ reduces mod R into W.  That is tested on O/R, and only the rings are
 pulled back; the endpoints R and O are the zero and the full subspace.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .fqpoly import FqPoly
 from .ideals import Order
 from .quotient import invariant_window
 from .context import _internal, _naming
@@ -22,10 +21,9 @@ from . import kalgebra
 from . import klinalg
 
 
-@dataclass(frozen=True)
-class POverorderSet:
-    p: FqPoly
-    orders: tuple
+class POverorderSet(namedtuple("POverorderSet", "p orders")):
+    """The p-overorders of R, a canonically sorted tuple of Order."""
+    __slots__ = ()
 
     def to_json_list(self):
         return [s.to_json_dict() for s in self.orders]

@@ -26,15 +26,13 @@ context by context.memoized.
 """
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import BudgetExceeded, InputError
 from .gf import embedding, fits_table, gf
 from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
 from .bipoly import discriminant, infinity_model
-from .residue import ResidueField
 from .context import AlgebraContext, KElement, _internal, _naming, memoized
 from .ideals import FracIdeal, Order
 from .quotient import LatticeQuotient
@@ -43,13 +41,10 @@ from . import kalgebra
 from . import amatrix
 
 
-@dataclass(frozen=True)
-class PrimeAbove:
-    below: FqPoly
-    ideal: FracIdeal
-    e: int
-    f_res: int
-    regular: bool
+class PrimeAbove(namedtuple("PrimeAbove", "below ideal e f_res regular")):
+    """A prime of R above p: its ideal, ramification index e, residue
+    degree f_res, and whether it is regular."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -60,10 +55,9 @@ class PrimeAbove:
         }
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    p: FqPoly
-    primes: tuple
+class SplittingReport(namedtuple("SplittingReport", "p primes")):
+    """The primes of R above p, a tuple of PrimeAbove."""
+    __slots__ = ()
 
     def to_json_dict(self):
         tvar = self.primes[0].ideal.ctx.tvar if self.primes else "T"
@@ -82,8 +76,7 @@ def _require_prime(ctx, p):
         ctx.cache[key] = True
 
 
-@dataclass(frozen=True)
-class DedekindRecord:
+class DedekindRecord(namedtuple("DedekindRecord", "k factors z")):
     """Dedekind's criterion at p for R = A[x]/f (Cohen, GTM 138, Thm 6.1.4).
 
     k = A/p; `factors` holds the pairs (g_i, e_i) of f mod p = prod g_i^e_i,
@@ -91,9 +84,7 @@ class DedekindRecord:
     lifts of the g_i, F = (prod G_i^e_i - f)/p, and z is
     gcd(F mod p, prod g_i, prod g_i^(e_i - 1)) over k.
     """
-    k: ResidueField
-    factors: tuple
-    z: tuple
+    __slots__ = ()
 
     def regular(self, g):
         """Is the Kummer-Dedekind prime (p, G(pi)) of the factor g regular?

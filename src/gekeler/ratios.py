@@ -8,24 +8,21 @@ where L_F = 1 for the rational function field.  Everything is an exact
 rational; the only limits ever taken are in the validating oracles.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .fqpoly import FqPoly
+from .errors import DEFAULT_BUDGET
 from .context import _internal
 from .primes import (discriminant_factors, primes_above_in_max, singular_primes,
                      type_counts)
 from .weakeq import local_icm
 from .zeta import l_polynomial
-from .oracle import count_matrices_with_charpoly, sl_order_closed_form, DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class LocalRatio:
-    p: FqPoly
-    m_p: int
-    residues: tuple   # (e, f_res, norm) per prime of O_K above p, by (e, f)
-    value: Fraction
+class LocalRatio(namedtuple("LocalRatio", "p m_p residues value")):
+    """The exact local ratio `value` at p, with m_p and `residues`, the
+    triples (e, f_res, norm) per prime of O_K above p, sorted by (e, f)."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -36,11 +33,10 @@ class LocalRatio:
         }
 
 
-@dataclass(frozen=True)
-class ProductReport:
-    singular: tuple       # (p, m_p) pairs
-    lpoly: object
-    value: Fraction
+class ProductReport(namedtuple("ProductReport", "singular lpoly value")):
+    """The exact global product `value`, with `singular`, the pairs
+    (p, m_p) at the singular primes, and the L-polynomial `lpoly`."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -96,6 +92,7 @@ def gekeler_product(ctx):
 
 def finite_level_ratio(ctx, p, n, budget=DEFAULT_BUDGET):
     """Truncated ratio at level n: count * |p|^(n(r-1)) / |SL_r(A/p^n)|."""
+    from .oracle import count_matrices_with_charpoly, sl_order_closed_form
     ctx.require_separable()
     count = count_matrices_with_charpoly(ctx, p, n, budget=budget)
     big_q = ctx.field.q ** int(p.degree)

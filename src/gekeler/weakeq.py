@@ -40,10 +40,9 @@ trivial.  Two lattices that equal R away from p are weakly equivalent at
 p exactly when 1 in (I:J)(J:I) (`globally_weakly_equivalent`).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, InternalCheckError
-from .fqpoly import FqPoly
 from .ideals import FracIdeal, Order
 from .quotient import invariant_window
 from . import kalgebra
@@ -54,20 +53,19 @@ from .primes import (_require_prime, kummer_dedekind, p_saturation,
 from .overorders import p_overorders
 
 
-@dataclass(frozen=True)
-class WeakClassRep:
-    ideal: FracIdeal
-    mult_ring: Order
+class WeakClassRep(namedtuple("WeakClassRep", "ideal mult_ring")):
+    """A weak class, by a representative ideal and its multiplicator ring."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return self.ideal.to_json_dict()
 
 
-@dataclass(frozen=True)
-class LocalICMReport:
-    p: FqPoly
-    by_overorder: tuple   # of (Order, tuple of WeakClassRep)
-    m_p: int
+class LocalICMReport(namedtuple("LocalICMReport", "p by_overorder m_p")):
+    """The local ideal class monoid at p: `by_overorder` holds the pairs
+    (Order, tuple of WeakClassRep) per p-overorder, and m_p counts the
+    classes."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -11,7 +11,7 @@ in the model at infinity.  All arithmetic is exact, the root-magnitude
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
@@ -25,24 +25,24 @@ from .primes import (discriminant_factors, maximal_order, primes_above_in_max,
                      type_counts)
 
 
-@dataclass(frozen=True)
-class LPolynomial:
-    m: int
-    g: int
-    coeffs: tuple  # integers a_0 .. a_{2g}, relative to F_{q^m}
-    qm: int
+class LPolynomial(namedtuple("LPolynomial", "m g coeffs qm")):
+    """L_K of genus g over F_{q^m}, qm = q^m: `coeffs` are the integers
+    a_0 .. a_{2g}, relative to F_{q^m}.  Construction checks a_0 = 1, the
+    functional equation, L(1) > 0 and the root magnitudes."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __new__(cls, m, g, coeffs, qm):
+        self = super().__new__(cls, m, g, coeffs, qm)
+        if not coeffs or coeffs[0] != 1:
             raise InternalCheckError("L-polynomial must have constant term 1")
-        g, qm = self.g, self.qm
         for i in range(g + 1):
-            if self.coeffs[2 * g - i] != qm ** (g - i) * self.coeffs[i]:
+            if coeffs[2 * g - i] != qm ** (g - i) * coeffs[i]:
                 raise InternalCheckError("functional equation violated")
         if self.value_at(Fraction(1)) <= 0:
             raise InternalCheckError("L(1) must be positive")
-        if g > 0 and not _weil_roots_ok(self.coeffs, g, qm):
+        if g > 0 and not _weil_roots_ok(coeffs, g, qm):
             raise InternalCheckError("root off the circle |t| = q^(-m/2)")
+        return self
 
     def value_at(self, t):
         return gpoly.eval_poly(_Rationals(), self.coeffs, t)

@@ -386,6 +386,26 @@ def test_import_prints_nothing_and_builds_no_table():
     assert proc.stderr.split() == ["0", "0", "0", "0"]
 
 
+def test_import_loads_neither_dataclasses_nor_the_oracle():
+    # start-up compiles and runs only what a small job uses; the brute-force
+    # oracle is loaded by the first subcommand that runs it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
+    check = ("import contextlib, io, sys, gekeler.cli\n"
+             "names = ('dataclasses', 'inspect', 'gekeler.oracle')\n"
+             "print(*[n for n in names if n in sys.modules], file=sys.stderr)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = gekeler.cli.main(['ratio', '--q', '3', '--f', 'x^2 - T^3',\n"
+             "                             '--prime', 'T', '--level', '1'])\n"
+             "print(code, 'gekeler.oracle' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0] == ""
+    assert lines[-1] == "0 True"
+
+
 def test_main_builds_its_parser_once():
     # main() parses with one parser per process; a second call prints the
     # same bytes, and an explicit --budget leaves the default as it was

@@ -150,6 +150,37 @@ def test_a_linear_quotient_maps_match_the_slot_oracles():
     assert seen == 138
 
 
+def _mult_matrix_by_columns(alg, z):
+    """Multiplication by z, column j the product z * b_j."""
+    cols = [alg.mul(z, alg.basis_vector(j)) for j in range(alg.dim)]
+    return [tuple(col[i] for col in cols) for i in range(alg.dim)]
+
+
+def test_mult_matrix_matches_the_column_products():
+    # S/pS (p_radical) and O/(S:O) (LatticeQuotient.algebra) for every
+    # p-overorder S at every singular p of the oracle and three-branch
+    # curves, finite and infinity models (21 of the 130 are the zero ring);
+    # each basis vector and three seeded random elements
+    rng = random.Random(0)
+    seen = 0
+    for q, fstr in ORACLE_CURVES + THREE_BRANCH_CURVES:
+        finite = make_ctx(q, fstr)
+        for ctx in (finite, P.infinity_context(finite)):
+            for p in P.singular_primes(ctx):
+                sat = P.p_saturation(ctx, p).ideal
+                for s in p_overorders(ctx, p).orders:
+                    for alg in (P.p_radical(s, p)[1],
+                                LatticeQuotient(sat, s.ideal.colon(sat)).algebra()):
+                        k = alg.k
+                        zs = [alg.basis_vector(j) for j in range(alg.dim)]
+                        zs += [tuple(rng.choice(k.elements()) for _ in range(alg.dim))
+                               for _ in range(3)]
+                        for z in zs:
+                            assert alg.mult_matrix(z) == _mult_matrix_by_columns(alg, z)
+                        seen += 1
+    assert seen == 130
+
+
 def _workload_argvs(name):
     """The argvs of one benchmark workload, read from perfbench."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -545,6 +545,16 @@ def test_local_icm_values():
     assert len(weak_classes(R, R, T - one)) == 1
 
 
+def test_local_icm_report_is_read_only():
+    ctx = make_ctx(3, "x^2 - T^3")
+    rep = local_icm(ctx, FqPoly.gen(ctx.field))
+    with pytest.raises(AttributeError):
+        rep.m_p = 3
+    with pytest.raises(AttributeError):
+        rep.extra = 0
+    assert rep.m_p == 2
+
+
 def test_local_icm_regular_for_unit_disc():
     ctx = make_ctx(3, "1 - x + x^3")
     F = ctx.field

@@ -154,6 +154,27 @@ def test_weil_gate_rejects_root_off_the_circle():
         Z.LPolynomial(1, 1, (1, 5, 5), 5)
 
 
+@pytest.mark.parametrize("coeffs", [(), (2,), (2, 0, 6)])
+def test_l_polynomial_refuses_a_constant_term_other_than_1(coeffs):
+    with pytest.raises(InternalCheckError, match="constant term 1"):
+        Z.LPolynomial(1, len(coeffs) // 2, coeffs, 3)
+
+
+def test_l_polynomial_refuses_a_broken_functional_equation():
+    # a_2 must be q a_0 = 3
+    with pytest.raises(InternalCheckError, match="functional equation violated"):
+        Z.LPolynomial(1, 1, (1, 0, 4), 3)
+
+
+def test_l_polynomial_fields_are_read_only():
+    lp = Z.l_polynomial(make_ctx(3, "x^2 - (T^5 + 2*T + 1)"))
+    with pytest.raises(AttributeError):
+        lp.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        lp.extra = 0
+    assert lp.g == 2 and len(lp.coeffs) == 5
+
+
 def _fresh_ctx(q, fstr):
     from gekeler.context import AlgebraContext
     from gekeler.gf import gf_of_order
