@@ -18,14 +18,19 @@ counts the splitting types of the Frobenius orbits of GF(q^D), and only
 the primes of disc(f) are built, by factoring it.  The maximal order is
 the product of the saturations at the singular primes (_saturation, the
 p-saturation of R with its O/pO), validated by the conductor-discriminant
-identity.  A saturation opens at Dedekind's R' = R + (U(pi)/p) R, U a
-lift of (f mod p)/z, and goes on by radical steps; its last step at p
-builds S/pS = O_K/pO_K over F_q, and takes no confirming colon where the
+identity.  A saturation opens at Ore's order (ore_order) where every
+singular factor of f mod p is linear and f is p-regular, every side of
+its Newton polygon having a squarefree residual polynomial; there it is
+already O_p.  Elsewhere it opens at Dedekind's R' = R + (U(pi)/p) R, U a
+lift of (f mod p)/z.  Radical steps follow either start; the first
+builds S/pS, whose product table checks that S is a ring, and the step
+that builds S/pS = O_K/pO_K over F_q takes no confirming colon where the
 tame different bound is met.  Every fact derived here is memoised per
 context by context.memoized.
 """
 
 import functools
+import math
 from collections import Counter, namedtuple
 
 from .errors import BudgetExceeded, InputError
@@ -144,6 +149,67 @@ def dedekind_order(ctx, p):
     cols = [tuple(c * p for c in e) for e in ctx.power_vectors]
     cols += [ctx.mult_vectors(u, e) for e in ctx.power_vectors]
     return Order(FracIdeal.from_columns(ctx, cols, p), check=False)
+
+
+def ore_order(ctx, p):
+    """O_p read off the phi-Newton polygons of f where f is p-regular, and
+    None elsewhere (Ore; Montes and Nart, J. Algebra 146, 1992).
+
+    Each singular factor g of f mod p must be linear; phi = G, its lift,
+    expands f = sum a_i phi^i with quotients q_i = sum_(j >= i) a_j
+    phi^(j-i), and N is the lower convex hull of the points (i, v_p(a_i)),
+    i <= e.  A side of N of length l and drop h is regular when its
+    residual polynomial sum_j red(a_(s+jl/d) / p^y_N(s+jl/d)) y^j over k,
+    d = gcd(l, h), is squarefree.  Where every side is, O_p is
+    R + sum A q_i(pi) / p^floor(y_N(i)) over phi and 0 < i < e, and
+    deg [O_p:R] = deg p * sum floor(y_N(i)) (Ore's index) is checked."""
+    rec = dedekind(ctx, p)
+    k = rec.k
+    gens = []   # (floor(y_N(i)), q_i)
+    for g, e in rec.factors:
+        if rec.regular(g):
+            continue
+        if len(g) != 2:
+            return None
+        phi, quo, taylor, quots = _lift_to_ax(k, g), ctx.f.coeffs, [], []
+        for _ in range(e + 1):
+            quo, a = gpoly.divmod_poly(ctx.ring, quo, phi)
+            taylor.append(a[0] if a else ctx.ring.zero())
+            quots.append(quo)
+        hull = []   # the vertices of N
+        for x2, y2 in [(i, _valuation(a, p)) for i, a in enumerate(taylor) if a]:
+            while len(hull) > 1:
+                (x0, y0), (x1, y1) = hull[-2:]
+                if (y1 - y0) * (x2 - x0) < (y2 - y0) * (x1 - x0):
+                    break
+                hull.pop()
+            hull.append((x2, y2))
+        for (s, ys), (t, yt) in zip(hull, hull[1:]):
+            l, h = t - s, ys - yt
+            d = math.gcd(l, h)
+            res = gpoly.normalize([k.project(taylor[s + j * l // d].exact_div(
+                p ** (ys - j * h // d))) for j in range(d + 1)])
+            if len(gpoly.gcd(k, res, gpoly.derivative(k, res))) > 1:
+                return None
+            gens += [(ys + (s - i) * h // l, quots[i - 1])
+                     for i in range(max(s, 1), t)]
+    top = max(n for n, _ in gens)
+    den = p ** top
+    cols = [tuple(c * den for c in e) for e in ctx.power_vectors]
+    cols += [tuple(c * p ** (top - n) for c in ctx.eval_at_pi(quo))
+             for n, quo in gens if n]
+    lattice = FracIdeal.from_columns(ctx, cols, den)
+    if -lattice.covolume() != int(p.degree) * sum(n for n, _ in gens):
+        raise _internal(ctx, "maximal_order", "Ore's order misses Ore's index", p)
+    return Order(lattice, check=False)
+
+
+def _valuation(a, p):
+    """v_p(a) for a nonzero a in A."""
+    v, (quot, rem) = 0, a.divmod(p)
+    while not rem:
+        v, (quot, rem) = v + 1, quot.divmod(p)
+    return v
 
 
 def kummer_dedekind(order, p):
@@ -370,11 +436,13 @@ def _saturation(ctx, p):
     """(O, O/pO) for the p-saturation O of R at a singular p, with
     O/pO = O_K/pO_K over F_q; its faults name the stage maximal_order.
 
-    The saturation opens at Dedekind's R' (`dedekind_order`), which is
-    the first radical step (rad:rad), and goes on with radical steps S ->
+    The saturation opens at Ore's order (`ore_order`), which is O where
+    f is p-regular, and elsewhere at Dedekind's R' (`dedekind_order`),
+    the first radical step (rad:rad); it goes on with radical steps S ->
     (rad:rad) until one leaves S fixed.  Each step builds S/pS and its
-    nilradical first; the nilradical is pulled back to the radical
-    lattice only on a step that goes on to take the colon.
+    nilradical first, and S/pS's product table fails unless S is a ring,
+    so S lies in O; the nilradical is pulled back to the radical lattice
+    only on a step that goes on to take the colon.
 
     The step that would confirm S = O takes no colon where the tame bound
     is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
@@ -393,7 +461,7 @@ def _saturation(ctx, p):
     when every e_P is prime to the characteristic, so the colon is taken
     only on growth steps and at wild primes."""
     mult = dict(discriminant_factors(ctx))[p]
-    sat = dedekind_order(ctx, p)
+    sat = ore_order(ctx, p) or dedekind_order(ctx, p)
     for _ in range(mult + 2):
         with _naming(ctx, "maximal_order", p):
             quo, alg = p_radical(sat, p)

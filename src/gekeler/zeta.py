@@ -44,6 +44,11 @@ class LPolynomial(namedtuple("LPolynomial", "m g coeffs qm")):
             raise InternalCheckError("root off the circle |t| = q^(-m/2)")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__ and its checks, for _replace as well."""
+        return cls(*iterable)
+
     def value_at(self, t):
         return gpoly.eval_poly(_Rationals(), self.coeffs, t)
 

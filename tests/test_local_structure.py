@@ -247,6 +247,38 @@ def test_icm_window_pass_reads_local_structure(monkeypatch):
     assert max(per_algebra) == 1 and sum(per_algebra) == 3
 
 
+def test_icm_window_saturations_build_one_radical_and_no_colon(monkeypatch):
+    # every singular p of the icm_window curves is p-regular, so each
+    # saturation opens at O and builds S/pS once to certify it (up to five
+    # times from Dedekind's order)
+    from gekeler.context import AlgebraContext
+    from gekeler.gf import gf_of_order
+    from gekeler.parse import parse_bipoly
+    calls = {"colon": 0, "p_radical": 0}
+    real_colon, real_radical = FracIdeal.colon, P.p_radical
+
+    def colon(self, other):
+        calls["colon"] += 1
+        return real_colon(self, other)
+
+    def p_radical(order, p):
+        calls["p_radical"] += 1
+        return real_radical(order, p)
+
+    monkeypatch.setattr(FracIdeal, "colon", colon)
+    monkeypatch.setattr(P, "p_radical", p_radical)
+    seen = 0
+    for argv in _workload_argvs("ICM_WINDOW"):   # one context per job
+        field = gf_of_order(int(argv[2]))
+        ctx = AlgebraContext(field, parse_bipoly(field, argv[4]))
+        for p in P.singular_primes(ctx):
+            calls.update(colon=0, p_radical=0)
+            P._saturation(ctx, p)
+            assert calls == {"colon": 0, "p_radical": 1}
+            seen += 1
+    assert seen == 10
+
+
 def test_census_pass_pulls_back_no_radical(monkeypatch):
     # the census saturations all stop at the tame bound, so none of them
     # pulls its nilradical back to a lattice (one before)

@@ -358,6 +358,75 @@ def test_saturation_is_the_colon_fixed_point():
     assert seen == 26
 
 
+ORE_CURVES = list(dict.fromkeys(
+    ORACLE_CURVES + CONTEXT_POOL + THREE_BRANCH_CURVES + CENSUS_CURVES
+    + [(3, "x^2 + 2*T*x + T^2 + T^3"),   # irregular at T: (y + 1)^2
+       (3, "(x^2 + 1)^2 + T^3"),          # singular factor x^2 + 1 at T
+       (3, "(x^2 - 1)^2 - T^3")]))        # singular factors x - 1, x + 1 at T
+
+
+def test_ore_order_is_the_saturation_where_f_is_p_regular(monkeypatch):
+    # at every singular p of the pools and their models at infinity, the
+    # saturation opened at Dedekind's order ends at the one opened at
+    # Ore's order, and Ore's order, where f is p-regular, is already O
+    starts = {}
+    for q, fstr in ORE_CURVES:
+        finite = make_ctx(q, fstr)
+        for ctx in (finite, P.infinity_context(finite)):
+            for p in P.singular_primes(ctx):
+                sat = P.p_saturation(ctx, p)
+                ore = P.ore_order(ctx, p)
+                assert ore is None or ore == sat
+                with monkeypatch.context() as m:
+                    m.setattr(P, "ore_order", lambda ctx, p: None)
+                    assert P._saturation.__wrapped__(ctx, p)[0] == sat
+                rec = P.dedekind(ctx, p)
+                singular = [(gpoly.deg(g), e) for g, e in rec.factors
+                            if not rec.regular(g)]
+                starts[fstr, p.to_str(ctx.tvar), tuple(singular)] = ore is not None
+    dedekind_starts = [key for key, ore in starts.items() if not ore]
+    assert dedekind_starts == [   # the first is irregular: (y - 1)^2
+        ("(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2", "U", ((1, 4),)),
+        ("x^2 + 2*T*x + T^2 + T^3", "T", ((1, 2),)),
+        ("(x^2 + 1)^2 + T^3", "T", ((2, 2),))]
+    assert starts["(x^2 - 1)^2 - T^3", "T", ((1, 2), (1, 2))]
+    assert len(starts) == 31
+
+
+def test_the_radical_steps_certify_the_start(monkeypatch):
+    # opened at a proper sub-order of O, R' or R itself, the saturation
+    # still ends at O, with more builds of S/pS than the one that
+    # certifies Ore's order
+    F = gf(2)
+    T = FqPoly.gen(F)
+    target = P.p_saturation(make_ctx(2, "x^3 - T^5"), T).ideal
+    real = P.p_radical
+    for start in (P.dedekind_order, lambda ctx, p: Order.monogenic(ctx)):
+        steps = []
+        with monkeypatch.context() as m:
+            m.setattr(P, "ore_order", start)
+            m.setattr(P, "p_radical",
+                      lambda order, p: steps.append(order) or real(order, p))
+            ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^5"))
+            opened = start(ctx, T).ideal
+            sat = P.p_saturation(ctx, T).ideal
+        assert (opened.num, opened.den) != (target.num, target.den)
+        assert (sat.num, sat.den) == (target.num, target.den)
+        assert len(steps) >= 3
+
+
+def test_ore_index_fault_names_the_stage_and_instance(monkeypatch):
+    # an Ore's order whose HNF misses Ore's index is a fault of maximal_order
+    real = FracIdeal.covolume
+    monkeypatch.setattr(FracIdeal, "covolume", lambda self: real(self) + 1)
+    F = gf(3)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T^3"))
+    with pytest.raises(InternalCheckError) as exc:
+        P.maximal_order(ctx)
+    assert str(exc.value) == ("maximal_order: Ore's order misses Ore's index "
+                              "for q = 3, f = x^2 + 2*T^3, p = T")
+
+
 def test_tame_bound_is_met_only_at_the_end_of_a_chain():
     # D(S) = deg p * v_p(disc S), from the trace form, and n(S), the
     # dimension of the nilradical of S/pS: D(S) >= n(S) along the radical

@@ -866,16 +866,16 @@ def _count_work(monkeypatch, q, fstr):
 
 
 def test_local_icm_takes_no_colon_whose_answer_is_known(monkeypatch):
-    # the saturation opens at Dedekind's order, one radical step early,
-    # builds S/pS three times, and R, O and the orders of rank 2 take no
+    # the saturation opens at Ore's order, which is O here, builds S/pS
+    # once to certify it, and R, O and the orders of rank 2 take no
     # conductor colon
     report, calls = _count_work(monkeypatch, 2, "x^3 - T^5")
     assert report.m_p == 7
-    assert calls["colon"] <= 6 and calls["p_radical"] == 3
+    assert calls["colon"] <= 6 and calls["p_radical"] == 1
     monkeypatch.undo()
     report, calls = _count_work(monkeypatch, 3, "x^2 - T^7")
     assert report.m_p == 4
-    assert calls["colon"] <= 3 and calls["p_radical"] == 3
+    assert calls["colon"] <= 3 and calls["p_radical"] == 1
 
 
 def test_local_icm_trusts_its_own_overorders(monkeypatch):

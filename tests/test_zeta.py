@@ -166,6 +166,18 @@ def test_l_polynomial_refuses_a_broken_functional_equation():
         Z.LPolynomial(1, 1, (1, 0, 4), 3)
 
 
+def test_l_polynomial_make_and_replace_run_the_checks():
+    # the named tuple's own _make and _replace would skip __new__
+    lp = Z.LPolynomial(1, 1, (1, 0, 3), 3)
+    assert lp._replace(m=1) == lp and Z.LPolynomial._make(lp) == lp
+    with pytest.raises(InternalCheckError, match="functional equation violated"):
+        lp._replace(coeffs=(1, 0, 4))
+    with pytest.raises(InternalCheckError, match="functional equation violated"):
+        Z.LPolynomial._make((1, 1, (1, 0, 4), 3))
+    with pytest.raises(InternalCheckError, match="root off the circle"):
+        lp._replace(coeffs=(1, 5, 3))
+
+
 def test_l_polynomial_fields_are_read_only():
     lp = Z.l_polynomial(make_ctx(3, "x^2 - (T^5 + 2*T + 1)"))
     with pytest.raises(AttributeError):
