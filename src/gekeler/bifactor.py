@@ -187,8 +187,9 @@ def _frobenius_descent(f):
     return BiPoly(f.field, out)
 
 
-def is_irreducible_bivariate(f, seed=0):
-    """Irreducibility of f over F_q(T); f must be monic in x of degree >= 1."""
+def is_irreducible_bivariate(f, seed=0, res=None):
+    """Irreducibility of f over F_q(T); f must be monic in x of degree >= 1.
+    res is res_x(f, df/dx) when the caller already has it."""
     if f.deg_x < 1 or not f.is_monic_in_x():
         raise InputError("irreducibility test needs f monic in x, deg >= 1")
     if f.deg_x == 1:
@@ -199,7 +200,7 @@ def is_irreducible_bivariate(f, seed=0):
         return is_irreducible_bivariate(g, seed=seed) and not _coeffs_are_pth_powers(g)
     # separable-or-repeated-factor branch
     from .bipoly import resultant_x
-    if resultant_x(f, fx).is_zero():
+    if (resultant_x(f, fx) if res is None else res).is_zero():
         return False  # repeated factor
     return len(factor_squarefree_bivariate(f, seed=seed)) == 1
 

@@ -149,12 +149,13 @@ def resultant_x(f, g):
     return amatrix.det(rows)
 
 
-def discriminant(f):
-    """Monic associate of disc(f) = res_x(f, df/dx); f must be separable."""
+def discriminant(f, res=None):
+    """Monic associate of disc(f) = res_x(f, df/dx); f must be separable.
+    res is res_x(f, df/dx) when the caller already has it."""
     fx = f.derivative_x()
     if fx.is_zero():
         raise InseparableError()
-    d = resultant_x(f, fx)
+    d = resultant_x(f, fx) if res is None else res
     if d.is_zero():
         raise InseparableError(
             "f has a repeated factor (disc = 0); it is reducible or inseparable")

@@ -14,7 +14,7 @@ from .errors import (InputError, InternalCheckError, ReducibleError,
                      InseparableError)
 from .fqpoly import FqPoly, gcd_list, poly_ring
 from .bifactor import is_irreducible_bivariate
-from . import gpoly
+from . import bipoly, gpoly
 
 
 def _internal(ctx, stage, what, p=None):
@@ -68,7 +68,8 @@ class AlgebraContext:
         # results derived from f (orders, splittings, places), kept by memoized
         self.cache = {}
         with _naming(self, "is_irreducible_bivariate"):
-            if check and not is_irreducible_bivariate(f, seed=seed):
+            if check and not is_irreducible_bivariate(f, seed=seed,
+                                                      res=self.resultant()):
                 raise ReducibleError(f"f = {f.to_str(tvar, xvar)} is reducible "
                                      f"over F_{field.q}({tvar})")
         zero, one = self.ring.zero(), self.ring.one()
@@ -111,6 +112,12 @@ class AlgebraContext:
             if not c.is_zero():
                 out = out + c * self.trace_powers[k]
         return out
+
+    @memoized
+    def resultant(self):
+        """res_x(f, df/dx), built once: the irreducibility test's
+        repeated-factor guard and disc(f) both read it."""
+        return bipoly.resultant_x(self.f, self.f.derivative_x())
 
     def require_separable(self):
         if not self.separable:

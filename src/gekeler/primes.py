@@ -242,7 +242,7 @@ def _splitting_report(ctx, p):
 @memoized
 def discriminant_of_f(ctx):
     """Monic disc(f)."""
-    return discriminant(ctx.f)
+    return discriminant(ctx.f, ctx.resultant())
 
 
 @memoized

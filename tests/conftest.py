@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from gekeler.gf import gf
@@ -32,6 +35,15 @@ CENSUS_CURVES = [
     (4, "x^2 + x + T^5 + a"), (5, "x^2 - (T^5 + T + 1)"), (7, "x^2 - (T^5 + 3)"),
     (11, "x^2 - (T^5 + T + 1)"),
 ]
+
+
+def perfbench_workloads():
+    """The benchmark's workloads module, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_ctx(q, fstr, seed=0):

@@ -197,29 +197,32 @@ def test_criterion_8_randomized_property_suite():
     report(8, t0, f"{executed} randomized instances")
 
 
+# the invocations whose stdout must be byte-identical across reruns
+CLI_INVOCATIONS = [
+    ["product", "--q", "3", "--f", "x^2 - T^3"],
+    ["product", "--q", "3", "--f", "x^2 - T", "--check-depth", "2"],
+    ["icm", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
+    ["ratio", "--q", "3", "--f", "x^2 - T^3", "--prime", "T", "--level", "1"],
+    ["zeta", "--q", "5", "--f", "x^2 - (T^3 + T + 1)"],
+    ["primes", "--q", "3", "--f", "x^2 - T^3"],
+    ["primes", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
+    ["overorders", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
+    ["oracle", "count", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
+     "--level", "2"],
+    ["oracle", "orbits", "--q", "3", "--f", "x^2 - T^3", "--prime", "T-1",
+     "--level", "1"],
+    ["oracle", "slcount", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
+     "--level", "1"],
+    ["oracle", "commutant", "--q", "3", "--f", "1 - x + x^3"],
+]
+
+
 def test_criterion_9_cli_determinism():
     t0 = time.monotonic()
-    invocations = [
-        ["product", "--q", "3", "--f", "x^2 - T^3"],
-        ["product", "--q", "3", "--f", "x^2 - T", "--check-depth", "2"],
-        ["icm", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
-        ["ratio", "--q", "3", "--f", "x^2 - T^3", "--prime", "T", "--level", "1"],
-        ["zeta", "--q", "5", "--f", "x^2 - (T^3 + T + 1)"],
-        ["primes", "--q", "3", "--f", "x^2 - T^3"],
-        ["primes", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
-        ["overorders", "--q", "3", "--f", "x^2 - T^3", "--prime", "T"],
-        ["oracle", "count", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
-         "--level", "2"],
-        ["oracle", "orbits", "--q", "3", "--f", "x^2 - T^3", "--prime", "T-1",
-         "--level", "1"],
-        ["oracle", "slcount", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
-         "--level", "1"],
-        ["oracle", "commutant", "--q", "3", "--f", "1 - x + x^3"],
-    ]
     # the child imports the same checkout, installed or not
     env = dict(os.environ,
                PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
-    for args in invocations:
+    for args in CLI_INVOCATIONS:
         outs = []
         for _ in range(2):
             proc = subprocess.run(
@@ -228,4 +231,4 @@ def test_criterion_9_cli_determinism():
             outs.append(proc.stdout)
         assert outs[0] == outs[1], f"nondeterministic output for {args}"
         json.loads(outs[0])
-    report(9, t0, f"{len(invocations)} commands byte-identical across reruns")
+    report(9, t0, f"{len(CLI_INVOCATIONS)} commands byte-identical across reruns")

@@ -181,12 +181,8 @@ def test_divmod_monic_identity():
 
 def _benchmark_curves():
     """(q, f) of every job of the benchmark's fixed workloads."""
-    import importlib.util
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    from conftest import perfbench_workloads
+    workloads = perfbench_workloads()
     return sorted({(int(job[job.index("--q") + 1]), job[job.index("--f") + 1])
                    for job in workloads.ICM_WINDOW + workloads.CENSUS})
 

@@ -370,29 +370,28 @@ def test_byte_identical_reruns():
 
 def test_import_prints_nothing_and_builds_no_table():
     # a benchmark worker's first line after `import gekeler.cli` must be its
-    # own; every field, orbit list, prime sieve and the argument parser is
-    # built on first use
+    # own; every field, orbit list and prime sieve is built on first use
     env = dict(os.environ,
                PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
     check = ("import sys, gekeler.cli\n"
              "from gekeler import cli, fqpoly, primes\n"
              "print(len(sys.modules['gekeler.gf']._FIELD_CACHE),\n"
              "      primes._orbit_logs.cache_info().currsize,\n"
-             "      fqpoly._sieve.cache_info().currsize,\n"
-             "      cli._build_parser.cache_info().currsize, file=sys.stderr)\n")
+             "      fqpoly._sieve.cache_info().currsize, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert proc.stdout == ""
-    assert proc.stderr.split() == ["0", "0", "0", "0"]
+    assert proc.stderr.split() == ["0", "0", "0"]
 
 
 def test_import_loads_neither_dataclasses_nor_the_oracle():
     # start-up compiles and runs only what a small job uses; the brute-force
-    # oracle is loaded by the first subcommand that runs it
+    # oracle is loaded by the first subcommand that runs it, and argv is
+    # read without argparse
     env = dict(os.environ,
                PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
     check = ("import contextlib, io, sys, gekeler.cli\n"
-             "names = ('dataclasses', 'inspect', 'gekeler.oracle')\n"
+             "names = ('dataclasses', 'inspect', 'gekeler.oracle', 'argparse')\n"
              "print(*[n for n in names if n in sys.modules], file=sys.stderr)\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = gekeler.cli.main(['ratio', '--q', '3', '--f', 'x^2 - T^3',\n"
@@ -406,21 +405,20 @@ def test_import_loads_neither_dataclasses_nor_the_oracle():
     assert lines[-1] == "0 True"
 
 
-def test_main_builds_its_parser_once():
-    # main() parses with one parser per process; a second call prints the
-    # same bytes, and an explicit --budget leaves the default as it was
+def test_main_keeps_no_state_between_calls():
+    # main() reads every argv through the same module-level table; a second
+    # call prints the same bytes, and an explicit --budget leaves the default
+    # as it was
     from gekeler import cli
     from gekeler.oracle import DEFAULT_BUDGET
     argv = ["product", "--q", "3", "--f", "x^2 - T", "--check-depth", "3"]
     first = run_cli(argv)
-    parser = cli._build_parser()
     budget_argv = ["oracle", "count", "--q", "3", "--f", "x^2 - T^3",
                    "--prime", "T", "--level", "3"]
     assert run_cli(budget_argv + ["--budget", "100"])[0] == 2
     second = run_cli(argv)
     assert first[0] == second[0] == 0
     assert first[1].encode() == second[1].encode()
-    assert cli._build_parser() is parser
-    assert parser.parse_args(budget_argv).budget == DEFAULT_BUDGET
+    assert cli._read_argv(budget_argv).budget == DEFAULT_BUDGET
 
 

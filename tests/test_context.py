@@ -98,3 +98,38 @@ def test_a_memoized_body_runs_once_per_context_and_arguments():
             refuse(a, 5)
     assert calls == [(a, 5), (a, 5)]
 
+
+
+def test_one_resultant_per_context_on_the_benchmark_jobs(monkeypatch):
+    # the irreducibility test's repeated-factor guard and disc(f) read the
+    # same res_x(f, df/dx); each context builds it once (twice before)
+    import contextlib
+    import io
+    from conftest import perfbench_workloads
+    from gekeler import bipoly, cli, context
+    calls, contexts = [], []
+    real_resultant, real_init = bipoly.resultant_x, context.AlgebraContext.__init__
+
+    def resultant_x(f, g):
+        calls.append(f)
+        return real_resultant(f, g)
+
+    def init(self, *args, **kwargs):
+        contexts.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bipoly, "resultant_x", resultant_x)
+    monkeypatch.setattr(context.AlgebraContext, "__init__", init)
+    workloads = perfbench_workloads()
+    for argvs, total in ((workloads.ICM_WINDOW, 11), (workloads.CENSUS, 27)):
+        calls.clear()
+        contexts.clear()
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(list(argv)) == 0
+        assert [sum(f is ctx.f for f in calls) for ctx in contexts] \
+            == [1] * len(contexts)
+        # census: the one other call is the zeta census's factor count of f
+        # over a constant field extension
+        assert len(calls) == total

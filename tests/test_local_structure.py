@@ -3,13 +3,12 @@ local algebras, the A-linear maps of the lattice quotients, and the work
 they leave to one pass of the `icm_window` benchmark jobs."""
 
 import contextlib
-import importlib.util
 import io
 import random
 import sys
-from pathlib import Path
 
-from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
+from conftest import (ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx,
+                      perfbench_workloads)
 from property_suite import CONTEXT_POOL
 import slot_oracle
 from split_oracle import split_by_minimal_polynomials
@@ -183,11 +182,7 @@ def test_mult_matrix_matches_the_column_products():
 
 def _workload_argvs(name):
     """The argvs of one benchmark workload, read from perfbench."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return getattr(module, name)
+    return getattr(perfbench_workloads(), name)
 
 
 def _count_radical_pullbacks(monkeypatch):
