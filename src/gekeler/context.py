@@ -1,10 +1,11 @@
 """Algebra context for K = Frac(A[x]/f) and exact elements of K.
 
 The context fixes q and an irreducible f monic in x of degree r and the
-power sums needed for traces.  Elements of K are numerator coordinate
-vectors over A in the power basis 1, pi, ..., pi^(r-1) together with a
-monic denominator.  A product in K is a product in A[x] followed by the
-remainder mod f, both run by gpoly over fqpoly.poly_ring.
+power sums s_k = Tr(pi^k), k <= 2r - 2, that give the trace form.
+Elements of K are numerator coordinate vectors over A in the power basis
+1, pi, ..., pi^(r-1) together with a monic denominator.  A product in K
+is a product in A[x] followed by the remainder mod f, both run by gpoly
+over fqpoly.poly_ring.
 """
 
 import contextlib
@@ -80,7 +81,9 @@ class AlgebraContext:
         self._build_trace_table()
 
     def _build_trace_table(self):
-        # Newton's identities give s_k = Tr(pi^k) from the coefficients of f.
+        # Newton's identities give s_k = Tr(pi^k) from the coefficients of
+        # f; s_0 .. s_(2r-2) are the entries Tr(pi^i pi^j) = s_(i+j) of the
+        # Hankel matrix that gives primes.order_discriminant the trace form.
         r = self.r
         F = self.field
         c = [self.f.coeff(i) for i in range(r)]  # f = x^r + c_{r-1}x^{r-1}+...+c_0
@@ -103,15 +106,6 @@ class AlgebraContext:
     def mult_vectors(self, u, v):
         """Product of two numerator vectors in the power basis."""
         return self.eval_at_pi(gpoly.mul(self.ring, u, v))
-
-    def trace_of_vector(self, vec):
-        """Trace of the element with numerator vector vec (denominator 1)."""
-        F = self.field
-        out = FqPoly.zero(F)
-        for k, c in enumerate(vec):
-            if not c.is_zero():
-                out = out + c * self.trace_powers[k]
-        return out
 
     @memoized
     def resultant(self):
@@ -184,11 +178,6 @@ class KElement:
         ctx = self.ctx
         num = ctx.mult_vectors(self.num, other.num)
         return KElement(ctx, num, self.den * other.den)
-
-    def trace(self):
-        """Tr_{K/F}; returns (numerator poly, denominator poly)."""
-        t = self.ctx.trace_of_vector(self.num)
-        return t, self.den
 
     def to_str(self):
         ctx = self.ctx

@@ -14,8 +14,8 @@ disc(f) it is the distinct-degree pattern of f mod p; at the other
 regular p it is the record's (e_i, deg g_i) (Dedekind's criterion); only
 at the singular primes is it read off the local components of O_K/pO_K.
 The census of the primes of one degree lists no prime: type_counts
-counts the splitting types of the Frobenius orbits of GF(q^D), and only
-the primes of disc(f) are built, by factoring it.  The maximal order is
+counts the splitting types of the Frobenius orbits of GF(q^D) and of
+the primes of disc(f), which alone are built.  The maximal order is
 the product of the saturations at the singular primes (_saturation, the
 p-saturation of R with its O/pO), validated by the conductor-discriminant
 identity.  A saturation opens at Ore's order (ore_order) where every
@@ -39,7 +39,7 @@ from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
 from .bipoly import discriminant, infinity_model
 from .context import AlgebraContext, KElement, _internal, _naming, memoized
-from .ideals import FracIdeal, Order
+from .ideals import FracIdeal, Order, _dot
 from .quotient import LatticeQuotient
 from . import gpoly
 from . import kalgebra
@@ -272,23 +272,24 @@ _SPLIT, _INERT = ((1, 1), (1, 1)), ((1, 2),)
 
 @memoized
 def type_counts(ctx, degree):
-    """Counter of the splitting types of the primes of the given degree
-    that do not divide disc(f).
+    """Counter of the splitting types of all primes of the given degree:
+    the one census that partial_products and count_places read.
 
-    No prime is listed.  A prime p of degree D has the type of f(alpha, x)
-    over E = GF(q^D) for any root alpha of p, because A/p = F_q(alpha)
-    through T -> alpha, and the roots of the primes of degree D are the
-    Frobenius orbits of size D in E (Rosen, GTM 210, ch. 1-3).  So the
-    count walks alpha over F_q for D = 1, and otherwise over one g^k per
-    orbit, k -> kq mod q^D - 1 on the logs of E's generator g; an alpha
-    with disc(f)(alpha) = 0 is a root of a prime of disc(f) and is
-    skipped.  For rank 2 and odd q the type is Euler's criterion on the
-    discriminant a^2 - 4b of x^2 + ax + b: split where it is a square at
-    alpha, inert where it is not.  Where E is too large to tabulate, the
-    primes of degree D are sieved and f is reduced into each A/p.  The
-    walk refuses a degree with q^D > SIEVE_LIMIT before it allocates
-    anything.  The orbits walked and the primes of disc(f) of degree D
-    must number as many as Gauss's count of the primes of degree D.
+    Only the primes of disc(f) are listed, from its factorization, and each
+    is counted with its type from primes_above_in_max.  Every other prime
+    p of degree D has the type of f(alpha, x) over E = GF(q^D) for any
+    root alpha of p, because A/p = F_q(alpha) through T -> alpha, and the
+    roots of the primes of degree D are the Frobenius orbits of size D in
+    E (Rosen, GTM 210, ch. 1-3).  So the count walks alpha over F_q for
+    D = 1, and otherwise over one g^k per orbit, k -> kq mod q^D - 1 on
+    the logs of E's generator g; an alpha with disc(f)(alpha) = 0 is a
+    root of a prime of disc(f) and is skipped.  For rank 2 and odd q the
+    type is Euler's criterion on the discriminant a^2 - 4b of x^2 + ax +
+    b: split where it is a square at alpha, inert where it is not.  Where
+    E is too large to tabulate, the primes of degree D are sieved and f is
+    reduced into each A/p.  The walk refuses a degree with q^D >
+    SIEVE_LIMIT before it allocates anything.  The types counted must
+    number as many as Gauss's count of the primes of degree D.
     """
     ctx.require_separable()
     field = ctx.field
@@ -303,8 +304,10 @@ def type_counts(ctx, degree):
         counts = Counter(_pattern(*ctx.f.reduce_mod(p))
                          for p in monic_irreducibles(field, degree)
                          if not (disc % p).is_zero())
-    at_disc = sum(len(p.coeffs) - 1 == degree for p, _ in discriminant_factors(ctx))
-    if sum(counts.values()) + at_disc != _prime_count(field.q, degree):
+    for p, _ in discriminant_factors(ctx):
+        if p.degree == degree:
+            counts[primes_above_in_max(ctx, p)] += 1
+    if sum(counts.values()) != _prime_count(field.q, degree):
         raise _internal(ctx, "type_counts", "orbits and primes of disc(f) "
                         "miss Gauss's count", f"each prime of degree {degree}")
     for pairs in counts:
@@ -381,17 +384,18 @@ def _prime_count(q, degree):
 
 
 def order_discriminant(order):
-    """Monic determinant of the trace-form Gram matrix of an A-basis."""
+    """Monic determinant of the trace-form Gram matrix of an A-basis:
+    C^T H C / d^2 for its HNF columns C over d and the Hankel matrix
+    H = (s_(i+j)) of the power sums s_k = Tr(pi^k) (ctx.trace_powers)."""
     ctx = order.ctx
-    basis = order.basis_elements()
-    r = ctx.r
+    r, s = ctx.r, ctx.trace_powers
+    cols = order.ideal.basis_columns()
+    den2 = order.ideal.den * order.ideal.den
+    hc = [[_dot(s[i:i + r], c) for i in range(r)] for c in cols]
     gram = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            num, den = (basis[i] * basis[j]).trace()
-            entry = num.exact_div(den)
-            gram[i][j] = entry
-            gram[j][i] = entry
+            gram[i][j] = gram[j][i] = _dot(cols[i], hc[j]).exact_div(den2)
     d = amatrix.det(gram)
     if d.is_zero():
         raise _internal(ctx, "order_discriminant",
@@ -412,10 +416,9 @@ def p_radical(order, p):
 def maximal_order(ctx):
     """Integral closure O_K of A in K: the product of the saturations at
     the singular primes (`_saturation`), checked by the conductor-
-    discriminant identity, whose disc(O_K) it keeps as
-    ctx.cache["max_disc"].  Every saturation is built here first, so
-    p_saturation and primes_above_in_max, which run this before they
-    read one, only ever read a checked saturation."""
+    discriminant identity disc(O_K) [O_K:R]^2 = disc(f).  Every saturation
+    is built here first, so p_saturation and primes_above_in_max, which
+    run this before they read one, only ever read a checked saturation."""
     ctx.require_separable()
     disc = discriminant_of_f(ctx)
     base = Order.monogenic(ctx)
@@ -423,11 +426,9 @@ def maximal_order(ctx):
     for p in singular_primes(ctx):
         result = Order(result.ideal * _saturation(ctx, p)[0].ideal, check=False)
     idx = result.ideal.index_in(base.ideal)
-    d_max = order_discriminant(result)
-    if d_max * idx * idx != disc:
+    if order_discriminant(result) * idx * idx != disc:
         raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
                         "failed", f"each factor of {disc.to_str(ctx.tvar)}")
-    ctx.cache["max_disc"] = d_max
     return result
 
 

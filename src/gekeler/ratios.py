@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET
 from .context import _internal
-from .primes import (discriminant_factors, primes_above_in_max, singular_primes,
-                     type_counts)
+from .primes import primes_above_in_max, singular_primes, type_counts
 from .weakeq import local_icm
 from .zeta import l_polynomial
 
@@ -103,11 +102,12 @@ def finite_level_ratio(ctx, p, n, budget=DEFAULT_BUDGET):
 def partial_products(ctx, max_degree):
     """Cumulative products of local ratios over primes of degree <= D.
 
-    At a prime not dividing disc(f), R is maximal, m_p = 1 and the ratio
-    depends on the splitting type alone, so each type's ratio is raised to
-    the number of primes of that degree and type (primes.type_counts).
-    The primes of disc(f) of that degree follow with their gekeler_ratio.
-    Returns one exact running value per degree.
+    The ratio at p is m_p times a factor that depends on the splitting
+    type of p alone, so each type's factor is raised to the number of
+    primes of that degree and type (primes.type_counts, the census of
+    every prime of the degree), and m_p follows at the singular primes of
+    that degree; everywhere else R_p is maximal and m_p = 1.  Returns one
+    exact running value per degree.
     """
     ctx.require_separable()
     acc = Fraction(1)
@@ -116,8 +116,8 @@ def partial_products(ctx, max_degree):
         big_q = ctx.field.q ** d
         for pairs, n in type_counts(ctx, d).items():
             acc *= _local_value(1, big_q, pairs) ** n
-        for p, _ in discriminant_factors(ctx):
-            if len(p.coeffs) - 1 == d:
-                acc *= gekeler_ratio(ctx, p).value
+        for p in singular_primes(ctx):
+            if p.degree == d:
+                acc *= local_icm(ctx, p).m_p
         out.append((d, acc))
     return out

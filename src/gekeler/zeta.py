@@ -3,10 +3,12 @@
 The numerator is computed over the full constant field F_{q^m} from place
 counts of F_q-degree m, 2m, ..., mg via the Newton recursion on the zeta
 series, then completed by the functional equation.  The finite places
-are counted from primes.type_counts, which lists no prime, and from the
-primes of disc(f); the places at infinity are the splitting type of (U)
-in the model at infinity.  All arithmetic is exact, the root-magnitude
-(Weil) gate included.  A failed check names its stage and (q, f).
+are counted from primes.type_counts, the one census of the primes of
+each degree; the places at infinity are the splitting type of (U) in
+the model at infinity.  The genus reads the degrees of
+the two discriminants off the covolumes of the maximal orders.  All
+arithmetic is exact, the root-magnitude (Weil) gate included.  A failed
+check names its stage and (q, f).
 """
 
 import math
@@ -20,9 +22,8 @@ from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
 from .context import _internal, _naming, memoized
-from .primes import (discriminant_factors, maximal_order, primes_above_in_max,
-                     infinite_places, infinity_context, infinity_order,
-                     type_counts)
+from .primes import (discriminant_of_f, maximal_order, infinite_places,
+                     infinity_context, p_saturation, type_counts)
 
 
 class LPolynomial(namedtuple("LPolynomial", "m g coeffs qm")):
@@ -139,22 +140,18 @@ def constant_field_degree(ctx):
 
 @memoized
 def genus(ctx):
-    """Genus over the full constant field, from the discriminants that
-    maximal_order keeps for O_K and for the maximal order at infinity."""
+    """Genus over the full constant field.  disc(f) = [O:R]^2 disc(O) and
+    deg [O:R] = -O.covolume() give deg disc(O_K) = deg disc(f) +
+    2 covol(O_K), and v_U(disc O_inf) = v_U(disc g) + 2 covol(O_U) for the
+    U-saturation O_U of the model g at infinity."""
     m = constant_field_degree(ctx)
-    maximal_order(ctx)
-    infinity_order(ctx)
-    d_fin = ctx.cache["max_disc"]
-    d_inf = infinity_context(ctx).cache["max_disc"]
+    ictx = infinity_context(ctx)
     u = FqPoly.gen(ctx.field)
-    v_u = 0
-    while True:
-        q, r = d_inf.divmod(u)
-        if not r.is_zero():
-            break
-        d_inf = q
-        v_u += 1
-    total = int(d_fin.degree) + v_u
+    # v_U(disc g) is the number of its low coefficients that vanish
+    v_u = next(i for i, c in enumerate(discriminant_of_f(ictx).coeffs) if c)
+    total = (int(discriminant_of_f(ctx).degree)
+             + 2 * maximal_order(ctx).ideal.covolume()
+             + v_u + 2 * p_saturation(ictx, u).ideal.covolume())
     g = Fraction(1) - Fraction(ctx.r, m) + Fraction(total, 2 * m)
     if g.denominator != 1 or g < 0:
         raise _internal(ctx, "genus", f"genus formula gave {g}; splitting "
@@ -173,9 +170,6 @@ def count_places(ctx, d):
             continue
         for pairs, n in type_counts(ctx, k).items():
             count += n * sum(k * f_res == d for _, f_res in pairs)
-        for p, _ in discriminant_factors(ctx):
-            if len(p.coeffs) - 1 == k:
-                count += sum(k * f_res == d for _, f_res in primes_above_in_max(ctx, p))
     # the places over T = infinity lie over (U) in the model at infinity
     count += sum(f_res == d for _, f_res in infinite_places(ctx))
     if count and d % constant_field_degree(ctx):

@@ -4,8 +4,9 @@ It lists every prime of a degree with the sieve, finds a root of each in
 E = GF(q^D) from a table of the Frobenius orbits and their minimal
 polynomials, and reads the splitting type of each prime not dividing
 disc(f) from the distinct-degree pattern of f(alpha, x) over E; where E
-is too large to tabulate, f is reduced into A/p.  The table is built once
-per field and degree.
+is too large to tabulate, f is reduced into A/p.  The primes of disc(f)
+are found by the sieve too, and typed by a reference the caller passes.
+The table is built once per field and degree.
 """
 
 from collections import Counter
@@ -81,13 +82,14 @@ def pattern(k, fbar):
                         for _ in range(gpoly.deg(g) // d)))
 
 
-def census_type_counts(ctx, degree):
-    """Counter of the splitting types of the primes of the given degree not
-    dividing disc(f), one prime at a time."""
+def census_type_counts(ctx, degree, disc_type):
+    """Counter of the splitting types of every prime of the given degree,
+    one prime at a time: the pattern of f(alpha, x) at a prime not
+    dividing disc(f), and disc_type(ctx, p) at a prime of disc(f)."""
     disc = discriminant_of_f(ctx)
-    return Counter(pattern(*reduce_at_root(ctx, p))
-                   for p in monic_irreducibles(ctx.field, degree)
-                   if not (disc % p).is_zero())
+    return Counter(disc_type(ctx, p) if (disc % p).is_zero()
+                   else pattern(*reduce_at_root(ctx, p))
+                   for p in monic_irreducibles(ctx.field, degree))
 
 
 def hensel_constant_field_degree(ctx):

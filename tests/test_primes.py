@@ -179,6 +179,52 @@ def test_conductor_discriminant_identity():
         assert ok.ideal.contains(m.colon(m))
 
 
+def _k_product_gram(order):
+    """The reference trace form of an order's A-basis b: the Gram matrix
+    (Tr(b_i b_j)) through products in K, with Tr(z) the trace of the
+    matrix of multiplication by z in the power basis, the sum over k of
+    the pi^k-coordinate of z pi^k."""
+    ctx = order.ctx
+    basis = order.basis_elements()
+    gram = []
+    for u in basis:
+        row = []
+        for v in basis:
+            z = u * v
+            trace = FqPoly.zero(ctx.field)
+            for k, e in enumerate(ctx.power_vectors):
+                trace = trace + ctx.mult_vectors(z.num, e)[k]
+            row.append(trace.exact_div(z.den))
+        gram.append(row)
+    return gram
+
+
+def test_hankel_gram_matches_the_k_product_gram():
+    # order_discriminant reads the trace form as C^T H C / d^2 off the
+    # power sums; the reference multiplies the basis elements in K, on R,
+    # every saturation and p-overorder and the maximal order, at the
+    # finite places and at infinity, over q in {2, 3, 4, 5, 7, 9, 11} and
+    # up to rank 4
+    from gekeler import amatrix
+    from gekeler.overorders import p_overorders
+    seen = 0
+    for q, fstr in (ORACLE_CURVES + THREE_BRANCH_CURVES + CENSUS_CURVES
+                    + [(9, "x^2 - T^5"), (9, "x^3 + T^2*x + T^4")]):
+        ctx = make_ctx(q, fstr)
+        for c in (ctx, P.infinity_context(ctx)):
+            orders = [Order.monogenic(c), P.maximal_order(c)]
+            for p in P.singular_primes(c):
+                orders += [P.p_saturation(c, p), *p_overorders(c, p).orders]
+            for order in orders:
+                gram = _k_product_gram(order)
+                assert all(gram[i][j] == gram[j][i]
+                           for i in range(c.r) for j in range(i))
+                assert P.order_discriminant(order) == \
+                    amatrix.det(gram).monic(), (q, fstr, order)
+                seen += 1
+    assert seen > 100
+
+
 def algebra_mod_p(order, p):
     """S/pS as a FiniteAlgebra over A/p, in the order's basis: the A/p
     reference for the F_q-algebra LatticeQuotient(S, pS).algebra()."""
@@ -693,18 +739,28 @@ def test_a_prime_off_the_discriminant_is_read_with_no_factorization(monkeypatch)
 
 
 def test_no_fact_at_p_is_kept_under_a_side_key():
-    # every fact at p is memoised under its routine: after icm and product
-    # no saturation, O_K/pO_K or splitting type sits under a key of its own
-    from gekeler.ratios import gekeler_product
+    # every fact is memoised under its routine: after icm, product and zeta
+    # each key of either context's cache is a context.memoized key, whose
+    # first element is the routine, or the verified-prime marker
+    # ("prime", p); no saturation, O_K/pO_K, splitting type or
+    # discriminant sits under a key of its own
+    import inspect
+    from gekeler.ratios import gekeler_product, partial_products
     from gekeler.weakeq import local_icm
-    ctx = make_ctx(3, "x^2 - T^3*(T + 1)^3")
+    from gekeler.zeta import constant_field_degree, genus, l_polynomial
+    ctx = AlgebraContext(gf(3), parse_bipoly(gf(3), "x^2 - T^3*(T + 1)^3"))
     singular = P.singular_primes(ctx)
     assert len(singular) == 2
     for p in singular:
         local_icm(ctx, p)
     gekeler_product(ctx)
+    partial_products(ctx, 3)
+    for zeta_step in (l_polynomial, constant_field_degree, genus):
+        zeta_step(ctx)
     side = [k for c in (ctx, P.infinity_context(ctx)) for k in c.cache
-            if isinstance(k, tuple) and k[0] in ("sat", "O_K/p", "above", "type")]
+            if not (isinstance(k, tuple) and inspect.isfunction(k[0]))
+            and not (isinstance(k, tuple) and len(k) == 2 and k[0] == "prime"
+                     and isinstance(k[1], FqPoly))]
     assert side == []
     for p in singular:
         assert (P._saturation.__wrapped__, p) in ctx.cache
@@ -712,11 +768,12 @@ def test_no_fact_at_p_is_kept_under_a_side_key():
 
 
 def test_census_builds_ideals_only_at_the_discriminant(monkeypatch):
-    # partial_products and l_polynomial read splitting types: the Dedekind
+    # partial_products and l_polynomial read one census per degree, whose
+    # primes of disc(f) are typed by primes_above_in_max: the Dedekind
     # record is read only at p | disc(f) and at the infinite place, and no
     # ideal is built (kummer_dedekind, the one caller of
-    # FracIdeal.from_elements, is not called); the census lists no prime,
-    # so none is sieved and none meets the Rabin test
+    # FracIdeal.from_elements, is not called); the census lists no other
+    # prime, so none is sieved and none meets the Rabin test
     from gekeler import gpoly, weakeq
     from gekeler.ratios import partial_products
     from gekeler.zeta import constant_field_degree, l_polynomial
@@ -884,12 +941,16 @@ _CENSUS_DEPTH = {2: 6, 3: 6, 4: 6, 5: 6, 9: 4}
 @pytest.mark.parametrize("q", sorted(_CENSUS_DEPTH))
 def test_type_counts_match_the_per_prime_census(q):
     # counts per splitting type against the sieve, the root table and one
-    # distinct-degree pattern per prime, on the pool and its models at
+    # distinct-degree pattern per prime, and at each sieved prime of disc(f)
+    # the type of the algebra reference, on the pool and its models at
     # infinity
+    def disc_type(ctx, p):
+        return _pairs(_reference_primes_above(ctx, p))
+
     for ctx in _pool_contexts(q):
         for d in range(1, _CENSUS_DEPTH[q] + 1):
-            assert P.type_counts(ctx, d) == census_oracle.census_type_counts(ctx, d), \
-                (ctx, d)
+            assert P.type_counts(ctx, d) == \
+                census_oracle.census_type_counts(ctx, d, disc_type), (ctx, d)
 
 
 def test_root_table_lists_the_sieved_primes(monkeypatch):
@@ -989,7 +1050,9 @@ def test_type_counts_check_gauss_count(monkeypatch):
     real_logs = P._orbit_logs
     monkeypatch.setattr(P, "_orbit_logs", lambda q, d: real_logs(q, d)[1:])
     ctx = AlgebraContext(F, parse_bipoly(F, "x^2 - T"))
-    assert sum(P.type_counts(ctx, 1).values()) == 2   # T divides disc(f)
+    # T divides disc(f) and is counted with its type, ramified
+    assert sum(P.type_counts(ctx, 1).values()) == 3
+    assert P.type_counts(ctx, 1)[((2, 1),)] == 1
     with pytest.raises(InternalCheckError) as exc:
         P.type_counts(ctx, 2)
     assert str(exc.value) == ("type_counts: orbits and primes of disc(f) miss "

@@ -264,7 +264,6 @@ def test_census_reads_quadratic_types_without_distinct_degree(monkeypatch):
 def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
     from fractions import Fraction
     from gekeler.fqpoly import FqPoly
-    from gekeler.primes import infinity_context, maximal_order
     where = "for q = 5, f = x^2 + 4*T^3 + 4*T + 4"
     fstr = "x^2 - (T^3 + T + 1)"
     with monkeypatch.context() as m:
@@ -273,13 +272,12 @@ def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
             Z.count_places(_fresh_ctx(5, fstr), 1)
     assert str(exc.value) == ("count_places: found a place of degree 1, not "
                               f"divisible by m {where}")
-    # genus reads the discriminants that maximal_order keeps
-    ctx = _fresh_ctx(5, fstr)
-    for c in (ctx, infinity_context(ctx)):
-        maximal_order(c)
-        c.cache["max_disc"] = FqPoly.one(c.field)
-    with pytest.raises(InternalCheckError) as exc:
-        Z.genus(ctx)
+    # genus reads the discriminant degrees off disc(f), disc(g) and the
+    # covolumes of the maximal orders
+    with monkeypatch.context() as m:
+        m.setattr(Z, "discriminant_of_f", lambda c: FqPoly.one(c.field))
+        with pytest.raises(InternalCheckError) as exc:
+            Z.genus(_fresh_ctx(5, fstr))
     assert str(exc.value).startswith("genus: genus formula gave -1;")
     assert str(exc.value).endswith(where)
     with monkeypatch.context() as m:
@@ -296,9 +294,10 @@ def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
 
 
 def test_zeta_takes_one_gram_determinant_per_context(monkeypatch, capsys):
-    # maximal_order keeps the discriminant its identity checks, and genus
-    # reads it at the finite places and at infinity: a zeta run takes each
-    # context's Gram determinant once
+    # maximal_order takes the Gram determinant for its identity check, and
+    # genus reads the discriminant degrees off covolumes instead, at the
+    # finite places and at infinity: a zeta run takes each context's Gram
+    # determinant once
     from gekeler import primes as P
     from gekeler.cli import main
     real = P.order_discriminant
