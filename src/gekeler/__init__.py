@@ -18,7 +18,7 @@ from .ideals import FracIdeal, Order
 from .amatrix import hnf
 from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,
-                     maximal_order, primes_above_in_max, infinity_order)
+                     maximal_order, primes_above_in_max)
 from .overorders import POverorderSet, p_overorders
 from .weakeq import (WeakClassRep, LocalICMReport, weak_classes,
                      locally_weakly_equivalent, local_icm)

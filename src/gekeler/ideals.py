@@ -233,17 +233,6 @@ class FracIdeal:
         """
         return amatrix.det(self.change_of_basis(sub)).monic()
 
-    def is_multiplicatively_closed(self):
-        den2 = self.den * self.den
-        for i, u in enumerate(self.basis_columns()):
-            for v in self.basis_columns()[i:]:
-                if not self.contains_vector(self.ctx.mult_vectors(u, v), den2):
-                    return False
-        return True
-
-    def is_order_lattice(self):
-        return self.contains_one() and self.is_multiplicatively_closed()
-
     def _check_ctx(self, other):
         if self.ctx is not other.ctx:
             raise InputError("ideals belong to different algebra contexts")
@@ -274,15 +263,13 @@ class Order:
 
     __slots__ = ("ideal",)
 
-    def __init__(self, ideal, check=True):
-        if check and not ideal.is_order_lattice():
-            raise InputError("lattice is not a ring containing 1")
+    def __init__(self, ideal):
         self.ideal = ideal
 
     @staticmethod
     def monogenic(ctx):
         """R = A[x]/f with the power basis."""
-        return Order(FracIdeal.unit_ideal(ctx), check=False)
+        return Order(FracIdeal.unit_ideal(ctx))
 
     @property
     def ctx(self):

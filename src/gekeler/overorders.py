@@ -46,7 +46,7 @@ def p_overorders(ctx, p):
         table = quo.product_table()
     if subs[0] or len(subs[-1]) != quo.dim:
         raise _internal(ctx, "p_overorders", "enumeration lost an endpoint order", p)
-    orders = [base] + [Order(quo.pullback(w), check=False) for w in subs[1:-1]
+    orders = [base] + [Order(quo.pullback(w)) for w in subs[1:-1]
                        if _closed(ctx.field, table, w)]
     if quo.dim:
         orders.append(sat)

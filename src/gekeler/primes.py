@@ -18,19 +18,16 @@ counts the splitting types of the Frobenius orbits of GF(q^D) and of
 the primes of disc(f), which alone are built.  The maximal order is
 the product of the saturations at the singular primes (_saturation, the
 p-saturation of R with its O/pO), validated by the conductor-discriminant
-identity.  A saturation opens at Ore's order (ore_order) where every
-singular factor of f mod p is linear and f is p-regular, every side of
-its Newton polygon having a squarefree residual polynomial; there it is
-already O_p.  Elsewhere it opens at Dedekind's R' = R + (U(pi)/p) R, U a
-lift of (f mod p)/z.  Radical steps follow either start; the first
-builds S/pS, whose product table checks that S is a ring, and the step
-that builds S/pS = O_K/pO_K over F_q takes no confirming colon where the
-tame different bound is met.  Every fact derived here is memoised per
-context by context.memoized.
+identity.  Every saturation opens at Ore's order (ore_order), built from
+the Newton polygons of f at the singular factors of f mod p; it is O_p
+where f is p-regular, and elsewhere an order between R and O_p.  Radical
+steps follow; the first builds S/pS, whose product table checks that S
+is a ring, and the step that builds S/pS = O_K/pO_K over F_q takes no
+confirming colon where the tame different bound is met.  Every fact
+derived here is memoised per context by context.memoized.
 """
 
 import functools
-import math
 from collections import Counter, namedtuple
 
 from .errors import BudgetExceeded, InputError
@@ -139,45 +136,34 @@ def _lift_to_ax(k, g):
     return tuple(k.lift(c) for c in g)
 
 
-def dedekind_order(ctx, p):
-    """R' = R + (U(pi)/p) R for U the lift of (f mod p)/z: the ring of
-    multipliers of the radical of pR, with [R':R] = p^(deg z) (Cohen,
-    GTM 138, Thm 6.1.4)."""
-    rec = dedekind(ctx, p)
-    k, fbar = ctx.f.reduce_mod(p)
-    u = ctx.eval_at_pi(_lift_to_ax(k, gpoly.divmod_poly(k, fbar, rec.z)[0]))
-    cols = [tuple(c * p for c in e) for e in ctx.power_vectors]
-    cols += [ctx.mult_vectors(u, e) for e in ctx.power_vectors]
-    return Order(FracIdeal.from_columns(ctx, cols, p), check=False)
-
-
 def ore_order(ctx, p):
-    """O_p read off the phi-Newton polygons of f where f is p-regular, and
-    None elsewhere (Ore; Montes and Nart, J. Algebra 146, 1992).
+    """Ore's order at a singular p, read off the phi-Newton polygons of f
+    (Ore; Montes and Nart, J. Algebra 146, 1992).
 
-    Each singular factor g of f mod p must be linear; phi = G, its lift,
-    expands f = sum a_i phi^i with quotients q_i = sum_(j >= i) a_j
-    phi^(j-i), and N is the lower convex hull of the points (i, v_p(a_i)),
-    i <= e.  A side of N of length l and drop h is regular when its
-    residual polynomial sum_j red(a_(s+jl/d) / p^y_N(s+jl/d)) y^j over k,
-    d = gcd(l, h), is squarefree.  Where every side is, O_p is
-    R + sum A q_i(pi) / p^floor(y_N(i)) over phi and 0 < i < e, and
-    deg [O_p:R] = deg p * sum floor(y_N(i)) (Ore's index) is checked."""
+    For each singular factor g of f mod p, phi = G, its lift, expands
+    f = sum a_i phi^i, each a_i of degree < deg g, with quotients q_i =
+    sum_(j >= i) a_j phi^(j-i); N is the lower convex hull of the points
+    (i, v_p(a_i)), i <= e, v_p of a_i the least valuation of its
+    coefficients.  Ore's order is R + sum A pi^j q_i(pi) / p^floor(y_N(i))
+    over g, 0 < i < e and j < deg g, and deg [it:R] = deg p * sum deg g *
+    floor(y_N(i)) (Ore's index) is checked.  Where f is p-regular it is
+    O_p.  Elsewhere each generator is still integral, as the theorem of the
+    polygon bounds v(q_i(theta)) below by y_N(i) at every root theta of f,
+    and the radical steps of _saturation certify that it is a ring."""
     rec = dedekind(ctx, p)
-    k = rec.k
-    gens = []   # (floor(y_N(i)), q_i)
+    gens = []   # (floor(y_N(i)), q_i, deg g)
     for g, e in rec.factors:
         if rec.regular(g):
             continue
-        if len(g) != 2:
-            return None
-        phi, quo, taylor, quots = _lift_to_ax(k, g), ctx.f.coeffs, [], []
+        d = gpoly.deg(g)
+        phi, quo, taylor, quots = _lift_to_ax(rec.k, g), ctx.f.coeffs, [], []
         for _ in range(e + 1):
             quo, a = gpoly.divmod_poly(ctx.ring, quo, phi)
-            taylor.append(a[0] if a else ctx.ring.zero())
+            taylor.append(a)
             quots.append(quo)
         hull = []   # the vertices of N
-        for x2, y2 in [(i, _valuation(a, p)) for i, a in enumerate(taylor) if a]:
+        for x2, y2 in [(i, min(_valuation(c, p) for c in a if c))
+                       for i, a in enumerate(taylor) if a]:
             while len(hull) > 1:
                 (x0, y0), (x1, y1) = hull[-2:]
                 if (y1 - y0) * (x2 - x0) < (y2 - y0) * (x1 - x0):
@@ -185,23 +171,20 @@ def ore_order(ctx, p):
                 hull.pop()
             hull.append((x2, y2))
         for (s, ys), (t, yt) in zip(hull, hull[1:]):
-            l, h = t - s, ys - yt
-            d = math.gcd(l, h)
-            res = gpoly.normalize([k.project(taylor[s + j * l // d].exact_div(
-                p ** (ys - j * h // d))) for j in range(d + 1)])
-            if len(gpoly.gcd(k, res, gpoly.derivative(k, res))) > 1:
-                return None
-            gens += [(ys + (s - i) * h // l, quots[i - 1])
+            gens += [(ys + (s - i) * (ys - yt) // (t - s), quots[i - 1], d)
                      for i in range(max(s, 1), t)]
-    top = max(n for n, _ in gens)
+    top = max(n for n, _, _ in gens)
     den = p ** top
     cols = [tuple(c * den for c in e) for e in ctx.power_vectors]
-    cols += [tuple(c * p ** (top - n) for c in ctx.eval_at_pi(quo))
-             for n, quo in gens if n]
+    for n, quo, d in gens:
+        if n:
+            quo = tuple(c * p ** (top - n) for c in quo)
+            cols += [ctx.eval_at_pi((ctx.ring.zero(),) * j + quo)
+                     for j in range(d)]
     lattice = FracIdeal.from_columns(ctx, cols, den)
-    if -lattice.covolume() != int(p.degree) * sum(n for n, _ in gens):
+    if -lattice.covolume() != int(p.degree) * sum(n * d for n, _, d in gens):
         raise _internal(ctx, "maximal_order", "Ore's order misses Ore's index", p)
-    return Order(lattice, check=False)
+    return Order(lattice)
 
 
 def _valuation(a, p):
@@ -424,7 +407,7 @@ def maximal_order(ctx):
     base = Order.monogenic(ctx)
     result = base
     for p in singular_primes(ctx):
-        result = Order(result.ideal * _saturation(ctx, p)[0].ideal, check=False)
+        result = Order(result.ideal * _saturation(ctx, p)[0].ideal)
     idx = result.ideal.index_in(base.ideal)
     if order_discriminant(result) * idx * idx != disc:
         raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
@@ -438,12 +421,12 @@ def _saturation(ctx, p):
     O/pO = O_K/pO_K over F_q; its faults name the stage maximal_order.
 
     The saturation opens at Ore's order (`ore_order`), which is O where
-    f is p-regular, and elsewhere at Dedekind's R' (`dedekind_order`),
-    the first radical step (rad:rad); it goes on with radical steps S ->
-    (rad:rad) until one leaves S fixed.  Each step builds S/pS and its
-    nilradical first, and S/pS's product table fails unless S is a ring,
-    so S lies in O; the nilradical is pulled back to the radical lattice
-    only on a step that goes on to take the colon.
+    f is p-regular, and goes on with radical steps S -> (rad:rad) until
+    one leaves S fixed.  Each step builds S/pS and its nilradical first,
+    and S/pS's product table fails unless S is a ring; a ring that is a
+    finitely generated A-module lies in O, so the first step certifies
+    the start.  The nilradical is pulled back to the radical lattice only
+    on a step that goes on to take the colon.
 
     The step that would confirm S = O takes no colon where the tame bound
     is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
@@ -462,7 +445,7 @@ def _saturation(ctx, p):
     when every e_P is prime to the characteristic, so the colon is taken
     only on growth steps and at wild primes."""
     mult = dict(discriminant_factors(ctx))[p]
-    sat = ore_order(ctx, p) or dedekind_order(ctx, p)
+    sat = ore_order(ctx, p)
     for _ in range(mult + 2):
         with _naming(ctx, "maximal_order", p):
             quo, alg = p_radical(sat, p)
@@ -470,7 +453,7 @@ def _saturation(ctx, p):
         if int(p.degree) * mult + 2 * sat.ideal.covolume() == len(nil):
             break
         rad = quo.pullback(nil)
-        grown = Order(rad.colon(rad), check=False)
+        grown = Order(rad.colon(rad))
         if grown.ideal == sat.ideal:
             break
         sat = grown
@@ -546,11 +529,6 @@ def infinity_context(ctx):
                           tvar="U", xvar="y")
     ictx.cache[("prime", FqPoly.gen(ctx.field))] = True   # U is prime
     return ictx
-
-
-def infinity_order(ctx):
-    """Maximal order of the model at infinity, over F_q[U]."""
-    return maximal_order(infinity_context(ctx))
 
 
 def infinite_places(ctx):

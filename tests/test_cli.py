@@ -331,7 +331,7 @@ def test_unstable_top_lattice_is_an_internal_failure(monkeypatch):
 
     def o_on_r_mod_t(top, bottom, ring):
         t = KElement.from_fqpoly(bottom.ctx, FqPoly.gen(bottom.ctx.field))
-        return real(bottom, bottom.scale(t), Order(top, check=False))
+        return real(bottom, bottom.scale(t), Order(top))
 
     monkeypatch.setattr(overorders, "invariant_window", o_on_r_mod_t)
     code, _, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",

@@ -244,8 +244,8 @@ def test_icm_window_pass_reads_local_structure(monkeypatch):
 
 def test_icm_window_saturations_build_one_radical_and_no_colon(monkeypatch):
     # every singular p of the icm_window curves is p-regular, so each
-    # saturation opens at O and builds S/pS once to certify it (up to five
-    # times from Dedekind's order)
+    # saturation opens at Ore's order, which is O there, and builds S/pS
+    # once to certify it
     from gekeler.context import AlgebraContext
     from gekeler.gf import gf_of_order
     from gekeler.parse import parse_bipoly

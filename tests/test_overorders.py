@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from gorenstein_oracle import is_gorenstein
+from ring_oracle import is_order_lattice
 from gekeler import klinalg
 from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly, monic_irreducibles
@@ -54,7 +55,7 @@ def test_members_are_p_power_index_rings_between_r_and_saturation():
     assert len(out.orders) == 4
     keys = set()
     for s in out.orders:
-        assert s.ideal.is_order_lattice()
+        assert is_order_lattice(s.ideal)
         assert s.ideal.contains(R.ideal)
         assert sat.ideal.contains(s.ideal)
         idx = s.ideal.index_in(R.ideal)

@@ -6,6 +6,7 @@ import pytest
 from conftest import CENSUS_CURVES, ORACLE_CURVES, THREE_BRANCH_CURVES, make_ctx
 from property_suite import CONTEXT_POOL
 import census_oracle
+from ring_oracle import is_order_lattice
 from gekeler.gf import GF, gf, gf_of_order
 from gekeler.gf import embedding as gf_embedding
 from gekeler.fqpoly import FqPoly, monic_irreducibles
@@ -18,7 +19,7 @@ from gekeler.ideals import FracIdeal, Order
 from gekeler.residue import ResidueField
 from gekeler import primes as P
 from gekeler.errors import (BudgetExceeded, InputError, InseparableError,
-                            InternalCheckError)
+                            InternalCheckError, ReducibleError)
 
 
 def test_kummer_dedekind_regularity_by_hand_remainder():
@@ -152,7 +153,7 @@ def test_maximal_order_cusp():
     ok = P.maximal_order(ctx)
     t = KElement(ctx, (FqPoly.zero(F), FqPoly.one(F)), T)
     assert ok.ideal == FracIdeal.from_elements(ctx, [KElement.one(ctx), t])
-    assert ok.ideal.is_order_lattice()
+    assert is_order_lattice(ok.ideal)
     # t integral: t^2 = T
     assert t * t == KElement.from_fqpoly(ctx, T)
     assert ok.ideal.index_in(R.ideal) == T
@@ -353,6 +354,18 @@ def test_dedekind_regularity_is_the_remainder_rule():
     assert seen >= 40
 
 
+def _dedekind_order(ctx, p):
+    """Dedekind's R' = R + (U(pi)/p) R for U the lift of (f mod p)/z: the
+    ring of multipliers of the radical of pR, with [R':R] = p^(deg z)
+    (Cohen, GTM 138, Thm 6.1.4)."""
+    k, fbar = ctx.f.reduce_mod(p)
+    u = gpoly.divmod_poly(k, fbar, P.dedekind(ctx, p).z)[0]
+    u = ctx.eval_at_pi(tuple(k.lift(c) for c in u))
+    cols = [tuple(c * p for c in e) for e in ctx.power_vectors]
+    cols += [ctx.mult_vectors(u, e) for e in ctx.power_vectors]
+    return Order(FracIdeal.from_columns(ctx, cols, p))
+
+
 def test_dedekind_order_is_the_first_radical_step():
     # R' = R + (U(pi)/p) R equals (rad:rad) for rad the radical of pR, and
     # [R':R] = p^(deg z), at every singular p of the pools, the two
@@ -365,7 +378,7 @@ def test_dedekind_order_is_the_first_radical_step():
         R = Order.monogenic(ctx)
         z = P.dedekind(ctx, p).z
         rad = _radical(R, p)
-        first = P.dedekind_order(ctx, p).ideal
+        first = _dedekind_order(ctx, p).ideal
         assert first == rad.colon(rad)
         assert gpoly.deg(z) > 0
         assert first.index_in(R.ideal) == (p ** gpoly.deg(z)).monic()
@@ -380,7 +393,7 @@ def _radical_chain(start, p):
     chain = [start]
     while True:
         rad = _radical(chain[-1], p)
-        grown = Order(rad.colon(rad), check=False)
+        grown = Order(rad.colon(rad))
         if grown == chain[-1]:
             return chain
         chain.append(grown)
@@ -412,31 +425,99 @@ ORE_CURVES = list(dict.fromkeys(
 
 
 def test_ore_order_is_the_saturation_where_f_is_p_regular(monkeypatch):
-    # at every singular p of the pools and their models at infinity, the
-    # saturation opened at Dedekind's order ends at the one opened at
-    # Ore's order, and Ore's order, where f is p-regular, is already O
-    starts = {}
+    # at every singular p of the pools and their models at infinity, Ore's
+    # order lies in O, the saturation opened at R ends at the one opened at
+    # Ore's order, and Ore's order is O except at one prime where f is not
+    # p-regular; at the other, (y + 1)^2 at T, it is O all the same
+    exact = {}
     for q, fstr in ORE_CURVES:
         finite = make_ctx(q, fstr)
         for ctx in (finite, P.infinity_context(finite)):
             for p in P.singular_primes(ctx):
                 sat = P.p_saturation(ctx, p)
                 ore = P.ore_order(ctx, p)
-                assert ore is None or ore == sat
+                assert sat.ideal.contains(ore.ideal)
                 with monkeypatch.context() as m:
-                    m.setattr(P, "ore_order", lambda ctx, p: None)
+                    m.setattr(P, "ore_order", lambda ctx, p: Order.monogenic(ctx))
                     assert P._saturation.__wrapped__(ctx, p)[0] == sat
                 rec = P.dedekind(ctx, p)
                 singular = [(gpoly.deg(g), e) for g, e in rec.factors
                             if not rec.regular(g)]
-                starts[fstr, p.to_str(ctx.tvar), tuple(singular)] = ore is not None
-    dedekind_starts = [key for key, ore in starts.items() if not ore]
-    assert dedekind_starts == [   # the first is irregular: (y - 1)^2
-        ("(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2", "U", ((1, 4),)),
-        ("x^2 + 2*T*x + T^2 + T^3", "T", ((1, 2),)),
-        ("(x^2 + 1)^2 + T^3", "T", ((2, 2),))]
-    assert starts["(x^2 - 1)^2 - T^3", "T", ((1, 2), (1, 2))]
-    assert len(starts) == 31
+                exact[fstr, p.to_str(ctx.tvar), tuple(singular)] = ore == sat
+    below = [key for key, ok in exact.items() if not ok]
+    assert below == [   # irregular: residual polynomial (y - 1)^2
+        ("(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2", "U", ((1, 4),))]
+    assert exact["x^2 + 2*T*x + T^2 + T^3", "T", ((1, 2),)]
+    assert exact["(x^2 + 1)^2 + T^3", "T", ((2, 2),)]
+    assert exact["(x^2 - 1)^2 - T^3", "T", ((1, 2), (1, 2))]
+    assert len(exact) == 31
+
+
+# irregular primes: polygons of two or more sides, finite and at infinity,
+# and singular factors of degree 2 over F_3
+RING_CURVES = [
+    (q, fstr.format(a=a, b=b, c=b + 1, m=m, n=n))
+    for q in (2, 3) for a in (1, 2) for b in (1, 3, 5) for m in (1, 2)
+    for n in (7, 11)
+    for fstr in ("(x - T^{a})^2*(x^2 - T^{b})^{m} + T^{n}",
+                 "(x^2 - T^{a})*(x^2 - T^{b}*x - T^{c})^{m} + T^{n}*x")
+] + [(3, f"(x^2 + 1)^{m} + T^{b}*x^{c}")
+     for m in (2, 3) for b in (3, 5, 6, 9) for c in (1, 2)]
+
+
+def test_ore_order_is_a_ring_between_dedekinds_order_and_o():
+    # where f is not p-regular Ore's order need not be O, but at every
+    # singular p it is a ring, lies in O, contains R' and meets Ore's index
+    # (ore_order raises where it misses it)
+    curves = primes = below = below_at_degree_two = 0
+    for q, fstr in RING_CURVES:
+        field = gf_of_order(q)
+        try:
+            finite = AlgebraContext(field, parse_bipoly(field, fstr))
+            infinite = P.infinity_context(finite)
+        except (ReducibleError, InseparableError):
+            continue
+        curves += 1
+        for ctx in (finite, infinite):
+            for p in P.singular_primes(ctx):
+                ore = P.ore_order(ctx, p).ideal
+                sat = P.p_saturation(ctx, p).ideal
+                assert is_order_lattice(ore)
+                assert sat.contains(ore)
+                assert ore.contains(_dedekind_order(ctx, p).ideal)
+                rec = P.dedekind(ctx, p)
+                primes += 1
+                below += ore != sat
+                below_at_degree_two += ore != sat and any(
+                    gpoly.deg(g) == 2 for g, _ in rec.factors if not rec.regular(g))
+    assert (curves, primes, below, below_at_degree_two) == (86, 178, 69, 4)
+
+
+def test_saturation_opened_at_ore_order_takes_no_colon(monkeypatch):
+    # where Ore's order is O the saturation builds S/pS once, to certify
+    # it, and takes no colon; from Dedekind's order at a singular factor
+    # of degree 2 it built S/pS twice and took one colon
+    calls = {"colon": 0, "p_radical": 0}
+    real_colon, real_radical = FracIdeal.colon, P.p_radical
+
+    def colon(self, other):
+        calls["colon"] += 1
+        return real_colon(self, other)
+
+    def p_radical(order, p):
+        calls["p_radical"] += 1
+        return real_radical(order, p)
+
+    monkeypatch.setattr(FracIdeal, "colon", colon)
+    monkeypatch.setattr(P, "p_radical", p_radical)
+    for q, fstr, builds in ((3, "(x^2+1)^2 + T^5*x", 1),
+                            (2, "(x^2+x+1)^3 + T^4*x", 2)):
+        field = gf_of_order(q)
+        ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+        calls.update(colon=0, p_radical=0)
+        P.maximal_order(ctx)
+        assert calls == {"colon": 0, "p_radical": builds}
+        assert len(P.singular_primes(ctx)) == builds
 
 
 def test_the_radical_steps_certify_the_start(monkeypatch):
@@ -447,7 +528,7 @@ def test_the_radical_steps_certify_the_start(monkeypatch):
     T = FqPoly.gen(F)
     target = P.p_saturation(make_ctx(2, "x^3 - T^5"), T).ideal
     real = P.p_radical
-    for start in (P.dedekind_order, lambda ctx, p: Order.monogenic(ctx)):
+    for start in (_dedekind_order, lambda ctx, p: Order.monogenic(ctx)):
         steps = []
         with monkeypatch.context() as m:
             m.setattr(P, "ore_order", start)
@@ -483,7 +564,7 @@ def test_tame_bound_is_met_only_at_the_end_of_a_chain():
         if p not in P.singular_primes(ctx):
             continue
         terms = []
-        for order in _radical_chain(P.dedekind_order(ctx, p), p):
+        for order in _radical_chain(_dedekind_order(ctx, p), p):
             d = int(p.degree) * _valuation(P.order_discriminant(order), p)
             terms.append((d, len(P.p_radical(order, p)[1].nilradical_basis())))
         assert all(d > n for d, n in terms[:-1])
@@ -682,8 +763,8 @@ def test_infinity_order_is_over_u():
     ctx = make_ctx(3, "x^2 - T^3")
     ictx = P.infinity_context(ctx)
     assert ictx.tvar == "U" and ictx.xvar == "y"
-    o_inf = P.infinity_order(ctx)
-    assert o_inf.ideal.is_order_lattice()
+    o_inf = P.maximal_order(ictx)
+    assert is_order_lattice(o_inf.ideal)
 
 
 def test_splitting_type_matches_the_ideal_path():

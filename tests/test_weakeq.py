@@ -71,7 +71,7 @@ def test_weak_classes_requires_overorder():
     ctx = make_ctx(3, "x^2 - T^3")
     R = Order.monogenic(ctx)
     T = FqPoly.gen(ctx.field)
-    bad = Order(R.ideal.scale(KElement.from_fqpoly(ctx, T)), check=False)
+    bad = Order(R.ideal.scale(KElement.from_fqpoly(ctx, T)))
     with pytest.raises(InputError):
         weak_classes(R, bad, T)
     # O_K is not a T-overorder when T + 1 is singular too
@@ -866,9 +866,9 @@ def _count_work(monkeypatch, q, fstr):
 
 
 def test_local_icm_takes_no_colon_whose_answer_is_known(monkeypatch):
-    # the saturation opens at Ore's order, which is O here, builds S/pS
-    # once to certify it, and R, O and the orders of rank 2 take no
-    # conductor colon
+    # the saturation opens at Ore's order, which is O here as f is
+    # p-regular, and builds S/pS once to certify it; R, O and the orders
+    # of rank 2 take no conductor colon
     report, calls = _count_work(monkeypatch, 2, "x^3 - T^5")
     assert report.m_p == 7
     assert calls["colon"] <= 6 and calls["p_radical"] == 1
