@@ -4,14 +4,13 @@ The separable route reduces f modulo a few small primes p; where f mod p
 stays irreducible, so does f.  Otherwise it lifts the squarefree
 factorization with the fewest factors to precision p^K with quadratic
 Hensel steps, then recombines lifted factors into true divisors; the
-coefficient-degree bound r * deg_T(f) caps the precision.  The
-inseparable case peels Frobenius: f(x) = g(x^p) is irreducible iff g is
-irreducible and not every coefficient of g is a p-th power in F_q(T).
+coefficient-degree bound r * deg_T(f) caps the precision.  An
+inseparable f (df/dx = 0) is refused with InseparableError.
 """
 
 from itertools import combinations, islice
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InseparableError, InternalCheckError
 from .fqpoly import FqPoly, monic_irreducibles
 from .bipoly import BiPoly
 from .residue import ResidueField
@@ -168,37 +167,17 @@ def factor_squarefree_bivariate(f, seed=0):
     return result
 
 
-def _coeffs_are_pth_powers(f):
-    """True iff every coefficient of f lies in F_q[T^p] (p = char)."""
-    p = f.field.p
-    for c in f.coeffs:
-        for j, cj in enumerate(c.coeffs):
-            if cj and j % p != 0:
-                return False
-    return True
-
-
-def _frobenius_descent(f):
-    """Write f(x) = g(x^p) and return g; requires df/dx = 0."""
-    p = f.field.p
-    out = []
-    for i in range(0, f.deg_x + 1, p):
-        out.append(f.coeff(i))
-    return BiPoly(f.field, out)
-
-
 def is_irreducible_bivariate(f, seed=0, res=None):
-    """Irreducibility of f over F_q(T); f must be monic in x of degree >= 1.
-    res is res_x(f, df/dx) when the caller already has it."""
+    """Irreducibility of f over F_q(T); f must be monic in x of degree >= 1
+    and separable (InseparableError otherwise).  res is res_x(f, df/dx)
+    when the caller already has it."""
     if f.deg_x < 1 or not f.is_monic_in_x():
         raise InputError("irreducibility test needs f monic in x, deg >= 1")
     if f.deg_x == 1:
         return True
     fx = f.derivative_x()
     if fx.is_zero():
-        g = _frobenius_descent(f)
-        return is_irreducible_bivariate(g, seed=seed) and not _coeffs_are_pth_powers(g)
-    # separable-or-repeated-factor branch
+        raise InseparableError()
     from .bipoly import resultant_x
     if (resultant_x(f, fx) if res is None else res).is_zero():
         return False  # repeated factor

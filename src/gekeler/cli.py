@@ -194,7 +194,6 @@ def _read_argv(argv):
 def _parse_job(args):
     field = gf_of_order(args.q)
     ctx = AlgebraContext(field, parse_bipoly(field, args.f), seed=args.seed)
-    ctx.require_separable()
     p = None
     if args.prime is not None:
         p = parse_fqpoly(field, args.prime)

@@ -6,6 +6,10 @@ Elements of K are numerator coordinate vectors over A in the power basis
 1, pi, ..., pi^(r-1) together with a monic denominator.  A product in K
 is a product in A[x] followed by the remainder mod f, both run by gpoly
 over fqpoly.poly_ring.
+
+The context is the one gate for separability: an f with df/dx = 0 raises
+InseparableError before the irreducibility test runs, with or without
+check, so every later stage may take K separable over F_q(T).
 """
 
 import contextlib
@@ -58,6 +62,8 @@ class AlgebraContext:
             raise InputError("f must have degree >= 1 in x")
         if not f.is_monic_in_x():
             raise InputError("f must be monic in x")
+        if f.derivative_x().is_zero():
+            raise InseparableError()
         self.field = field
         self.ring = poly_ring(field)
         self.f = f
@@ -65,7 +71,6 @@ class AlgebraContext:
         self.seed = seed
         self.tvar = tvar
         self.xvar = xvar
-        self.separable = not f.derivative_x().is_zero()
         # results derived from f (orders, splittings, places), kept by memoized
         self.cache = {}
         with _naming(self, "is_irreducible_bivariate"):
@@ -112,10 +117,6 @@ class AlgebraContext:
         """res_x(f, df/dx), built once: the irreducibility test's
         repeated-factor guard and disc(f) both read it."""
         return bipoly.resultant_x(self.f, self.f.derivative_x())
-
-    def require_separable(self):
-        if not self.separable:
-            raise InseparableError()
 
     def __repr__(self):
         return (f"AlgebraContext(q={self.field.q}, "

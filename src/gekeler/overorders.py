@@ -37,7 +37,6 @@ def p_overorders(ctx, p):
     under the products of lifts.  A walk without both endpoints is an
     internal fault.
     """
-    ctx.require_separable()
     _require_prime(ctx, p)
     base = Order.monogenic(ctx)
     sat = p_saturation(ctx, p)

@@ -274,7 +274,6 @@ def type_counts(ctx, degree):
     SIEVE_LIMIT before it allocates anything.  The types counted must
     number as many as Gauss's count of the primes of degree D.
     """
-    ctx.require_separable()
     field = ctx.field
     size = field.q ** degree
     if size > SIEVE_LIMIT:
@@ -402,7 +401,6 @@ def maximal_order(ctx):
     discriminant identity disc(O_K) [O_K:R]^2 = disc(f).  Every saturation
     is built here first, so p_saturation and primes_above_in_max, which
     run this before they read one, only ever read a checked saturation."""
-    ctx.require_separable()
     disc = discriminant_of_f(ctx)
     base = Order.monogenic(ctx)
     result = base
@@ -477,7 +475,6 @@ def singular_primes(ctx):
     whose square divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index,
     and such a p does exactly when its Dedekind record has z != 1; no
     ideal is built."""
-    ctx.require_separable()
     out = [p for p, mult in discriminant_factors(ctx)
            if mult > 1 and gpoly.deg(dedekind(ctx, p).z) > 0]
     out.sort(key=poly_order_key)
@@ -498,7 +495,6 @@ def primes_above_in_max(ctx, p):
     O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
     that of its residue field.  Every branch must give sum e*f = r.
     """
-    ctx.require_separable()
     _require_prime(ctx, p)
     if not (discriminant_of_f(ctx) % p).is_zero():
         pairs = _pattern(*ctx.f.reduce_mod(p))
@@ -523,7 +519,6 @@ def primes_above_in_max(ctx, p):
 @memoized
 def infinity_context(ctx):
     """Context for the monic integral model at infinity (T = 1/U)."""
-    ctx.require_separable()
     g, _ = infinity_model(ctx.f)
     ictx = AlgebraContext(ctx.field, g, seed=ctx.seed, check=False,
                           tvar="U", xvar="y")

@@ -51,7 +51,6 @@ def format_fraction(x):
 
 def gekeler_ratio(ctx, p):
     """The exact local ratio at p."""
-    ctx.require_separable()
     m_p = local_icm(ctx, p).m_p
     big_q = ctx.field.q ** int(p.degree)
     pairs = primes_above_in_max(ctx, p)
@@ -73,7 +72,6 @@ def _local_value(m_p, big_q, pairs):
 
 def gekeler_product(ctx):
     """Exact product of the local ratios over all primes of A."""
-    ctx.require_separable()
     sing = []
     value = Fraction(1)
     for p in singular_primes(ctx):
@@ -92,7 +90,6 @@ def gekeler_product(ctx):
 def finite_level_ratio(ctx, p, n, budget=DEFAULT_BUDGET):
     """Truncated ratio at level n: count * |p|^(n(r-1)) / |SL_r(A/p^n)|."""
     from .oracle import count_matrices_with_charpoly, sl_order_closed_form
-    ctx.require_separable()
     count = count_matrices_with_charpoly(ctx, p, n, budget=budget)
     big_q = ctx.field.q ** int(p.degree)
     return Fraction(count * big_q ** (n * (ctx.r - 1)),
@@ -109,7 +106,6 @@ def partial_products(ctx, max_degree):
     that degree; everywhere else R_p is maximal and m_p = 1.  Returns one
     exact running value per degree.
     """
-    ctx.require_separable()
     acc = Fraction(1)
     out = []
     for d in range(1, max_degree + 1):

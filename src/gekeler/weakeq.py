@@ -210,7 +210,6 @@ def locally_weakly_equivalent(i, j, p):
 
 def local_icm(ctx, p):
     """ICM of the completion at p as a disjoint union of local weak classes."""
-    ctx.require_separable()
     _require_prime(ctx, p)
     base = Order.monogenic(ctx)
     if p not in singular_primes(ctx):

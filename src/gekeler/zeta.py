@@ -116,25 +116,21 @@ def constant_field_degree(ctx):
 
     m divides the F_q-degree of every place of K (Rosen, GTM 210, ch. 8),
     so it divides g = gcd(r, residue degrees of the places over infinity).
-    Over F_{q^i}(T), f has gcd(i, m) irreducible factors, so m is the
-    largest divisor i of g at which f has i factors, and g = 1 settles
-    m = 1 with no factor count.
+    Over F_{q^i}(T), f has gcd(i, m) irreducible factors, so the one
+    count at i = g is gcd(g, m) = m, and g = 1 settles m = 1 with no count.
     """
-    ctx.require_separable()
     field = ctx.field
     g = ctx.r
     for _, f_res in infinite_places(ctx):
         g = math.gcd(g, f_res)
-    m = 1
-    for i in range(g, 1, -1):
-        if g % i:
-            continue
-        big = gf(field.p, field.e * i)
-        emb = embedding(field, big)
-        fi = ctx.f.map_coefficients(emb, big)
-        if count_irreducible_factors(fi, seed=ctx.seed) == i:
-            m = i
-            break
+    if g == 1:
+        return 1
+    big = gf(field.p, field.e * g)
+    fg = ctx.f.map_coefficients(embedding(field, big), big)
+    m = count_irreducible_factors(fg, seed=ctx.seed)
+    if g % m:
+        raise _internal(ctx, "constant_field_degree",
+                        f"{m} factors over F_(q^{g})(T) do not divide {g}")
     return m
 
 

@@ -21,14 +21,13 @@ def test_irreducibility_examples():
 
 
 def test_irreducibility_inseparable_branch():
-    F3 = gf(3)
-    assert is_irreducible_bivariate(parse_bipoly(F3, "x^3 - T"))
-    assert not is_irreducible_bivariate(parse_bipoly(F3, "x^3 - T^3"))
-    F2 = gf(2)
-    assert is_irreducible_bivariate(parse_bipoly(F2, "x^2 - T"))
-    assert not is_irreducible_bivariate(parse_bipoly(F2, "x^2 - T^2"))
-    # x^4 + T^2 = (x^2 + T)^2 over F_2
-    assert not is_irreducible_bivariate(parse_bipoly(F2, "x^4 + T^2"))
+    # df/dx = 0 is refused whether f is irreducible or not: x^3 - T^3 =
+    # (x - T)^3 over F_3, x^2 - T^2 = (x + T)^2 and x^4 + T^2 = (x^2 + T)^2
+    # over F_2
+    for q, fstr in [(3, "x^3 - T"), (3, "x^3 - T^3"), (2, "x^2 - T"),
+                    (2, "x^2 - T^2"), (2, "x^4 + T^2")]:
+        with pytest.raises(InseparableError):
+            is_irreducible_bivariate(parse_bipoly(gf(q), fstr))
 
 
 def test_irreducibility_rejects_non_monic():

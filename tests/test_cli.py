@@ -61,6 +61,13 @@ def test_inseparable_rejected_with_exit_2():
     assert "inseparable" in err.lower()
 
 
+def test_a_reducible_inseparable_f_is_reported_as_inseparable():
+    code, out, err = run_cli(["zeta", "--q", "2", "--f", "x^2 - T^2"])
+    assert code == 2
+    assert out == ""
+    assert "inseparable" in err.lower()
+
+
 def test_parse_error_has_column():
     code, _, err = run_cli(["zeta", "--q", "3", "--f", "x^2 - $"])
     assert code == 2

@@ -7,7 +7,7 @@ from gekeler.gf import gf_of_order
 from gekeler.fqpoly import FqPoly
 from gekeler.bipoly import BiPoly
 from gekeler.context import AlgebraContext, KElement, memoized
-from gekeler.errors import InputError
+from gekeler.errors import InputError, InseparableError
 from gekeler.parse import parse_bipoly
 
 
@@ -46,9 +46,9 @@ def rand_monic(field, rng, r):
 
 
 # random monic f of every rank 1-4 over F_2, F_3, F_4 and F_9, and the
-# inseparable x^2 + T over F_2
+# Artin-Schreier x^2 + x + T over F_2
 CASES = [(q, r, None) for q in (2, 3, 4, 9) for r in range(1, 5)]
-CASES.append((2, 2, "x^2 + T"))
+CASES.append((2, 2, "x^2 + x + T"))
 
 
 @pytest.mark.parametrize("q,r,fstr", CASES)
@@ -65,6 +65,20 @@ def test_mult_vectors_matches_power_table(q, r, fstr):
         prod = ctx.mult_vectors(u, v)
         assert len(prod) == r
         assert prod == power_table_product(ctx, u, v)
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_the_context_refuses_an_inseparable_f_before_the_irreducibility_test(
+        monkeypatch, check):
+    from gekeler import context
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the irreducibility test on an inseparable f")
+
+    monkeypatch.setattr(context, "is_irreducible_bivariate", refuse)
+    field = gf_of_order(3)
+    with pytest.raises(InseparableError):
+        AlgebraContext(field, parse_bipoly(field, "x^3 - T"), check=check)
 
 
 def test_gen_of_rank_one():

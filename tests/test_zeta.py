@@ -199,7 +199,8 @@ def _fresh_ctx(q, fstr):
     (3, "x^2 + 1", True), (3, "x^2 - 2", True), (3, "1 - x + x^3", True),
     (3, "x^2 - (2*T^2 + 1)", True), (5, "x^2 - (2*T^4 + T + 1)", True),
     (3, "x^2 - (T^2 + 1)", False), (4, "x^3 + T*x + T^4 + a", False),
-    (9, "x^2 - (T^4 + a)", False)])
+    (9, "x^2 - (T^4 + a)", False), (2, "x^4 + T^3*x + T^4 + T", True),
+    (2, "x^4 + T^3*x + T^4 + T^2 + 1", True)])
 def test_constant_field_degree_from_infinity_matches_the_hensel_count(q, fstr, inert):
     # m divides the residue degree of every place over infinity; where none
     # of them settles m = 1 the factor count still runs, and both ways agree
@@ -227,6 +228,22 @@ def test_infinity_settles_m_without_a_factor_count(monkeypatch):
     monkeypatch.setattr(Z, "count_irreducible_factors", refuse)
     for q, fstr in CENSUS_CURVES:
         assert Z.constant_field_degree(_fresh_ctx(q, fstr)) == 1, (q, fstr)
+
+
+@pytest.mark.parametrize("fstr, m", [("x^4 + T^3*x + T^4 + T", 1),
+                                     ("x^4 + T^3*x + T^4 + T^2 + 1", 2)])
+def test_constant_field_degree_counts_the_factors_once(monkeypatch, fstr, m):
+    # g = 4 at infinity, so one factor count over F_(q^4)(T) reads m
+    calls = []
+    real = Z.count_irreducible_factors
+
+    def count(f, seed=0):
+        calls.append(f.field.q)
+        return real(f, seed=seed)
+
+    monkeypatch.setattr(Z, "count_irreducible_factors", count)
+    assert Z.constant_field_degree(_fresh_ctx(2, fstr)) == m
+    assert calls == [16]
 
 
 def test_census_reads_quadratic_types_without_distinct_degree(monkeypatch):
