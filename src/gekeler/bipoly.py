@@ -87,7 +87,7 @@ class BiPoly:
 
     def reduce_mod(self, p):
         """Image in (A/p)[x] as a generic coefficient list."""
-        R = ResidueField(p, check=False)
+        R = ResidueField(p)
         return R, [(c % p).coeffs for c in self.coeffs]
 
     def reduce_coeffs_mod(self, modulus):

@@ -22,14 +22,14 @@ from .bifactor import is_irreducible_bivariate
 from . import bipoly, gpoly
 
 
-def _internal(ctx, stage, what, p=None):
-    """InternalCheckError naming the stage and instance (q, f) and, when
-    given, the prime p; p may be text."""
+def _internal(ctx, stage, what, p=None, error=InternalCheckError):
+    """An InternalCheckError, or the given error type, naming the stage and
+    instance (q, f) and, when given, the prime p; p may be text."""
     if isinstance(p, FqPoly):
         p = p.to_str(ctx.tvar)
     where = "" if p is None else f", p = {p}"
-    return InternalCheckError(f"{stage}: {what} for q = {ctx.field.q}, "
-                              f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
+    return error(f"{stage}: {what} for q = {ctx.field.q}, "
+                 f"f = {ctx.f.to_str(ctx.tvar, ctx.xvar)}{where}")
 
 
 @contextlib.contextmanager

@@ -9,14 +9,16 @@ basis of W, as W is T-invariant, and R*L lies in L, so L is a ring
 exactly when the product of the lifts of any two basis vectors of W
 reduces mod R into W.  That is tested on O/R, and only the rings are
 pulled back; the endpoints R and O are the zero and the full subspace.
+As R = A[pi], W is walked under T and pi, with p nilpotent on O/R.
 """
 
 from collections import namedtuple
 
 from .ideals import Order
-from .quotient import invariant_window
-from .context import _internal, _naming
+from .quotient import LatticeQuotient, invariant_subspaces
+from .context import KElement, _internal, _naming
 from .primes import p_saturation, _require_prime
+from .fqpoly import FqPoly
 from . import kalgebra
 from . import klinalg
 
@@ -41,7 +43,11 @@ def p_overorders(ctx, p):
     base = Order.monogenic(ctx)
     sat = p_saturation(ctx, p)
     with _naming(ctx, "p_overorders", p):
-        quo, subs = invariant_window(sat.ideal, base.ideal, base)
+        quo = LatticeQuotient(sat.ideal, base.ideal)
+        t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+        mats = [quo.action_matrix(z) for z in (t_el, KElement.gen(ctx))]
+        nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
+        subs = invariant_subspaces(ctx.field, quo.dim, mats, nil)
         table = quo.product_table()
     if subs[0] or len(subs[-1]) != quo.dim:
         raise _internal(ctx, "p_overorders", "enumeration lost an endpoint order", p)

@@ -1,15 +1,14 @@
 """Finite quotients top/bottom of lattices in K, as F_q-spaces with lifts.
 
-`invariant_window` is the one enumeration the pipeline runs: the
-subspaces of top/bottom invariant under a given order, all of them or
-those above the image of a given lattice.  On O/R they are the
-R-submodules, of which `overorders` pulls back only the rings; the
-S-submodules of O/(S:O) (weak class representatives of a non-Gorenstein
-overorder S) stay subspaces of the ring O/(S:O) (`LatticeQuotient.algebra`),
-where O is the p-saturation of R, and are walked from S/(S:O) up when
-every weak class meets that interval.  Invariant subspaces are found by a
-walk up by covers from the start subspace, canonicalized via RREF, so
-results are deterministic.
+`invariant_subspaces` is the one enumeration the pipeline runs: the
+subspaces invariant under given matrices, by a walk up by covers from a
+start subspace, canonicalized via RREF, so results are deterministic.
+Each caller walks its window under the ring that acts on it: O/R (O the
+p-saturation of R) under T and pi, as R = A[pi], for `overorders`; the
+ring V = O/(S:O) (`LatticeQuotient.algebra`) of a non-Gorenstein
+overorder S under the images of T and of S's A-basis, for `weakeq`.
+Both find covers with the action of p, nilpotent on both windows as
+[O:R] and [O:(S:O)] are powers of p.
 `LatticeQuotient.algebra` is the one construction of S/pS (whose
 nilradical is pulled back by the saturation in `primes`) and O/f.
 The F_q basis of V is the slots T^j b_i, j < deg h_ii, of the HNF h of
@@ -24,15 +23,13 @@ there is column i of the preimage's triangular basis over top, and the
 HNF of those r columns takes no gcd step.
 """
 
-import functools
 import itertools
 
 from .errors import InternalCheckError
-from .fqpoly import FqPoly, poly_lcm
+from .fqpoly import FqPoly
 from .context import KElement
 from .ideals import FracIdeal
 from . import amatrix
-from . import gpoly
 from . import kalgebra
 from . import klinalg
 
@@ -115,6 +112,13 @@ class LatticeQuotient:
             out.append(tuple(acc))
         return FracIdeal.from_columns(ctx, out, self.top.den)
 
+    def vector(self, z):
+        """The F_q vector of an element z of top."""
+        coords = self.top.coordinates(z.num, z.den)
+        if coords is None:
+            raise InternalCheckError("element lies outside the top lattice")
+        return self._shifted_residues(coords, 1)[0]
+
     # -- A-linear maps: one solve per basis column of top, shifted per slot --
 
     def action_matrix(self, z):
@@ -167,38 +171,8 @@ class LatticeQuotient:
     def algebra(self):
         """V as a ring, for an order top and a top-ideal bottom: the
         structure constants of the slot basis, as a FiniteAlgebra over F_q."""
-        one = KElement.one(self.ctx)
-        coords = self.top.coordinates(one.num, one.den)
-        if coords is None:
-            raise InternalCheckError("the top lattice is not a ring")
         return kalgebra.FiniteAlgebra(self.ctx.field, self.product_table(),
-                                      self._shifted_residues(coords, 1)[0])
-
-    def index_radical(self):
-        """rad [top:bottom], the lcm of the squarefree parts of h's diagonal.
-        It acts nilpotently on V, and as 0 on each simple subquotient: T acts
-        there with an irreducible minimal polynomial dividing the index."""
-        F = self.ctx.field
-        parts = [FqPoly(F, g) for i, d in enumerate(self.slot_degrees) if d
-                 for g, _ in gpoly.squarefree_decomposition(F, self.h[i][i].coeffs)]
-        return functools.reduce(poly_lcm, parts, FqPoly.one(F))
-
-
-def invariant_window(top, bottom, ring, start=None):
-    """V = top/bottom and the RREF bases of its subspaces invariant under T
-    and under each basis element of `ring`, an order that stabilizes both;
-    given a `ring`-module lattice `start` between bottom and top, only
-    those that contain its image.  A matrix in the F_q-span of the
-    identity fixes every subspace and stays out of the walk, which finds
-    covers with the action of the radical of the index."""
-    ctx = top.ctx
-    quo = LatticeQuotient(top, bottom)
-    t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-    mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
-    mats = [m for m in mats if not _is_scalar(ctx.field, m)]
-    nil = quo.action_matrix(KElement.from_fqpoly(ctx, quo.index_radical()))
-    base = () if start is None else tuple(quo.image(start))
-    return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil, base)
+                                      self.vector(KElement.one(self.ctx)))
 
 
 def _is_scalar(field, mat):
@@ -237,7 +211,9 @@ def _closure(field, mats, basis, pivots, vec):
 def invariant_subspaces(field, dim, mats, nil, start=()):
     """All subspaces of F_q^dim invariant under the given matrices that
     contain the invariant subspace `start` (an RREF row tuple; empty by
-    default), for a nilpotent `nil` that commutes with the matrices.
+    default), for a nilpotent `nil` that commutes with the matrices.  A
+    matrix in the F_q-span of the identity fixes every subspace and stays
+    out of the walk.
 
     A breadth-first walk up by covers from `start`.  A cover of an
     invariant W is W + U with U simple modulo W; nil acts on U as 0, so U
@@ -246,6 +222,7 @@ def invariant_subspaces(field, dim, mats, nil, start=()):
     that is not a cover is invariant all the same.  Returns RREF row
     tuples sorted by (dimension, encoding).
     """
+    mats = [m for m in mats if not _is_scalar(field, m)]
     seen = {start}
     walk = [(start, klinalg.rref(field, start)[1])]
     for basis, pivots in walk:   # the walk grows while it is read

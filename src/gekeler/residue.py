@@ -8,17 +8,14 @@ powmod mod p.  This lets every generic polynomial routine run over A/p
 exactly as it runs over F_q.
 """
 
-from .errors import InputError
-from .fqpoly import FqPoly, is_irreducible
+from .fqpoly import FqPoly
 from . import gpoly
 
 
 class ResidueField:
-    """The field A/p, |A/p| = q^deg(p)."""
+    """The field A/p, |A/p| = q^deg(p); the caller has proved p irreducible."""
 
-    def __init__(self, p, check=True):
-        if check and not (p.is_monic() and is_irreducible(p)):
-            raise InputError(f"{p.to_str()} is not a monic irreducible")
+    def __init__(self, p):
         self.base = p.field
         self.p = p
         self.d = int(p.degree)

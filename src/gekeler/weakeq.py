@@ -9,7 +9,8 @@ take no colon; any other S takes one, f, and by Bass's length criterion
 it is Gorenstein exactly when deg [O:f] = 2 deg [S:f], both read off HNF
 diagonals.  For a non-Gorenstein S, every weak class has a representative
 in S's own window f <= I <= O, and the window is linear algebra over F_q
-on the ring V = O/f:
+on the ring V = O/f, walked under V's multiplications by the images of T
+and of S's A-basis, with p nilpotent on V ([O:f] is a power of p):
 
 - Stabilizer rule.  A window lattice I is an S-invariant subspace W of V,
   and (I:I) lies in O because O_p is maximal, while f*I <= I.  So
@@ -24,7 +25,8 @@ on the ring V = O/f:
   W.  A unit t with tW = W lies in the stabilizer S/f, so the orbit of
   every kept W is {tW : t in U} for one transversal U of V^x/(S/f)^x,
   built layer by layer along the powers of the radical of V
-  (`kalgebra.unit_transversal`), and has |U| members.
+  (`kalgebra.unit_transversal`), and has |U| members; a U too large to
+  list (`ORBIT_LIMIT`) is refused with exit 2.
 - Interval rule.  A kept W maps onto a nonzero subspace of each residue
   field of the c local components of V, so its non-units lie in c proper
   subspaces of W.  An F_q-space is no union of c <= q proper subspaces,
@@ -42,15 +44,18 @@ p exactly when 1 in (I:J)(J:I) (`globally_weakly_equivalent`).
 
 from collections import namedtuple
 
-from .errors import InputError, InternalCheckError
+from .errors import BudgetExceeded, InputError, InternalCheckError
+from .fqpoly import FqPoly
 from .ideals import FracIdeal, Order
-from .quotient import invariant_window
+from .quotient import LatticeQuotient, invariant_subspaces
 from . import kalgebra
 from . import klinalg
-from .context import _internal, _naming, memoized
+from .context import KElement, _internal, _naming, memoized
 from .primes import (_require_prime, kummer_dedekind, p_saturation,
                      primes_above_in_max, singular_primes)
 from .overorders import p_overorders
+
+ORBIT_LIMIT = 10 ** 8   # entries the unit transversal's matrices may hold
 
 
 class WeakClassRep(namedtuple("WeakClassRep", "ideal mult_ring")):
@@ -117,10 +122,18 @@ def _weak_classes(ctx, p, s_order):
     if ctx.r >= 3 and s not in (FracIdeal.unit_ideal(ctx), sat):
         cond = s.colon(sat)
         if not _gorenstein_by_lengths(sat, s, cond):
-            start = s if _interval_suffices(ctx, p) else None
+            interval = _interval_suffices(ctx, p)
             with _naming(ctx, "weak_classes", p):
-                quo, subs = invariant_window(sat, cond, s_order, start)
-                reps += _orbit_representatives(quo, subs, s_order)
+                quo = LatticeQuotient(sat, cond)
+                alg = quo.algebra()
+                s_sub = tuple(quo.image(s))
+                t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+                mats = [alg.mult_matrix(quo.vector(z))
+                        for z in [t_el] + s_order.basis_elements()]
+                nil = alg.mult_matrix(quo.vector(KElement.from_fqpoly(ctx, p)))
+                subs = invariant_subspaces(ctx.field, quo.dim, mats, nil,
+                                           s_sub if interval else ())
+                reps += _orbit_representatives(quo, alg, s_sub, subs, p)
     return tuple(WeakClassRep(rep, s_order) for rep in reps)
 
 
@@ -138,19 +151,19 @@ def _interval_suffices(ctx, p):
     return ctx.r <= q or len(primes_above_in_max(ctx, p)) <= q
 
 
-def _orbit_representatives(quo, subs, s_order):
+def _orbit_representatives(quo, alg, s_sub, subs, p):
     """The classes other than [S] in the window f <= I <= O, f = (S:O),
-    given as V = O/f and its S-invariant subspaces (all of them, or those
-    above S/f): the canonically first lattice of each whole unit orbit, in
-    canonical order.  The units that fix a kept W are those of its
+    given as V = O/f, its ring `alg`, the image `s_sub` of S and its
+    S-invariant subspaces (all of them, or those above S/f): the
+    canonically first lattice of each whole unit orbit, in canonical
+    order.  The units that fix a kept W are those of its
     stabilizer S/f, so the orbit of W is {tW : t in U} for one transversal
     U of V^x/(S/f)^x, with |U| distinct members that all share that
     stabilizer: the first member of an orbit found outside the given
     subspaces is tested for it, and the sizes of U and of each orbit are
-    checked."""
-    k = quo.ctx.field
-    alg = quo.algebra()
-    s_sub = tuple(quo.image(s_order.ideal))
+    checked, after |U| is charged against ORBIT_LIMIT."""
+    ctx = quo.ctx
+    k = ctx.field
     s_piv = klinalg.rref(k, s_sub)[1]
     others = [alg.mult_matrix(alg.basis_vector(j))
               for j in range(alg.dim) if j not in s_piv]
@@ -160,6 +173,11 @@ def _orbit_representatives(quo, subs, s_order):
         raise InternalCheckError("S/f is missing from its own window")
     size = (kalgebra.unit_count(alg)
             // kalgebra.unit_count(alg.subalgebra(s_sub, s_piv)))
+    if size * alg.dim ** 2 > ORBIT_LIMIT:
+        raise _internal(ctx, "weak_classes",
+                        f"the unit transversal would hold {size} matrices of "
+                        f"size {alg.dim}x{alg.dim}, more than {ORBIT_LIMIT} "
+                        "entries", p, BudgetExceeded)
     units = [alg.mult_matrix(t) for t in kalgebra.unit_transversal(alg, s_sub)]
     if len(units) != size:
         raise InternalCheckError(f"the unit transversal has {len(units)} members, "

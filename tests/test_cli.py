@@ -2,6 +2,7 @@ import json
 import io
 import contextlib
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -312,13 +313,12 @@ def test_product_builds_no_kummer_dedekind_ideal(monkeypatch):
 def test_lost_endpoint_order_is_an_internal_failure(monkeypatch):
     # a walk that drops O is a fault of the program, not of the input
     from gekeler import overorders
-    real = overorders.invariant_window
+    real = overorders.invariant_subspaces
 
-    def drop_top(top, bottom, ring):
-        quo, subs = real(top, bottom, ring)
-        return quo, [w for w in subs if len(w) != quo.dim]
+    def drop_top(field, dim, mats, nil):
+        return [w for w in real(field, dim, mats, nil) if len(w) != dim]
 
-    monkeypatch.setattr(overorders, "invariant_window", drop_top)
+    monkeypatch.setattr(overorders, "invariant_subspaces", drop_top)
     code, out, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
                               "--prime", "T"])
     assert code == 1
@@ -329,24 +329,51 @@ def test_lost_endpoint_order_is_an_internal_failure(monkeypatch):
 
 def test_unstable_top_lattice_is_an_internal_failure(monkeypatch):
     # a ring that does not map the top of a quotient into itself is a
-    # fault of the program: here O acting on R/TR
+    # fault of the program: here pi acting on L/TL, L = A + A*T*pi + A*pi^2
     from gekeler import overorders
     from gekeler.context import KElement
     from gekeler.fqpoly import FqPoly
-    from gekeler.ideals import Order
-    real = overorders.invariant_window
+    from gekeler.ideals import FracIdeal
+    real = overorders.LatticeQuotient
 
-    def o_on_r_mod_t(top, bottom, ring):
-        t = KElement.from_fqpoly(bottom.ctx, FqPoly.gen(bottom.ctx.field))
-        return real(bottom, bottom.scale(t), Order(top))
+    def skewed(top, bottom):
+        ctx = bottom.ctx
+        t = FqPoly.gen(ctx.field)
+        cols = bottom.basis_columns()
+        cols[1] = tuple(e * t for e in cols[1])
+        lattice = FracIdeal.from_columns(ctx, cols, bottom.den)
+        return real(lattice, lattice.scale(KElement.from_fqpoly(ctx, t)))
 
-    monkeypatch.setattr(overorders, "invariant_window", o_on_r_mod_t)
+    monkeypatch.setattr(overorders, "LatticeQuotient", skewed)
     code, _, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
                             "--prime", "T"])
     assert code == 1
     assert err == ("internal invariant failure: p_overorders: element does "
                    "not stabilize the top lattice for q = 2, f = x^3 + T^5, "
                    "p = T\n")
+
+
+def test_oversized_unit_transversal_is_refused_before_it_is_listed():
+    # at T the rank-6 window has |U| = 3^12 units of 22x22 matrices, over
+    # 10^8 entries: refused with exit 2 before U is listed, here under an
+    # 800 MB address space set only in the child
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
+    cap = 800 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gekeler", "icm", "--q", "3",
+                           "--f", "(x^2 + 1)^3 + T^6*x", "--prime", "T"],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit)
+    assert time.monotonic() - t0 < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: weak_classes: the unit transversal "
+                                  "would hold 531441 matrices of size 22x22")
+    assert proc.stderr.endswith("for q = 3, f = x^6 + (T^6)*x + 1, p = T\n")
 
 
 def test_rationals_are_reduced_with_positive_denominator():

@@ -78,9 +78,9 @@ def test_rank4_constant_field_tower():
 def _enumeration_callers(monkeypatch, ctx, primes):
     """Run local_icm at each prime of a fresh context and return the name
     of the first function outside `quotient` behind each call of
-    quotient.invariant_window, the one window enumeration."""
+    quotient.invariant_subspaces, the one window enumeration."""
     from gekeler import quotient
-    original = quotient.invariant_window
+    original = quotient.invariant_subspaces
     callers = []
 
     def counted(*args):

@@ -256,16 +256,17 @@ def _pipeline_quotients(ctx, p):
 
 @pytest.mark.parametrize("q,fstr", ORACLE_CURVES)
 def test_walk_matches_line_sweep_on_pipeline_quotients(q, fstr):
-    # nil is taken as in submodule_lattices: the action of rad [top:bottom]
+    # nil is taken as in the pipeline: the action of p, nilpotent as
+    # [top:bottom] is a power of p
     ctx = make_ctx(q, fstr)
     t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
     for p in singular_primes(ctx):
         for quo, ring in _pipeline_quotients(ctx, p):
-            rad = quo.index_radical()
-            assert rad == p
+            index = quo.top.index_in(quo.bottom)
+            assert index == p ** v_p(index, p)
             mats = [quo.action_matrix(z)
                     for z in [t_el] + ring.basis_elements()]
-            nil = quo.action_matrix(KElement.from_fqpoly(ctx, rad))
+            nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
             assert (invariant_subspaces(ctx.field, quo.dim, mats, nil)
                     == _oracle_invariant_subspaces(ctx.field, quo.dim, mats))
 

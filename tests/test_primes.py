@@ -227,7 +227,7 @@ def algebra_mod_p(order, p):
     """S/pS as a FiniteAlgebra over A/p, in the order's basis: the A/p
     reference for the F_q-algebra LatticeQuotient(S, pS).algebra()."""
     ctx = order.ctx
-    k = ResidueField(p, check=False)
+    k = ResidueField(p)
     lat = order.ideal
     cols = lat.basis_columns()
     den2 = lat.den * lat.den
@@ -243,7 +243,7 @@ def _lattice_from_subspace(order, p, vectors):
     """Pullback in K of a subspace of S/pS (vectors in order coordinates)."""
     ctx = order.ctx
     lat = order.ideal
-    k = ResidueField(p, check=False)
+    k = ResidueField(p)
     basis_cols = lat.basis_columns()
     cols = [tuple(e * p for e in col) for col in basis_cols]
     for w in vectors:
@@ -315,7 +315,7 @@ def _remainder_rule_regular(ctx, p, g, e):
     when e = 1 or f mod G, G the lift of g, does not vanish mod p^2."""
     if e == 1:
         return True
-    k = ResidueField(p, check=False)
+    k = ResidueField(p)
     _, rem = ctx.f.divmod_monic(BiPoly(ctx.field, [k.lift(c) for c in g]))
     return any(not (c % (p * p)).is_zero() for c in rem.coeffs)
 

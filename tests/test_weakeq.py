@@ -17,8 +17,7 @@ from gekeler.parse import parse_bipoly, parse_fqpoly
 from gekeler.primes import (infinity_context, maximal_order, p_saturation,
                             singular_primes)
 from gekeler.overorders import p_overorders
-from gekeler.quotient import (LatticeQuotient, invariant_subspaces,
-                              invariant_window)
+from gekeler.quotient import LatticeQuotient, invariant_subspaces
 from gekeler.kalgebra import unit_count, unit_transversal
 from gekeler import klinalg
 from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
@@ -26,10 +25,22 @@ from gekeler.weakeq import (weak_classes, locally_weakly_equivalent,
 from gekeler.errors import InputError, InternalCheckError
 
 
-def submodule_lattices(top, bottom, ring):
-    """Every ring-module lattice between bottom and top, for an order
-    `ring` that stabilizes both: the pullbacks of `invariant_window`."""
-    quo, subs = invariant_window(top, bottom, ring)
+def window(top, bottom, ring, g):
+    """V = top/bottom and its subspaces invariant under T and each basis
+    element of `ring`, an order that stabilizes both, for g in A with
+    [top:bottom] dividing a power of g: g acts nilpotently on V."""
+    ctx = top.ctx
+    quo = LatticeQuotient(top, bottom)
+    t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+    mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
+    nil = quo.action_matrix(KElement.from_fqpoly(ctx, g))
+    return quo, invariant_subspaces(ctx.field, quo.dim, mats, nil)
+
+
+def submodule_lattices(top, bottom, ring, g):
+    """Every ring-module lattice between bottom and top: the pullbacks of
+    `window`."""
+    quo, subs = window(top, bottom, ring, g)
     return [quo.pullback(sub) for sub in subs]
 
 
@@ -168,7 +179,9 @@ def _global_window_classes(ctx, p):
     """
     R = Order.monogenic(ctx)
     ok = maximal_order(ctx).ideal
-    window = sorted(submodule_lattices(ok, R.ideal.colon(ok), R),
+    # [O_K:(R:O_K)] divides a power of the product of the singular primes
+    rad = functools.reduce(lambda a, b: a * b, singular_primes(ctx))
+    window = sorted(submodule_lattices(ok, R.ideal.colon(ok), R, rad),
                     key=lambda l: l.canonical_key())
     out = []
     for s in p_overorders(ctx, p).orders:
@@ -220,7 +233,7 @@ def _one_window_classes(ctx, p):
     """
     R = Order.monogenic(ctx)
     sat = p_saturation(ctx, p).ideal
-    lattices = sorted(submodule_lattices(sat, R.ideal.colon(sat), R),
+    lattices = sorted(submodule_lattices(sat, R.ideal.colon(sat), R, p),
                       key=lambda l: l.canonical_key())
     window = [(lat, lat.colon(lat)) for lat in lattices]
     out = []
@@ -286,16 +299,13 @@ def test_pullback_of_invariant_subspaces_is_the_r_span(q, fstr):
     for ctx in (finite, infinity_context(finite)):
         for p in singular_primes(ctx):
             R = Order.monogenic(ctx)
-            t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
             sat = p_saturation(ctx, p).ideal
             cases = [(R.ideal, R)] + [(s.ideal.colon(sat), s)
                                       for s in p_overorders(ctx, p).orders
                                       if not is_gorenstein(s)]
             for bottom, ring in cases:
-                quo = LatticeQuotient(sat, bottom)
-                mats = [quo.action_matrix(z) for z in [t_el] + ring.basis_elements()]
-                nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
-                for sub in invariant_subspaces(ctx.field, quo.dim, mats, nil):
+                quo, subs = window(sat, bottom, ring, p)
+                for sub in subs:
                     lattice = quo.pullback(sub)
                     assert lattice == slot_oracle.pullback(quo, sub)
                     assert lattice == _r_span_pullback(quo, sub)
@@ -314,9 +324,9 @@ def _colon_collapse(s_order, p):
     each such lattice weakly equivalent to no earlier representative."""
     sat = p_saturation(s_order.ctx, p).ideal
     s = s_order.ideal
-    window = sorted(submodule_lattices(sat, s.colon(sat), s_order),
-                    key=lambda l: l.canonical_key())
-    kept = [lat for lat in window if lat.colon(lat) == s]
+    lattices = sorted(submodule_lattices(sat, s.colon(sat), s_order, p),
+                      key=lambda l: l.canonical_key())
+    kept = [lat for lat in lattices if lat.colon(lat) == s]
     reps = [s]
     for lat in kept:
         if not any(globally_weakly_equivalent(lat, r) for r in reps):
@@ -362,7 +372,7 @@ def test_stabilizer_rule_keeps_exactly_the_lattices_with_io_equal_o(q, fstr):
     for ctx, p, s, kept, _ in _non_gorenstein_windows(q, fstr):
         k = ctx.field
         sat = p_saturation(ctx, p).ideal
-        quo, subs = invariant_window(sat, s.ideal.colon(sat), s)
+        quo, subs = window(sat, s.ideal.colon(sat), s, p)
         alg = quo.algebra()
         basis = [alg.basis_vector(j) for j in range(alg.dim)]
         mats = [alg.mult_matrix(b) for b in basis]
@@ -669,7 +679,7 @@ def test_weak_class_checks_name_the_stage_and_instance(monkeypatch):
     # keep S/f alone: a unit of O/f outside S/f moves it to a W not kept
     base, s = _non_gorenstein_order_of_x3_minus_t4()
     sat = p_saturation(base.ctx, T).ideal
-    quo, _ = invariant_window(sat, s.ideal.colon(sat), s)
+    quo = LatticeQuotient(sat, s.ideal.colon(sat))
     s_sub = tuple(quo.image(s.ideal))
     with monkeypatch.context() as m:
         m.setattr(weakeq, "_stabilized_by_none", lambda k, others, w: w == s_sub)
@@ -690,6 +700,34 @@ def test_three_branch_windows_walk_from_zero(q, fstr, m_p):
     T = FqPoly.gen(ctx.field)
     assert not weakeq._interval_suffices(ctx, T)
     assert local_icm(ctx, T).m_p == m_p
+
+
+def test_each_window_is_walked_under_the_ring_that_acts_on_it(monkeypatch):
+    # O/R is walked under T and pi, with the action of p to find covers:
+    # three action matrices per window at any rank; the weak window is
+    # multiplied in the ring V = O/f and takes no action matrix
+    from gekeler import weakeq
+    calls = []
+    action_matrix = LatticeQuotient.action_matrix
+
+    def counted_action_matrix(self, z):
+        calls.append(z)
+        return action_matrix(self, z)
+
+    monkeypatch.setattr(LatticeQuotient, "action_matrix", counted_action_matrix)
+    for q, fstr in [(2, "x^3 - T^5"), (3, "x^4 + T^3")]:
+        field = gf(q)
+        ctx = AlgebraContext(field, parse_bipoly(field, fstr))
+        T = FqPoly.gen(field)
+        p_saturation(ctx, T)
+        calls.clear()
+        overorders = p_overorders(ctx, T).orders
+        assert len(calls) == 3
+        if q == 2:
+            # two of the five overorders have a second class, found by a walk
+            calls.clear()
+            counts = [len(weakeq._weak_classes(ctx, T, s)) for s in overorders]
+            assert counts == [1, 2, 1, 2, 1] and not calls
 
 
 def test_interval_walk_tests_a_few_hundred_stabilizers(monkeypatch):
@@ -795,10 +833,8 @@ def test_orbits_apply_each_unit_once_per_class(monkeypatch, q, fstr, prime):
 
     orbit_representatives = weakeq._orbit_representatives
 
-    def counted_orbit_representatives(quo, subs, s_order):
-        reps = orbit_representatives(quo, subs, s_order)
-        alg = quo.algebra()
-        s_sub = quo.image(s_order.ideal)
+    def counted_orbit_representatives(quo, alg, s_sub, subs, p):
+        reps = orbit_representatives(quo, alg, s_sub, subs, p)
         s_piv = klinalg.rref(quo.ctx.field, s_sub)[1]
         size = unit_count(alg) // unit_count(alg.subalgebra(s_sub, s_piv))
         bound.append((len(reps) + 1) * size)
