@@ -13,7 +13,7 @@ from itertools import combinations, islice
 from .errors import InputError, InseparableError, InternalCheckError
 from .fqpoly import FqPoly, monic_irreducibles
 from .bipoly import BiPoly
-from .residue import ResidueField
+from .residue import residue_field
 from . import gpoly
 
 
@@ -106,7 +106,7 @@ def _hensel_lift_list(f, p, target, local):
     field = f.field
     mid = len(local) // 2
     left, right = local[:mid], local[mid:]
-    R = ResidueField(p)
+    R = residue_field(p)
 
     def prod_mod_p(parts):
         acc = [R.one()]

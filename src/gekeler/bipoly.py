@@ -10,7 +10,7 @@ extension fields.
 
 from .errors import InputError, InseparableError
 from .fqpoly import FqPoly, poly_ring
-from .residue import ResidueField
+from .residue import residue_field
 from . import amatrix, gpoly
 
 
@@ -86,9 +86,10 @@ class BiPoly:
                                                    self.coeffs))
 
     def reduce_mod(self, p):
-        """Image in (A/p)[x] as a generic coefficient list."""
-        R = ResidueField(p)
-        return R, [(c % p).coeffs for c in self.coeffs]
+        """(A/p, the image in (A/p)[x] as a generic coefficient list), A/p
+        from residue.residue_field: F_q through T -> c when p = T - c."""
+        R = residue_field(p)
+        return R, [R.project(c) for c in self.coeffs]
 
     def reduce_coeffs_mod(self, modulus):
         return BiPoly(self.field, [c % modulus for c in self.coeffs])

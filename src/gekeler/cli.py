@@ -21,6 +21,7 @@ import re
 import sys
 import time
 import types
+from json.encoder import encode_basestring_ascii as _str_text
 
 from . import __version__
 from .errors import DEFAULT_BUDGET, InputError, InternalCheckError
@@ -332,6 +333,32 @@ _RUNNERS = {
 }
 
 
+def _json_text(value, indent="\n"):
+    """The text of json.dumps(value, indent=2), built without its pure-Python
+    encoder: each str and int is written by the encoder's own routine, any
+    other scalar by json.dumps, and lists, tuples and dicts (of str keys)
+    are laid out here."""
+    kind = type(value)
+    if kind is str:
+        return _str_text(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_str_text(k) + ": " + _json_text(v, inner)
+             for k, v in value.items()]) + indent + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + indent + "]")
+    return json.dumps(value)
+
+
 def main(argv=None):
     # values are exact, so integers of any length must print
     if hasattr(sys, "set_int_max_str_digits"):
@@ -351,7 +378,7 @@ def main(argv=None):
     except InternalCheckError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(report, indent=2, sort_keys=False)
+    text = _json_text(report)
     if args.out:
         try:
             with open(args.out, "w") as fh:

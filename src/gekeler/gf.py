@@ -4,13 +4,16 @@ Elements are plain ints in [0, q).  For e = 1 the int is the residue mod p.
 For e > 1 the base-p digits of the int are the coordinates of the element
 with respect to the power basis of a fixed degree-e modulus over F_p; the
 modulus is the first monic irreducible of degree e in the integer-encoding
-order, so serialized elements are reproducible across runs.
+order, so serialized elements are reproducible across runs.  The search
+skips every candidate with a root in F_p; at e <= 3 a candidate without
+one is irreducible, and above that it takes Rabin's test.
 
 For e = 1 a power is the builtin pow mod p.  For e > 1 every operation is
 a table lookup.  The generator g is the least int of full order q - 1;
-exp[i] = g^i and log[g^i] = i turn multiplication into adding logs and a
-power a^n into one product n * log(a), and the Zech table
-zech[k] = log(1 + g^k) turns addition into one more lookup:
+its search starts at g = p, as the ints below p lie in F_p and their
+orders divide p - 1.  exp[i] = g^i and log[g^i] = i turn multiplication
+into adding logs and a power a^n into one product n * log(a), and the
+Zech table zech[k] = log(1 + g^k) turns addition into one more lookup:
 g^i + g^j = g^(i + zech[j - i]).  The exp and Zech tables are stored twice
 over, so a sum or difference of two logs indexes them without a reduction
 mod q - 1.  A field of more than MAX_TABLE elements is refused before its
@@ -61,14 +64,16 @@ class GF:
         Fp = gf(self.p)
         for low in range(self.p ** self.e):
             m = tuple(self._poly_digits(low, self.e)) + (1,)
-            if gpoly.is_irreducible(Fp, m):
+            if any(gpoly.eval_poly(Fp, m, a) == 0 for a in range(self.p)):
+                continue
+            if self.e <= 3 or gpoly.is_irreducible(Fp, m):
                 return m
         raise InternalCheckError("no irreducible modulus found")  # pragma: no cover
 
     def _build_tables(self):
         q, p, e = self.q, self.p, self.e
         n = q - 1
-        gen = next(g for g in range(2, q) if self._has_full_order(g))
+        gen = next(g for g in range(p, q) if self._has_full_order(g))
         # The exp table is stepped on packed ints: digit j of an element
         # sits in bits [w*j, w*(j+1)), wide enough for a sum of two digits,
         # so adding two packed elements adds them digitwise, and one

@@ -7,8 +7,10 @@ of element values of a ring object with the element protocol
 zero/one/add/sub/neg/mul (plus char and from_int for the derivative), by
 increasing degree with no trailing zeros; inputs may be lists or tuples,
 and every polynomial returned is such a normalised tuple.  The ring may be
-a field following the gf.GF protocol (GF itself, or residue.ResidueField)
-or A = F_q[T] itself (fqpoly.poly_ring); inv is needed only to divide by
+a field following the gf.GF protocol (GF itself, or A/p from
+residue.residue_field: F_q's own ints at a prime of degree 1, coefficient
+tuples in residue.ResidueField above that) or A = F_q[T] itself
+(fqpoly.poly_ring); inv is needed only to divide by
 a non-monic divisor, and the gcd, factorization and field-order routines
 need a field.  Factorization is squarefree decomposition, then
 distinct-degree splitting, then equal-degree splitting; the equal-degree
@@ -167,7 +169,8 @@ def prime_divisors(n):
 
 
 def elt_key(c):
-    """Sort key of a field element: an int, or a residue coefficient tuple."""
+    """Sort key of a field element: an int, or a residue coefficient tuple;
+    the int c and the tuple (c,) of a degree-1 residue sort alike."""
     return c if isinstance(c, int) else (len(c), c)
 
 

@@ -9,7 +9,8 @@ basis of W, as W is T-invariant, and R*L lies in L, so L is a ring
 exactly when the product of the lifts of any two basis vectors of W
 reduces mod R into W.  That is tested on O/R, and only the rings are
 pulled back; the endpoints R and O are the zero and the full subspace.
-As R = A[pi], W is walked under T and pi, with p nilpotent on O/R.
+As R = A[pi], W is walked under T and pi, with p nilpotent on O/R; at
+p = T the matrix of T serves as the nilpotent one.
 """
 
 from collections import namedtuple
@@ -44,9 +45,11 @@ def p_overorders(ctx, p):
     sat = p_saturation(ctx, p)
     with _naming(ctx, "p_overorders", p):
         quo = LatticeQuotient(sat.ideal, base.ideal)
-        t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
-        mats = [quo.action_matrix(z) for z in (t_el, KElement.gen(ctx))]
-        nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
+        t = FqPoly.gen(ctx.field)
+        mats = [quo.action_matrix(z) for z in
+                (KElement.from_fqpoly(ctx, t), KElement.gen(ctx))]
+        nil = (mats[0] if p == t
+               else quo.action_matrix(KElement.from_fqpoly(ctx, p)))
         subs = invariant_subspaces(ctx.field, quo.dim, mats, nil)
         table = quo.product_table()
     if subs[0] or len(subs[-1]) != quo.dim:

@@ -402,6 +402,30 @@ def test_byte_identical_reruns():
         assert first.encode() == second.encode()
 
 
+def test_report_text_is_json_dumps_with_indent_2(monkeypatch):
+    # the report writer lays out what json.dumps(report, indent=2) would, on
+    # the report of every benchmark job and an oracle job, and on each kind
+    # of scalar and empty container
+    from conftest import perfbench_workloads
+    from gekeler import cli
+    workloads = perfbench_workloads()
+    reports = []
+    for name, runner in cli._RUNNERS.items():
+        monkeypatch.setitem(cli._RUNNERS, name, lambda args, run=runner:
+                            reports.append(run(args)) or reports[-1])
+    oracle = ["oracle", "slcount", "--q", "3", "--f", "x^2 - T^3", "--prime", "T",
+              "--level", "2"]
+    for argv in workloads.ICM_WINDOW + workloads.CENSUS + [oracle]:
+        assert run_cli(argv)[0] == 0
+    assert len(reports) == 23
+    reports.append({"empty": [[], {}, ()],
+                    "scalars": (0, -10 ** 40, 2.5, True, False, None),
+                    "t\u00e9xt \"\\\n": "\u00fc\t\U0001d53d",
+                    "nested": {"a": {"b": [[1]]}}})
+    for report in reports:
+        assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
 def test_import_prints_nothing_and_builds_no_table():
     # a benchmark worker's first line after `import gekeler.cli` must be its
     # own; every field, orbit list and prime sieve is built on first use

@@ -230,3 +230,67 @@ def test_zech_addition_matches_digit_formulas():
             assert F.add(a, b) == _digit_add(F, a, b)
             assert F.neg(a) == _digit_neg(F, a)
             assert F.sub(a, b) == _digit_add(F, a, _digit_neg(F, b))
+
+
+def _rabin_modulus(p, e):
+    """The least monic irreducible of degree e over F_p in encoding order,
+    by Rabin's test on every candidate from low = 0."""
+    Fp = gf(p)
+    for low in range(p ** e):
+        m = tuple(low // p ** i % p for i in range(e)) + (1,)
+        if gpoly.is_irreducible(Fp, m):
+            return m
+
+
+def test_moduli_generators_and_tables_match_the_exhaustive_searches():
+    # every GF(p^e), e >= 2, q <= 4096, p <= 13, built afresh: the modulus is
+    # Rabin's first from low = 0, the generator the first int of full order
+    # from g = 2, and exp its powers mod that modulus
+    fields = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 13)
+              if p ** e <= 4096]
+    assert len(fields) == 28
+    for p, e in fields:
+        F, Fp = GF(p, e), gf(p)
+        assert F.modulus == _rabin_modulus(p, e), F
+        gen = next(g for g in range(2, F.q) if F._has_full_order(g))
+        assert F.gen_power(1) == gen, F
+        exp, cur = [], (1,)
+        for _ in range(F.q - 1):
+            exp.append(_undigits(F, cur))
+            cur = gpoly.rem(Fp, gpoly.mul(Fp, cur, _digits(F, gen)), F.modulus)
+        assert F._exp == exp + exp, F
+
+
+def test_small_fields_take_no_rabin_test_and_no_generator_below_p(monkeypatch):
+    rabin, tested = [], []
+    is_irreducible, has_full_order = gpoly.is_irreducible, GF._has_full_order
+    monkeypatch.setattr(gpoly, "is_irreducible",
+                        lambda F, f: rabin.append(f) or is_irreducible(F, f))
+    monkeypatch.setattr(GF, "_has_full_order",
+                        lambda self, g: tested.append((self.p, g))
+                        or has_full_order(self, g))
+    for p, e in [(5, 3), (11, 2)]:
+        assert GF(p, e).modulus == gf(p, e).modulus
+    assert rabin == []
+    assert {p for p, _ in tested} == {5, 11}
+    assert all(g >= p for p, g in tested), tested
+
+
+def test_census_jobs_build_no_degree_one_residue_field(monkeypatch):
+    # at a prime T - c, A/p is F_q itself: every census job reduces f there,
+    # and none builds a tuple-valued ResidueField for it
+    import contextlib
+    import io
+    from conftest import perfbench_workloads
+    from gekeler.cli import main
+    from gekeler.residue import LinearResidueField
+    built = []
+    for cls in (ResidueField, LinearResidueField):
+        monkeypatch.setattr(cls, "__init__", lambda self, p, init=cls.__init__:
+                            built.append((type(self), int(p.degree)))
+                            or init(self, p))
+    for argv in perfbench_workloads().CENSUS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert (LinearResidueField, 1) in built
+    assert all(d > 1 for cls, d in built if cls is ResidueField)

@@ -16,7 +16,7 @@ from gekeler.context import AlgebraContext
 from gekeler import gpoly, kalgebra, klinalg
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order
-from gekeler.residue import ResidueField
+from gekeler.residue import ResidueField, residue_field
 from gekeler import primes as P
 from gekeler.errors import (BudgetExceeded, InputError, InseparableError,
                             InternalCheckError, ReducibleError)
@@ -315,7 +315,7 @@ def _remainder_rule_regular(ctx, p, g, e):
     when e = 1 or f mod G, G the lift of g, does not vanish mod p^2."""
     if e == 1:
         return True
-    k = ResidueField(p)
+    k = residue_field(p)
     _, rem = ctx.f.divmod_monic(BiPoly(ctx.field, [k.lift(c) for c in g]))
     return any(not (c % (p * p)).is_zero() for c in rem.coeffs)
 
@@ -349,6 +349,58 @@ def test_dedekind_regularity_is_the_remainder_rule():
                 assert all(rec.regular(g) == _remainder_rule_regular(ctx, p2, g, e)
                            for g, e in rec.factors)
     assert seen >= 40
+
+
+def _linear_residue_results():
+    """At every prime T - c of each DEDEKIND_CURVES and CENSUS_CURVES curve
+    and of its model at infinity, in fresh contexts: the factors of f mod p,
+    the Dedekind record's factors and z, and the pattern of f mod p where p
+    does not divide disc(f), each element c of A/p written as (c,)."""
+    def poly(g):
+        return tuple(c if isinstance(c, tuple) else (c,) if c else () for c in g)
+
+    out = []
+    for q, fstr in dict.fromkeys(DEDEKIND_CURVES + CENSUS_CURVES):
+        field = gf_of_order(q)
+        finite = AlgebraContext(field, parse_bipoly(field, fstr))
+        for ctx in (finite, P.infinity_context(finite)):
+            disc = P.discriminant_of_f(ctx)
+            for c in range(q):
+                p = FqPoly(field, (c, 1))
+                k, fbar = ctx.f.reduce_mod(p)
+                rec = P.dedekind(ctx, p)
+                out.append(((q, fstr, ctx.tvar, c),
+                            [(poly(g), m) for g, m in gpoly.factor(k, fbar)],
+                            [(poly(g), e) for g, e in rec.factors], poly(rec.z),
+                            None if (disc % p).is_zero() else P._pattern(k, fbar)))
+    return out
+
+
+def test_linear_residues_match_the_tuple_residue_field(monkeypatch):
+    # A/(T - c) is F_q through T -> c: factors, Dedekind records and patterns
+    # are those over the tuple-valued ResidueField, and a map that evaluates
+    # at c + 1 instead is caught
+    import gekeler.bifactor
+    import gekeler.bipoly
+    from gekeler.residue import LinearResidueField
+    F = gf(3)
+    assert type(residue_field(FqPoly.gen(F))) is LinearResidueField
+    assert type(residue_field(FqPoly(F, (1, 0, 1)))) is ResidueField
+    got = _linear_residue_results()
+    assert len(got) == 172
+    with monkeypatch.context() as patch:
+        for module in (gekeler.bifactor, gekeler.bipoly):
+            patch.setattr(module, "residue_field", ResidueField)
+        expected = _linear_residue_results()
+    assert got == expected
+    monkeypatch.setattr(LinearResidueField, "project", lambda self, poly:
+                        gpoly.eval_poly(self.base, poly.coeffs,
+                                        self.base.add(self.c, 1)))
+    try:
+        mutant = _linear_residue_results()
+    except InternalCheckError:   # Dedekind's remainder check trips first
+        mutant = None
+    assert mutant != expected
 
 
 def _dedekind_order(ctx, p):

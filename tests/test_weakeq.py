@@ -704,8 +704,9 @@ def test_three_branch_windows_walk_from_zero(q, fstr, m_p):
 
 def test_each_window_is_walked_under_the_ring_that_acts_on_it(monkeypatch):
     # O/R is walked under T and pi, with the action of p to find covers:
-    # three action matrices per window at any rank; the weak window is
-    # multiplied in the ring V = O/f and takes no action matrix
+    # three action matrices per window at any rank, two at p = T, where the
+    # matrix of T is the action of p; the weak window is multiplied in the
+    # ring V = O/f and takes no action matrix
     from gekeler import weakeq
     calls = []
     action_matrix = LatticeQuotient.action_matrix
@@ -715,18 +716,20 @@ def test_each_window_is_walked_under_the_ring_that_acts_on_it(monkeypatch):
         return action_matrix(self, z)
 
     monkeypatch.setattr(LatticeQuotient, "action_matrix", counted_action_matrix)
-    for q, fstr in [(2, "x^3 - T^5"), (3, "x^4 + T^3")]:
+    for q, fstr, pstr, expected in [(2, "x^3 - T^5", "T", 2),
+                                    (3, "x^4 + T^3", "T", 2),
+                                    (2, "x^3 - (T + 1)^5", "T + 1", 3)]:
         field = gf(q)
         ctx = AlgebraContext(field, parse_bipoly(field, fstr))
-        T = FqPoly.gen(field)
-        p_saturation(ctx, T)
+        p = parse_fqpoly(field, pstr)
+        p_saturation(ctx, p)
         calls.clear()
-        overorders = p_overorders(ctx, T).orders
-        assert len(calls) == 3
-        if q == 2:
+        overorders = p_overorders(ctx, p).orders
+        assert len(calls) == expected
+        if fstr == "x^3 - T^5":
             # two of the five overorders have a second class, found by a walk
             calls.clear()
-            counts = [len(weakeq._weak_classes(ctx, T, s)) for s in overorders]
+            counts = [len(weakeq._weak_classes(ctx, p, s)) for s in overorders]
             assert counts == [1, 2, 1, 2, 1] and not calls
 
 
