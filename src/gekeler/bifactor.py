@@ -2,17 +2,19 @@
 
 The separable route reduces f modulo a few small primes p; where f mod p
 stays irreducible, so does f.  Otherwise it lifts the squarefree
-factorization with the fewest factors to precision p^K with quadratic
-Hensel steps, then recombines lifted factors into true divisors; the
-coefficient-degree bound r * deg_T(f) caps the precision.  An
-inseparable f (df/dx = 0) is refused with InseparableError.
+factorization with the fewest factors to precision p^K, lifted all
+together, one power of p per step, then recombines lifted factors into
+true divisors; the coefficient-degree bound r * deg_T(f) caps the
+precision.  An inseparable f (df/dx = 0) is refused with
+InseparableError.
 """
 
+from functools import reduce
 from itertools import combinations, islice
 
 from .errors import InputError, InseparableError, InternalCheckError
 from .fqpoly import FqPoly, monic_irreducibles
-from .bipoly import BiPoly
+from .bipoly import BiPoly, resultant_x
 from .residue import residue_field
 from . import gpoly
 
@@ -62,74 +64,49 @@ def _choose_hensel_prime(f, seed=0):
     return p, [fac for fac, _ in gpoly.factor(R, fb, seed=seed)]
 
 
-def _hensel_pair(f, g, h, u, v, p, target):
-    """Lift f = g*h (with u*g + v*h = 1) from mod p to mod p^target.
-
-    f, g, h, u, v are BiPoly with coefficients already reduced; g, h are
-    monic in x.  Returns (g, h) mod p^target.
-    """
-    prec = 1
-    modulus = p
-    while prec < target:
-        prec = min(2 * prec, target)
-        modulus = p ** prec
-        red = lambda b: b.reduce_coeffs_mod(modulus)
-        e = red(f - g * h)
-        # dg = (v*e) mod g;  dh = (e - h*dg) / g
-        _, dg = red(v * e).divmod_monic(g)
-        dg = red(dg)
-        num = red(e - h * dg)
-        dh, rem0 = num.divmod_monic(g)
-        dh = red(dh)
-        if not red(rem0).is_zero():  # pragma: no cover
-            raise InternalCheckError("Hensel step lost divisibility")
-        g = red(g + dg)
-        h = red(h + dh)
-        # refresh the Bezout pair
-        b = red(u * g + v * h - BiPoly.one(f.field))
-        s = red(u - u * b)
-        t = red(v - v * b)
-        _, u = red(s).divmod_monic(h)
-        u = red(u)
-        num = red(BiPoly.one(f.field) - u * g)
-        v, rem1 = num.divmod_monic(h)
-        v = red(v)
-        if not red(rem1).is_zero():  # pragma: no cover
-            raise InternalCheckError("Hensel Bezout step failed")
-    return g, h
-
-
 def _hensel_lift_list(f, p, target, local):
-    """Lift the coprime monic factorization `local` of f mod p to mod p^target."""
-    if len(local) == 1:
-        return [f.reduce_coeffs_mod(p ** target)]
+    """Lift the coprime monic factors l_i of f mod p in `local` to the
+    monic factors L_i of f mod p^target, all together, one power of p
+    per step.
+
+    With F the product of the l_i and a_i = (F/l_i)^-1 mod l_i, the
+    digit c of (f - prod L_i)/p^j in (A/p)[x] is the sum of the
+    (a_i c mod l_i) F/l_i, so each L_i gains p^j (a_i c mod l_i).  The
+    step at j = target only checks that p^target divides f - prod L_i.
+    """
     field = f.field
-    mid = len(local) // 2
-    left, right = local[:mid], local[mid:]
     R = residue_field(p)
-
-    def prod_mod_p(parts):
-        acc = [R.one()]
-        for part in parts:
-            acc = gpoly.mul(R, acc, part)
-        return acc
-
-    g0 = prod_mod_p(left)
-    h0 = prod_mod_p(right)
-    dd, uu, vv = gpoly.xgcd(R, g0, h0)
-    if gpoly.deg(dd) != 0:  # pragma: no cover - factors are coprime
-        raise InternalCheckError("Hensel halves not coprime")
-    g, h = _hensel_pair(
-        f.reduce_coeffs_mod(p ** target),
-        _lift_generic(field, R, g0), _lift_generic(field, R, h0),
-        _lift_generic(field, R, uu), _lift_generic(field, R, vv),
-        p, target)
-    return (_hensel_lift_list(g, p, target, left)
-            + _hensel_lift_list(h, p, target, right))
+    prod_mod_p = reduce(lambda a, b: gpoly.mul(R, a, b), local)
+    inverses = [gpoly.xgcd(R, gpoly.divmod_poly(R, prod_mod_p, l)[0], l)[1]
+                for l in local]
+    lifted = [_lift_generic(field, R, l) for l in local]
+    power = p
+    for j in range(1, target + 1):
+        modulus = power * p
+        prod = BiPoly.one(field)
+        for fac in lifted:
+            prod = (prod * fac).reduce_coeffs_mod(modulus)
+        digit = []
+        for c in (f - prod).reduce_coeffs_mod(modulus).coeffs:
+            quot, rem = c.divmod(power)
+            if rem:
+                raise InternalCheckError("Hensel step lost divisibility")
+            digit.append(R.project(quot))
+        if j == target:
+            return lifted
+        for i, (a, l) in enumerate(zip(inverses, local)):
+            step = gpoly.rem(R, gpoly.mul(R, a, digit), l)
+            lifted[i] += BiPoly(field, [power * R.lift(d) for d in step])
+        power = modulus
 
 
 def factor_squarefree_bivariate(f, seed=0):
-    """Irreducible monic-in-x factors of f, which must be squarefree over F."""
+    """Irreducible monic-in-x factors of f, which must be squarefree over F.
+
+    Subsets of the lifted factors are tried by size; a true factor's
+    subset leaves the pool, and the size is kept, as a subset that
+    divided no earlier cofactor divides no later one.
+    """
     if f.deg_x == 1:
         return [f]
     field = f.field
@@ -141,28 +118,22 @@ def factor_squarefree_bivariate(f, seed=0):
     lifted = _hensel_lift_list(f, p, target, local)
     modulus = p ** target
 
-    result = []
-    remaining = list(range(len(lifted)))
-    current = f
-    found = True
-    while found and len(remaining) > 1:
-        found = False
-        for size in range(1, len(remaining) // 2 + 1):
-            for subset in combinations(remaining, size):
-                cand = BiPoly.one(field)
-                for idx in subset:
-                    cand = (cand * lifted[idx]).reduce_coeffs_mod(modulus)
-                if cand.max_coeff_degree() > bound:
-                    continue
-                quot, rem = current.divmod_monic(cand)
-                if rem.is_zero():
-                    result.append(cand)
-                    current = quot
-                    remaining = [i for i in remaining if i not in subset]
-                    found = True
-                    break
-            if found:
+    result, current, size = [], f, 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(lifted, size):
+            cand = BiPoly.one(field)
+            for fac in subset:
+                cand = (cand * fac).reduce_coeffs_mod(modulus)
+            if cand.max_coeff_degree() > bound:
+                continue
+            quot, rem = current.divmod_monic(cand)
+            if rem.is_zero():
+                result.append(cand)
+                current = quot
+                lifted = [fac for fac in lifted if fac not in subset]
                 break
+        else:
+            size += 1
     result.append(current)
     return result
 
@@ -178,7 +149,6 @@ def is_irreducible_bivariate(f, seed=0, res=None):
     fx = f.derivative_x()
     if fx.is_zero():
         raise InseparableError()
-    from .bipoly import resultant_x
     if (resultant_x(f, fx) if res is None else res).is_zero():
         return False  # repeated factor
     return len(factor_squarefree_bivariate(f, seed=seed)) == 1

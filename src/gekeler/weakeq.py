@@ -127,10 +127,12 @@ def _weak_classes(ctx, p, s_order):
                 quo = LatticeQuotient(sat, cond)
                 alg = quo.algebra()
                 s_sub = tuple(quo.image(s))
-                t_el = KElement.from_fqpoly(ctx, FqPoly.gen(ctx.field))
+                t = FqPoly.gen(ctx.field)
                 mats = [alg.mult_matrix(quo.vector(z))
-                        for z in [t_el] + s_order.basis_elements()]
-                nil = alg.mult_matrix(quo.vector(KElement.from_fqpoly(ctx, p)))
+                        for z in [KElement.from_fqpoly(ctx, t)]
+                        + s_order.basis_elements()]
+                nil = (mats[0] if p == t else alg.mult_matrix(
+                    quo.vector(KElement.from_fqpoly(ctx, p))))
                 subs = invariant_subspaces(ctx.field, quo.dim, mats, nil,
                                            s_sub if interval else ())
                 reps += _orbit_representatives(quo, alg, s_sub, subs, p)

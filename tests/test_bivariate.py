@@ -3,10 +3,12 @@ import random
 import pytest
 
 from gekeler.gf import gf, gf_of_order, embedding
-from gekeler.fqpoly import FqPoly
+from gekeler.fqpoly import FqPoly, monic_irreducibles
 from gekeler.parse import parse_bipoly, parse_fqpoly, ParseError
 from gekeler.bipoly import BiPoly, discriminant, infinity_model, resultant_x
 from gekeler.bifactor import is_irreducible_bivariate, count_irreducible_factors
+from gekeler import bifactor, gpoly
+import hensel_oracle
 from gekeler.errors import InputError, InseparableError
 
 
@@ -61,7 +63,7 @@ def test_recombination_needs_more_than_one_local_factor():
 
 
 def test_recombination_with_deep_lifting():
-    # higher coefficient degrees force several quadratic lifting steps
+    # higher coefficient degrees force several lifting steps
     F = gf(3)
     T = FqPoly.gen(F)
     one = FqPoly.one(F)
@@ -78,6 +80,60 @@ def test_recombination_with_deep_lifting():
     fac3 = BiPoly(F, (T + one, one))
     h = fac1 * fac2 * fac3
     assert count_irreducible_factors(h) == 3
+
+
+def _squarefree_products(rng, q, count):
+    """count products of 2 or 3 random factors monic in x, of x-degree 1
+    or 2 and T-degree below 3, that are squarefree over F_q(T)."""
+    F = gf_of_order(q)
+    out = []
+    while len(out) < count:
+        f = BiPoly.one(F)
+        for _ in range(rng.choice((2, 3, 3))):
+            f = f * BiPoly(F, [FqPoly(F, [rng.randrange(q)
+                                          for _ in range(rng.randrange(3))])
+                               for _ in range(rng.choice((1, 1, 2)))]
+                           + [FqPoly.one(F)])
+        fx = f.derivative_x()
+        if not fx.is_zero() and not resultant_x(f, fx).is_zero():
+            out.append(f)
+    return out
+
+
+def _local_factors_at_degree_two(f):
+    """(p, factors of f mod p) at the first prime p of degree 2 with f
+    squarefree mod p, or None."""
+    for p in monic_irreducibles(f.field, 2):
+        R, fb = f.reduce_mod(p)
+        der = gpoly.derivative(R, fb)
+        if der and gpoly.deg(gpoly.gcd(R, fb, der)) == 0:
+            return p, [fac for fac, _ in gpoly.factor(R, fb)]
+    return None
+
+
+def test_lifts_and_factor_lists_match_the_quadratic_pair_lift():
+    # the monic lift mod p^K is unique, so lifting every factor together,
+    # one power of p per step, returns the pair lift's factors; keeping
+    # the subset size after a true factor returns the same factor list
+    rng = random.Random(44)
+    products = several = at_degree_two = 0
+    for q in (2, 3, 4, 5, 7, 9):
+        for f in _squarefree_products(rng, q, 20):
+            p, local = bifactor._choose_hensel_prime(f)
+            bound = f.deg_x * f.max_coeff_degree()
+            lifts = [(p, local, bound // int(p.degree) + 1)]
+            degree_two = products % 3 == 0 and _local_factors_at_degree_two(f)
+            if degree_two:
+                lifts.append((*degree_two, bound // 2 + 1))
+                at_degree_two += 1
+            for p, local, target in lifts:
+                assert (bifactor._hensel_lift_list(f, p, target, local)
+                        == hensel_oracle._hensel_lift_list(f, p, target, local))
+            factors = bifactor.factor_squarefree_bivariate(f)
+            assert factors == hensel_oracle.factor_squarefree_bivariate(f)
+            products += 1
+            several += len(factors) >= 3
+    assert products == 120 and several >= 40 and at_degree_two >= 30
 
 
 def test_discriminant_examples():
@@ -218,3 +274,44 @@ def test_irreducibility_faults_name_the_stage_and_instance(monkeypatch, capsys,
     assert capsys.readouterr().err == (
         f"internal invariant failure: is_irreducible_bivariate: {what} for "
         "q = 3, f = x^4 + (T^3 + 2*T + 1)*x^2 + T^6 + T^4 + T^2\n")
+
+
+def test_a_corrupted_correction_fails_the_next_hensel_step(monkeypatch, capsys):
+    # one correction lifted off by one leaves f - prod L_i undivisible by
+    # the next power of p; the fault names the stage and (q, f)
+    from gekeler.cli import main
+    from gekeler.errors import InternalCheckError
+    residue_field = bifactor.residue_field
+
+    class OffByOne:
+        """A/p whose first lift after a projection is off by one."""
+
+        def __init__(self, p):
+            self.field = residue_field(p)
+            self.projected = self.spent = False
+
+        def __getattr__(self, name):
+            return getattr(self.field, name)
+
+        def project(self, poly):
+            self.projected = True
+            return self.field.project(poly)
+
+        def lift(self, a):
+            lifted = self.field.lift(a)
+            if self.projected and not self.spent:
+                self.spent = True
+                return lifted + FqPoly.one(lifted.field)
+            return lifted
+
+    monkeypatch.setattr(bifactor, "residue_field", OffByOne)
+    fstr = "(x^2 - (1 + T^3 - T - 1))^2 + 4*x^2"
+    f = parse_bipoly(gf(3), fstr)
+    p, local = bifactor._choose_hensel_prime(f)
+    with pytest.raises(InternalCheckError, match="Hensel step lost divisibility"):
+        bifactor._hensel_lift_list(f, p, 3, local)
+    assert main(["primes", "--q", "3", "--f", fstr]) == 1
+    assert capsys.readouterr().err == (
+        "internal invariant failure: is_irreducible_bivariate: Hensel step "
+        "lost divisibility for q = 3, f = x^4 + (T^3 + 2*T + 1)*x^2 + T^6 "
+        "+ T^4 + T^2\n")

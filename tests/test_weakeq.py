@@ -706,19 +706,28 @@ def test_each_window_is_walked_under_the_ring_that_acts_on_it(monkeypatch):
     # O/R is walked under T and pi, with the action of p to find covers:
     # three action matrices per window at any rank, two at p = T, where the
     # matrix of T is the action of p; the weak window is multiplied in the
-    # ring V = O/f and takes no action matrix
+    # ring V = O/f and takes no action matrix, and at p = T its matrix of T
+    # is again the action of p, one multiplication matrix fewer
     from gekeler import weakeq
-    calls = []
+    from gekeler.kalgebra import FiniteAlgebra
+    calls, mults = [], []
     action_matrix = LatticeQuotient.action_matrix
+    mult_matrix = FiniteAlgebra.mult_matrix
 
     def counted_action_matrix(self, z):
         calls.append(z)
         return action_matrix(self, z)
 
+    def counted_mult_matrix(self, z):
+        mults.append(z)
+        return mult_matrix(self, z)
+
     monkeypatch.setattr(LatticeQuotient, "action_matrix", counted_action_matrix)
-    for q, fstr, pstr, expected in [(2, "x^3 - T^5", "T", 2),
-                                    (3, "x^4 + T^3", "T", 2),
-                                    (2, "x^3 - (T + 1)^5", "T + 1", 3)]:
+    monkeypatch.setattr(FiniteAlgebra, "mult_matrix", counted_mult_matrix)
+    for q, fstr, pstr, expected, walked in [
+            (2, "x^3 - T^5", "T", 2, [0, 15, 0, 10, 0]),
+            (3, "x^4 + T^3", "T", 2, None),
+            (2, "x^3 - (T + 1)^5", "T + 1", 3, [0, 16, 0, 11, 0])]:
         field = gf(q)
         ctx = AlgebraContext(field, parse_bipoly(field, fstr))
         p = parse_fqpoly(field, pstr)
@@ -726,11 +735,16 @@ def test_each_window_is_walked_under_the_ring_that_acts_on_it(monkeypatch):
         calls.clear()
         overorders = p_overorders(ctx, p).orders
         assert len(calls) == expected
-        if fstr == "x^3 - T^5":
+        if walked:
             # two of the five overorders have a second class, found by a walk
             calls.clear()
-            counts = [len(weakeq._weak_classes(ctx, p, s)) for s in overorders]
+            counts, per_window = [], []
+            for s in overorders:
+                mults.clear()
+                counts.append(len(weakeq._weak_classes(ctx, p, s)))
+                per_window.append(len(mults))
             assert counts == [1, 2, 1, 2, 1] and not calls
+            assert per_window == walked
 
 
 def test_interval_walk_tests_a_few_hundred_stabilizers(monkeypatch):
