@@ -5,9 +5,13 @@ Everything at a prime p of A starts from one Dedekind record per (ctx, p)
 gcd of (prod G_i^e_i - f)/p mod p, prod g_i and prod g_i^(e_i - 1), for
 lifts G_i of the g_i.  The Kummer-Dedekind prime of g_i is singular
 exactly when g_i divides z, which is the remainder rule "f mod G_i
-vanishes mod p^2"; singular_primes, the one test of p-maximality, reads
+vanishes mod p^2"; _is_singular, the one test of p-maximality, reads
 the record only where p^2 | disc(f) = [O_K:R]^2 disc(O_K), and the
 record builds no ideal (kummer_dedekind builds them for its report).
+A stage that reads one prime reads it alone: the test, the saturation
+and the splitting at p factor no discriminant and build nothing at any
+other prime; singular_primes lists every singular prime for the stages
+that need them all.
 Splitting in the maximal order is read by primes_above_in_max alone, as
 the sorted pairs (e, f) of the primes of O_K above p: at p not dividing
 disc(f) it is the distinct-degree pattern of f mod p; at the other
@@ -15,29 +19,31 @@ regular p it is the record's (e_i, deg g_i) (Dedekind's criterion); only
 at the singular primes is it read off the local components of O_K/pO_K.
 The census of the primes of one degree lists no prime: type_counts
 counts the splitting types of the Frobenius orbits of GF(q^D) and of
-the primes of disc(f), which alone are built.  The maximal order is
-the product of the saturations at the singular primes (_saturation, the
-p-saturation of R with its O/pO), validated by the conductor-discriminant
-identity.  Every saturation opens at Ore's order (ore_order), built from
-the Newton polygons of f at the singular factors of f mod p; it is O_p
-where f is p-regular, and elsewhere an order between R and O_p.  Radical
-steps follow; the first builds S/pS, whose product table checks that S
-is a ring, and the step that builds S/pS = O_K/pO_K over F_q takes no
-confirming colon where the tame different bound is met.  Every fact
-derived here is memoised per context by context.memoized.
+the primes of disc(f), which alone are built.  Each saturation
+(_saturation, the p-saturation S of R with its S/pS) checks itself by
+the conductor-discriminant identity disc(S) [S:R]^2 = disc(f), which
+holds for every order S containing R; the maximal order is the product
+of the saturations at the singular primes.  Every saturation opens at
+Ore's order (ore_order), built from the Newton polygons of f at the
+singular factors of f mod p; it is O_p where f is p-regular, and
+elsewhere an order between R and O_p.  Radical steps follow; the first
+builds S/pS, whose product table checks that S is a ring, and the step
+that builds S/pS = O_K/pO_K over F_q takes no confirming colon where the
+tame different bound is met.  Every fact derived here is memoised per
+context by context.memoized.
 """
 
 import functools
 from collections import Counter, namedtuple
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, InternalCheckError
 from .gf import embedding, fits_table, gf
 from .fqpoly import (SIEVE_LIMIT, FqPoly, is_irreducible, monic_irreducibles,
                      poly_order_key)
 from .bipoly import discriminant, infinity_model
 from .context import AlgebraContext, KElement, _internal, _naming, memoized
 from .ideals import FracIdeal, Order, _dot
-from .quotient import LatticeQuotient
+from .quotient import NOT_A_RING, LatticeQuotient
 from . import gpoly
 from . import kalgebra
 from . import amatrix
@@ -149,7 +155,8 @@ def ore_order(ctx, p):
     floor(y_N(i)) (Ore's index) is checked.  Where f is p-regular it is
     O_p.  Elsewhere each generator is still integral, as the theorem of the
     polygon bounds v(q_i(theta)) below by y_N(i) at every root theta of f,
-    and the radical steps of _saturation certify that it is a ring."""
+    and the first radical step of _saturation certifies that it is a ring;
+    where it is not one, the saturation starts again from R."""
     rec = dedekind(ctx, p)
     gens = []   # (floor(y_N(i)), q_i, deg g)
     for g, e in rec.factors:
@@ -397,34 +404,46 @@ def p_radical(order, p):
 @memoized
 def maximal_order(ctx):
     """Integral closure O_K of A in K: the product of the saturations at
-    the singular primes (`_saturation`), checked by the conductor-
-    discriminant identity disc(O_K) [O_K:R]^2 = disc(f).  Every saturation
-    is built here first, so p_saturation and primes_above_in_max, which
-    run this before they read one, only ever read a checked saturation."""
-    disc = discriminant_of_f(ctx)
-    base = Order.monogenic(ctx)
-    result = base
-    for p in singular_primes(ctx):
-        result = Order(result.ideal * _saturation(ctx, p)[0].ideal)
-    idx = result.ideal.index_in(base.ideal)
-    if order_discriminant(result) * idx * idx != disc:
-        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
-                        "failed", f"each factor of {disc.to_str(ctx.tvar)}")
+    the singular primes (`_saturation`), each checked there.  With one
+    singular prime O_K is that saturation; R, where there is none, and a
+    product of several are checked here by the conductor-discriminant
+    identity disc(O_K) [O_K:R]^2 = disc(f)."""
+    sats = [_saturation(ctx, p)[0] for p in singular_primes(ctx)]
+    if len(sats) == 1:
+        return sats[0]
+    result = sats[0] if sats else Order.monogenic(ctx)
+    for sat in sats[1:]:
+        result = Order(result.ideal * sat.ideal)
+    _check_index_formula(ctx, result)
     return result
+
+
+def _check_index_formula(ctx, order, p=None):
+    """disc(S) [S:R]^2 = disc(f) for an order S containing R: a fault of
+    maximal_order otherwise, at p for a p-saturation S."""
+    disc = discriminant_of_f(ctx)
+    idx = order.ideal.index_in(FracIdeal.unit_ideal(ctx))
+    if order_discriminant(order) * idx * idx != disc:
+        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
+                        "failed", p if p is not None
+                        else f"each factor of {disc.to_str(ctx.tvar)}")
 
 
 @memoized
 def _saturation(ctx, p):
     """(O, O/pO) for the p-saturation O of R at a singular p, with
-    O/pO = O_K/pO_K over F_q; its faults name the stage maximal_order.
+    O/pO = O_K/pO_K over F_q, checked by the conductor-discriminant
+    identity disc(O) [O:R]^2 = disc(f); its faults name the stage
+    maximal_order.
 
     The saturation opens at Ore's order (`ore_order`), which is O where
     f is p-regular, and goes on with radical steps S -> (rad:rad) until
     one leaves S fixed.  Each step builds S/pS and its nilradical first,
     and S/pS's product table fails unless S is a ring; a ring that is a
     finitely generated A-module lies in O, so the first step certifies
-    the start.  The nilradical is pulled back to the radical lattice only
-    on a step that goes on to take the colon.
+    the start, and where Ore's lattice is no ring the saturation starts
+    again from R.  The nilradical is pulled back to the radical lattice
+    only on a step that goes on to take the colon.
 
     The step that would confirm S = O takes no colon where the tame bound
     is met: D(S) = n(S), for D(S) = deg p * v_p(disc S) and n(S) the
@@ -442,11 +461,17 @@ def _saturation(ctx, p):
     and D(S) = n(S) forces i = 0, S = O.  Conversely the bound is met at O
     when every e_P is prime to the characteristic, so the colon is taken
     only on growth steps and at wild primes."""
-    mult = dict(discriminant_factors(ctx))[p]
+    mult = _valuation(discriminant_of_f(ctx), p)
     sat = ore_order(ctx, p)
-    for _ in range(mult + 2):
+    for step in range(mult + 2):
         with _naming(ctx, "maximal_order", p):
-            quo, alg = p_radical(sat, p)
+            try:
+                quo, alg = p_radical(sat, p)
+            except InternalCheckError as exc:
+                if step or str(exc) != NOT_A_RING:
+                    raise
+                sat = Order.monogenic(ctx)
+                quo, alg = p_radical(sat, p)
             nil = alg.nilradical_basis()
         if int(p.degree) * mult + 2 * sat.ideal.covolume() == len(nil):
             break
@@ -457,26 +482,34 @@ def _saturation(ctx, p):
         sat = grown
     else:  # pragma: no cover
         raise _internal(ctx, "maximal_order", "saturation did not converge", p)
+    _check_index_formula(ctx, sat, p)
     return sat, alg
 
 
 def p_saturation(ctx, p):
     """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R:
-    the checked `_saturation` at a singular p, and R at every other p."""
-    maximal_order(ctx)
-    if p in singular_primes(ctx):
+    the checked `_saturation` at a p that `_is_singular` finds singular,
+    and R at every other p; no other prime is saturated."""
+    if _is_singular(ctx, p):
         return _saturation(ctx, p)[0]
     return Order.monogenic(ctx)
 
 
 @memoized
+def _is_singular(ctx, p):
+    """Does p lie below a singular prime of R?  Only a p whose square
+    divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index, and such
+    a p does exactly when its Dedekind record has z != 1; no ideal is
+    built and disc(f) is not factored."""
+    return (_valuation(discriminant_of_f(ctx), p) > 1
+            and gpoly.deg(dedekind(ctx, p).z) > 0)
+
+
+@memoized
 def singular_primes(ctx):
-    """Monic irreducible p of A lying below a singular prime of R.  Only a p
-    whose square divides disc(f) = [O_K:R]^2 disc(O_K) can divide the index,
-    and such a p does exactly when its Dedekind record has z != 1; no
-    ideal is built."""
-    out = [p for p, mult in discriminant_factors(ctx)
-           if mult > 1 and gpoly.deg(dedekind(ctx, p).z) > 0]
+    """Every monic irreducible p of A lying below a singular prime of R,
+    read off the factorization of disc(f) by `_is_singular`."""
+    out = [p for p, _ in discriminant_factors(ctx) if _is_singular(ctx, p)]
     out.sort(key=poly_order_key)
     return out
 
@@ -493,15 +526,15 @@ def primes_above_in_max(ctx, p):
     of the Dedekind record.  At a singular p the saturation has built
     O_K/pO_K over F_q, and it is decomposed into its local components
     O_K/Q^e: e*f*deg p is the F_q-dimension of a component, and f*deg p
-    that of its residue field.  Every branch must give sum e*f = r.
+    that of its residue field.  Every branch must give sum e*f = r, and
+    none reads another prime.
     """
     _require_prime(ctx, p)
     if not (discriminant_of_f(ctx) % p).is_zero():
         pairs = _pattern(*ctx.f.reduce_mod(p))
-    elif p not in singular_primes(ctx):
+    elif not _is_singular(ctx, p):
         pairs = [(e, gpoly.deg(g)) for g, e in dedekind(ctx, p).factors]
     else:
-        maximal_order(ctx)
         alg, deg = _saturation(ctx, p)[1], int(p.degree)
         with _naming(ctx, "primes_above_in_max", p):
             comps = kalgebra.local_components(alg)

@@ -33,6 +33,9 @@ from . import amatrix
 from . import kalgebra
 from . import klinalg
 
+# the product table's fault where top is not closed under multiplication
+NOT_A_RING = "the top lattice is not a ring"
+
 
 class LatticeQuotient:
     """V = top/bottom for bottom subseteq top, with explicit F_q coordinates."""
@@ -162,7 +165,7 @@ class LatticeQuotient:
                 coords = self.top.coordinates(ctx.mult_vectors(cols[i], cols[i2]),
                                               den2)
                 if coords is None:
-                    raise InternalCheckError("the top lattice is not a ring")
+                    raise InternalCheckError(NOT_A_RING)
                 products[i, i2] = products[i2, i] = self._shifted_residues(
                     coords, degs[i] + degs[i2] - 1)
         return [[products[i, i2][j + j2] for i2, j2 in self.slots]

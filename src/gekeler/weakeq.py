@@ -51,8 +51,8 @@ from .quotient import LatticeQuotient, invariant_subspaces
 from . import kalgebra
 from . import klinalg
 from .context import KElement, _internal, _naming, memoized
-from .primes import (_require_prime, kummer_dedekind, p_saturation,
-                     primes_above_in_max, singular_primes)
+from .primes import (_is_singular, _require_prime, kummer_dedekind,
+                     p_saturation, primes_above_in_max)
 from .overorders import p_overorders
 
 ORBIT_LIMIT = 10 ** 8   # entries the unit transversal's matrices may hold
@@ -232,7 +232,7 @@ def local_icm(ctx, p):
     """ICM of the completion at p as a disjoint union of local weak classes."""
     _require_prime(ctx, p)
     base = Order.monogenic(ctx)
-    if p not in singular_primes(ctx):
+    if not _is_singular(ctx, p):
         cls = WeakClassRep(base.ideal, base)
         return LocalICMReport(p, ((base, (cls,)),), 1)
     groups = []

@@ -186,10 +186,10 @@ def _workload_argvs(name):
 
 
 def _count_radical_pullbacks(monkeypatch):
-    """A list that grows by one for each lattice pulled back while
-    maximal_order runs: the radicals of its saturation steps."""
+    """A list that grows by one for each lattice pulled back while a
+    saturation runs: the radicals of its steps."""
     pulled = []
-    real, code = LatticeQuotient.pullback, P.maximal_order.__wrapped__.__code__
+    real, code = LatticeQuotient.pullback, P._saturation.__wrapped__.__code__
 
     def pullback(self, fq_vectors):
         frame = sys._getframe(1)

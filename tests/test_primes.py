@@ -1,5 +1,8 @@
+import contextlib
+import io
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +19,7 @@ from gekeler.context import AlgebraContext
 from gekeler import gpoly, kalgebra, klinalg
 from gekeler.context import KElement
 from gekeler.ideals import FracIdeal, Order
+from gekeler.quotient import NOT_A_RING, LatticeQuotient
 from gekeler.residue import ResidueField, residue_field
 from gekeler import primes as P
 from gekeler.errors import (BudgetExceeded, InputError, InseparableError,
@@ -601,6 +605,179 @@ def test_ore_index_fault_names_the_stage_and_instance(monkeypatch):
         P.maximal_order(ctx)
     assert str(exc.value) == ("maximal_order: Ore's order misses Ore's index "
                               "for q = 3, f = x^2 + 2*T^3, p = T")
+
+
+def _no_ring_lattice(ctx, b, p):
+    """R + A*b for an element b of O, given by its numerator and
+    denominator, or None where that lattice is a ring (by the product
+    table of its quotient mod p)."""
+    lattice = FracIdeal.from_elements(
+        ctx, [*Order.monogenic(ctx).basis_elements(), KElement(ctx, *b)])
+    try:
+        p_el = KElement.from_fqpoly(ctx, p)
+        LatticeQuotient(lattice, lattice.scale(p_el)).algebra()
+    except InternalCheckError as exc:
+        assert str(exc) == NOT_A_RING
+        return lattice
+    return None
+
+
+def test_saturation_restarts_from_r_where_ore_lattice_is_no_ring(
+        monkeypatch, capsys):
+    # where the lattice the saturation opens at fails the product table of
+    # the first radical step, it starts again from R and ends at the same
+    # O: the saturation, O_K and the icm report at T are unchanged
+    from gekeler import cli
+    q, fstr = 2, "(x^2 - T^1)*(x^2 - T^5*x - T^6)^1 + T^7*x"
+    assert (q, fstr) in RING_CURVES
+    F = gf(q)
+    T = FqPoly.gen(F)
+
+    def fresh():
+        return AlgebraContext(F, parse_bipoly(F, fstr))
+
+    def run():
+        sat = P.p_saturation(fresh(), T).ideal
+        ok = P.maximal_order(fresh()).ideal
+        assert cli.main(["icm", "--q", str(q), "--f", fstr, "--prime", "T"]) == 0
+        return (sat.num, sat.den), (ok.num, ok.den), capsys.readouterr().out
+
+    expected = run()
+    ctx = fresh()
+    sat = P.p_saturation(ctx, T).ideal
+    assert P.ore_order(ctx, T).ideal != sat   # T is irregular here
+    b = next(b for b in ((z.num, z.den) for z in sat.basis_elements())
+             if _no_ring_lattice(ctx, b, T) is not None)
+    opened = []
+
+    def no_ring(c, p):
+        opened.append(p)
+        return Order(_no_ring_lattice(c, b, p))
+
+    monkeypatch.setattr(P, "ore_order", no_ring)
+    assert run() == expected
+    assert opened == [T, T, T]   # once in each fresh context
+
+
+def test_each_saturation_checks_the_index_formula(monkeypatch, capsys):
+    # a Gram determinant off by a factor of T on a saturated lattice is a
+    # fault of the saturation that reads it, with maximal_order never run
+    from gekeler import cli
+    F = gf(2)
+    T = FqPoly.gen(F)
+    real = P.order_discriminant
+
+    def off(order):
+        d = real(order)
+        return d if order.ideal == FracIdeal.unit_ideal(order.ctx) else d * T
+
+    monkeypatch.setattr(P, "order_discriminant", off)
+    monkeypatch.setattr(P, "maximal_order", None)
+    message = ("maximal_order: conductor-discriminant identity failed for "
+               "q = 2, f = x^3 + T^5, p = T")
+    with pytest.raises(InternalCheckError) as exc:
+        P.p_saturation(AlgebraContext(F, parse_bipoly(F, "x^3 - T^5")), T)
+    assert str(exc.value) == message
+    assert cli.main(["icm", "--q", "2", "--f", "x^3 - T^5", "--prime", "T"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"internal invariant failure: {message}\n" in captured.err
+
+
+def _work(monkeypatch, argv):
+    """The calls (name, T variable of the context, the other arguments) of
+    discriminant_factors, dedekind, _saturation, order_discriminant and
+    FracIdeal.__mul__ while the CLI runs argv."""
+    from gekeler import cli
+    calls = []
+
+    def spy(owner, name, ctx_of):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append((name, ctx_of(*args).tvar, args[1:]))
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("discriminant_factors", "dedekind", "_saturation"):
+        spy(P, name, lambda ctx, *args: ctx)
+    spy(P, "order_discriminant", lambda order: order.ctx)
+    spy(FracIdeal, "__mul__", lambda a, b: a.ctx)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return calls
+
+
+def test_zeta_reads_the_place_at_infinity_at_u_alone(monkeypatch):
+    # the model at infinity factors no discriminant, builds one Dedekind
+    # record and one saturation, both at U, and no run multiplies lattices
+    U = FqPoly.gen(gf(2))
+    calls = _work(monkeypatch, ["zeta", "--q", "2", "--f",
+                                "x^3 + T*x + T^4 + T + 1"])
+    assert ("discriminant_factors", "U", ()) not in calls
+    assert {args for name, tvar, args in calls
+            if name == "dedekind" and tvar == "U"} == {(U,)}
+    assert {(tvar, args) for name, tvar, args in calls
+            if name == "_saturation"} == {("U", (U,))}
+    assert not [c for c in calls if c[0] == "__mul__"]
+
+
+def test_icm_at_one_prime_reads_that_prime_alone(monkeypatch):
+    # no factorization of disc(f) and no product of saturations; the one
+    # Gram determinant is the saturation's own check
+    calls = _work(monkeypatch, ["icm", "--q", "2", "--f", "x^3 - T^5",
+                                "--prime", "T"])
+    names = Counter(name for name, _, _ in calls)
+    assert names["discriminant_factors"] == names["__mul__"] == 0
+    assert names["order_discriminant"] == 1
+
+
+# every pool of curves with a singular prime, finite and at infinity
+_POOL_CURVES = list(dict.fromkeys(ORACLE_CURVES + THREE_BRANCH_CURVES
+                                  + CENSUS_CURVES + CONTEXT_POOL + RING_CURVES))
+
+
+def test_each_prime_reads_the_same_whether_or_not_o_k_came_first():
+    # _is_singular agrees with singular_primes at every prime of degree <= 2
+    # (U among them); a context that built O_K first and one that never did
+    # read the same saturations and splitting types at the primes of disc(f)
+    # among them and at the singular primes, the same places at infinity
+    # and genus, and O_K is the product of the saturations
+    from gekeler.zeta import genus
+    curves = singular = 0
+    for q, fstr in _POOL_CURVES:
+        field = gf_of_order(q)
+        try:
+            first, never = (AlgebraContext(field, parse_bipoly(field, fstr))
+                            for _ in range(2))
+        except (ReducibleError, InseparableError):
+            continue
+        curves += 1
+        pairs = [(first, never),
+                 (P.infinity_context(first), P.infinity_context(never))]
+        low = [p for d in (1, 2) for p in monic_irreducibles(field, d)]
+        for a, b in pairs:
+            P.maximal_order(a)
+            sing = P.singular_primes(a)
+            singular += len(sing)
+            disc = P.discriminant_of_f(a)
+            for p in low:
+                assert P._is_singular(a, p) == (p in sing)
+            for p in dict.fromkeys([p for p in low if (disc % p).is_zero()]
+                                   + sing):
+                sat_a = P.p_saturation(a, p).ideal
+                sat_b = P.p_saturation(b, p).ideal
+                assert (sat_a.num, sat_a.den) == (sat_b.num, sat_b.den)
+                assert P.primes_above_in_max(a, p) == P.primes_above_in_max(b, p)
+        assert P.infinite_places(first) == P.infinite_places(never)
+        assert genus(first) == genus(never)
+        for a, b in pairs:
+            for c in (a, b):
+                product = FracIdeal.unit_ideal(c)
+                for p in P.singular_primes(c):
+                    product = product * P.p_saturation(c, p).ideal
+                assert P.maximal_order(c).ideal == product
+    assert (curves, singular) == (111, 202)
 
 
 def test_tame_bound_is_met_only_at_the_end_of_a_chain():
