@@ -1,7 +1,6 @@
 """Algebra context for K = Frac(A[x]/f) and exact elements of K.
 
-The context fixes q and an irreducible f monic in x of degree r and the
-power sums s_k = Tr(pi^k), k <= 2r - 2, that give the trace form.
+The context fixes q and an irreducible f monic in x of degree r.
 Elements of K are numerator coordinate vectors over A in the power basis
 1, pi, ..., pi^(r-1) together with a monic denominator.  A product in K
 is a product in A[x] followed by the remainder mod f, both run by gpoly
@@ -83,24 +82,6 @@ class AlgebraContext:
         self.power_vectors = tuple(
             tuple(one if i == k else zero for i in range(self.r))
             for k in range(self.r))
-        self._build_trace_table()
-
-    def _build_trace_table(self):
-        # Newton's identities give s_k = Tr(pi^k) from the coefficients of
-        # f; s_0 .. s_(2r-2) are the entries Tr(pi^i pi^j) = s_(i+j) of the
-        # Hankel matrix that gives primes.order_discriminant the trace form.
-        r = self.r
-        F = self.field
-        c = [self.f.coeff(i) for i in range(r)]  # f = x^r + c_{r-1}x^{r-1}+...+c_0
-        s = [FqPoly.const(F, F.from_int(r))]
-        for k in range(1, 2 * r - 1):
-            acc = FqPoly.zero(F)
-            for i in range(1, min(k - 1, r) + 1):
-                acc = acc + c[r - i] * s[k - i]
-            if k <= r:
-                acc = acc + c[r - k].scale(k % F.p)
-            s.append(-acc)
-        self.trace_powers = s
 
     def eval_at_pi(self, g):
         """Numerator vector of g(pi) for the x-coefficients g of an element

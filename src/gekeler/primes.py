@@ -20,9 +20,8 @@ at the singular primes is it read off the local components of O_K/pO_K.
 The census of the primes of one degree lists no prime: type_counts
 counts the splitting types of the Frobenius orbits of GF(q^D) and of
 the primes of disc(f), which alone are built.  Each saturation
-(_saturation, the p-saturation S of R with its S/pS) checks itself by
-the conductor-discriminant identity disc(S) [S:R]^2 = disc(f), which
-holds for every order S containing R; the maximal order is the product
+(_saturation, the p-saturation S of R with its S/pS) is certified by
+its own radical loop, and no stage forms the maximal order, the product
 of the saturations at the singular primes.  Every saturation opens at
 Ore's order (ore_order), built from the Newton polygons of f at the
 singular factors of f mod p; it is O_p where f is p-regular, and
@@ -375,9 +374,12 @@ def _prime_count(q, degree):
 def order_discriminant(order):
     """Monic determinant of the trace-form Gram matrix of an A-basis:
     C^T H C / d^2 for its HNF columns C over d and the Hankel matrix
-    H = (s_(i+j)) of the power sums s_k = Tr(pi^k) (ctx.trace_powers)."""
+    H = (s_(i+j)) of the power sums s_k = Tr(pi^k) (`_power_sums`).
+    Every lattice S containing R with an A-valued trace form, ring or
+    not, has disc(S) [S:R]^2 = disc(f), so this certifies no saturation,
+    and no stage reads it."""
     ctx = order.ctx
-    r, s = ctx.r, ctx.trace_powers
+    r, s = ctx.r, _power_sums(ctx)
     cols = order.ideal.basis_columns()
     den2 = order.ideal.den * order.ideal.den
     hc = [[_dot(s[i:i + r], c) for i in range(r)] for c in cols]
@@ -392,6 +394,24 @@ def order_discriminant(order):
     return d.monic()
 
 
+@memoized
+def _power_sums(ctx):
+    """s_0 .. s_(2r-2), s_k = Tr(pi^k), by Newton's identities from the
+    coefficients of f = x^r + c_(r-1) x^(r-1) + ... + c_0: the entries
+    Tr(pi^i pi^j) = s_(i+j) of the Hankel matrix of the trace form."""
+    r, F = ctx.r, ctx.field
+    c = [ctx.f.coeff(i) for i in range(r)]
+    s = [FqPoly.const(F, F.from_int(r))]
+    for k in range(1, 2 * r - 1):
+        acc = FqPoly.zero(F)
+        for i in range(1, min(k - 1, r) + 1):
+            acc = acc + c[r - i] * s[k - i]
+        if k <= r:
+            acc = acc + c[r - k].scale(k % F.p)
+        s.append(-acc)
+    return s
+
+
 def p_radical(order, p):
     """S/pS as the quotient of lattices and as an F_q-algebra.  The radical
     of pS in S (Frobenius-kernel method) is quo.pullback of the nilradical
@@ -403,38 +423,20 @@ def p_radical(order, p):
 
 @memoized
 def maximal_order(ctx):
-    """Integral closure O_K of A in K: the product of the saturations at
-    the singular primes (`_saturation`), each checked there.  With one
-    singular prime O_K is that saturation; R, where there is none, and a
-    product of several are checked here by the conductor-discriminant
-    identity disc(O_K) [O_K:R]^2 = disc(f)."""
-    sats = [_saturation(ctx, p)[0] for p in singular_primes(ctx)]
-    if len(sats) == 1:
-        return sats[0]
-    result = sats[0] if sats else Order.monogenic(ctx)
-    for sat in sats[1:]:
-        result = Order(result.ideal * sat.ideal)
-    _check_index_formula(ctx, result)
-    return result
-
-
-def _check_index_formula(ctx, order, p=None):
-    """disc(S) [S:R]^2 = disc(f) for an order S containing R: a fault of
-    maximal_order otherwise, at p for a p-saturation S."""
-    disc = discriminant_of_f(ctx)
-    idx = order.ideal.index_in(FracIdeal.unit_ideal(ctx))
-    if order_discriminant(order) * idx * idx != disc:
-        raise _internal(ctx, "maximal_order", "conductor-discriminant identity "
-                        "failed", p if p is not None
-                        else f"each factor of {disc.to_str(ctx.tvar)}")
+    """Integral closure O_K of A in K: R times the p-saturation
+    (`p_saturation`) at each singular prime.  A library function; no
+    stage forms it."""
+    result = FracIdeal.unit_ideal(ctx)
+    for p in singular_primes(ctx):
+        result = result * p_saturation(ctx, p).ideal
+    return Order(result)
 
 
 @memoized
 def _saturation(ctx, p):
     """(O, O/pO) for the p-saturation O of R at a singular p, with
-    O/pO = O_K/pO_K over F_q, checked by the conductor-discriminant
-    identity disc(O) [O:R]^2 = disc(f); its faults name the stage
-    maximal_order.
+    O/pO = O_K/pO_K over F_q, certified by the loop below; its faults
+    name the stage maximal_order.
 
     The saturation opens at Ore's order (`ore_order`), which is O where
     f is p-regular, and goes on with radical steps S -> (rad:rad) until
@@ -482,14 +484,13 @@ def _saturation(ctx, p):
         sat = grown
     else:  # pragma: no cover
         raise _internal(ctx, "maximal_order", "saturation did not converge", p)
-    _check_index_formula(ctx, sat, p)
     return sat, alg
 
 
 def p_saturation(ctx, p):
     """O = {z in O_K : p^n z in R for some n}, the largest p-overorder of R:
-    the checked `_saturation` at a p that `_is_singular` finds singular,
-    and R at every other p; no other prime is saturated."""
+    `_saturation` at a p that `_is_singular` finds singular, and R at
+    every other p; no other prime is saturated."""
     if _is_singular(ctx, p):
         return _saturation(ctx, p)[0]
     return Order.monogenic(ctx)

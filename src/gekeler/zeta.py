@@ -6,7 +6,8 @@ series, then completed by the functional equation.  The finite places
 are counted from primes.type_counts, the one census of the primes of
 each degree; the places at infinity are the splitting type of (U) in
 the model at infinity.  The genus reads the degrees of
-the two discriminants off the covolumes of the maximal orders.  All
+the two discriminants off the covolumes of the saturations at the
+singular primes, with no maximal order formed.  All
 arithmetic is exact, the root-magnitude (Weil) gate included.  A failed
 check names its stage and (q, f).
 """
@@ -22,8 +23,8 @@ from .fqpoly import FqPoly
 from .bifactor import count_irreducible_factors
 from . import gpoly
 from .context import _internal, _naming, memoized
-from .primes import (discriminant_of_f, maximal_order, infinite_places,
-                     infinity_context, p_saturation, type_counts)
+from .primes import (discriminant_of_f, infinite_places, infinity_context,
+                     p_saturation, singular_primes, type_counts)
 
 
 class LPolynomial(namedtuple("LPolynomial", "m g coeffs qm")):
@@ -138,15 +139,18 @@ def constant_field_degree(ctx):
 def genus(ctx):
     """Genus over the full constant field.  disc(f) = [O:R]^2 disc(O) and
     deg [O:R] = -O.covolume() give deg disc(O_K) = deg disc(f) +
-    2 covol(O_K), and v_U(disc O_inf) = v_U(disc g) + 2 covol(O_U) for the
-    U-saturation O_U of the model g at infinity."""
+    2 covol(O_K), where covol(O_K) is the sum of the covolumes of the
+    p-saturations at the singular primes, as [O_K:R] is the product of
+    their indices; at infinity v_U(disc O_inf) = v_U(disc g) +
+    2 covol(O_U) for the U-saturation O_U of the model g."""
     m = constant_field_degree(ctx)
     ictx = infinity_context(ctx)
     u = FqPoly.gen(ctx.field)
     # v_U(disc g) is the number of its low coefficients that vanish
     v_u = next(i for i, c in enumerate(discriminant_of_f(ictx).coeffs) if c)
     total = (int(discriminant_of_f(ctx).degree)
-             + 2 * maximal_order(ctx).ideal.covolume()
+             + 2 * sum(p_saturation(ctx, p).ideal.covolume()
+                       for p in singular_primes(ctx))
              + v_u + 2 * p_saturation(ictx, u).ideal.covolume())
     g = Fraction(1) - Fraction(ctx.r, m) + Fraction(total, 2 * m)
     if g.denominator != 1 or g < 0:

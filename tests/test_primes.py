@@ -179,6 +179,25 @@ def test_conductor_discriminant_identity():
         T = FqPoly.gen(ctx.field)
         m = FracIdeal.from_elements(ctx, [KElement.from_fqpoly(ctx, T), pi])
         assert ok.ideal.contains(m.colon(m))
+    # the identity is one of linear algebra: it holds on every lattice
+    # R + A*b, b in the basis of O_T, rings or not, so it certifies no
+    # saturation
+    lattices = not_rings = 0
+    for q, fstr in [(2, "x^3 - T^5"), (3, "x^4 - T^5"), (2, "x^3 - T^7"),
+                    (2, "(x^2 - T^1)*(x^2 - T^5*x - T^6)^1 + T^7*x")]:
+        ctx = make_ctx(q, fstr)
+        R = Order.monogenic(ctx)
+        disc = P.order_discriminant(R)
+        T = FqPoly.gen(ctx.field)
+        for z in P.p_saturation(ctx, T).basis_elements():
+            lattice = _r_plus(ctx, (z.num, z.den))
+            idx = lattice.index_in(R.ideal)
+            assert P.order_discriminant(Order(lattice)) * idx * idx == disc
+            ring = is_order_lattice(lattice)
+            assert ring == (_no_ring_lattice(ctx, (z.num, z.den), T) is None)
+            lattices += 1
+            not_rings += not ring
+    assert (lattices, not_rings) == (14, 7)
 
 
 def _k_product_gram(order):
@@ -607,12 +626,17 @@ def test_ore_index_fault_names_the_stage_and_instance(monkeypatch):
                               "for q = 3, f = x^2 + 2*T^3, p = T")
 
 
-def _no_ring_lattice(ctx, b, p):
-    """R + A*b for an element b of O, given by its numerator and
-    denominator, or None where that lattice is a ring (by the product
-    table of its quotient mod p)."""
-    lattice = FracIdeal.from_elements(
+def _r_plus(ctx, b):
+    """R + A*b for an element b of K, given by its numerator and
+    denominator."""
+    return FracIdeal.from_elements(
         ctx, [*Order.monogenic(ctx).basis_elements(), KElement(ctx, *b)])
+
+
+def _no_ring_lattice(ctx, b, p):
+    """R + A*b for an element b of O, or None where that lattice is a ring
+    (by the product table of its quotient mod p)."""
+    lattice = _r_plus(ctx, b)
     try:
         p_el = KElement.from_fqpoly(ctx, p)
         LatticeQuotient(lattice, lattice.scale(p_el)).algebra()
@@ -659,35 +683,11 @@ def test_saturation_restarts_from_r_where_ore_lattice_is_no_ring(
     assert opened == [T, T, T]   # once in each fresh context
 
 
-def test_each_saturation_checks_the_index_formula(monkeypatch, capsys):
-    # a Gram determinant off by a factor of T on a saturated lattice is a
-    # fault of the saturation that reads it, with maximal_order never run
-    from gekeler import cli
-    F = gf(2)
-    T = FqPoly.gen(F)
-    real = P.order_discriminant
-
-    def off(order):
-        d = real(order)
-        return d if order.ideal == FracIdeal.unit_ideal(order.ctx) else d * T
-
-    monkeypatch.setattr(P, "order_discriminant", off)
-    monkeypatch.setattr(P, "maximal_order", None)
-    message = ("maximal_order: conductor-discriminant identity failed for "
-               "q = 2, f = x^3 + T^5, p = T")
-    with pytest.raises(InternalCheckError) as exc:
-        P.p_saturation(AlgebraContext(F, parse_bipoly(F, "x^3 - T^5")), T)
-    assert str(exc.value) == message
-    assert cli.main(["icm", "--q", "2", "--f", "x^3 - T^5", "--prime", "T"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"internal invariant failure: {message}\n" in captured.err
-
-
 def _work(monkeypatch, argv):
     """The calls (name, T variable of the context, the other arguments) of
-    discriminant_factors, dedekind, _saturation, order_discriminant and
-    FracIdeal.__mul__ while the CLI runs argv."""
+    discriminant_factors, dedekind, _saturation, maximal_order,
+    order_discriminant, FracIdeal.__mul__ and FracIdeal.index_in while the
+    CLI runs argv, and its stdout."""
     from gekeler import cli
     calls = []
 
@@ -697,23 +697,30 @@ def _work(monkeypatch, argv):
         def wrapper(*args):
             calls.append((name, ctx_of(*args).tvar, args[1:]))
             return real(*args)
-        monkeypatch.setattr(owner, name, wrapper)
+        # every module binding of it, so that no call goes uncounted
+        for module in [owner, *(m for n, m in list(sys.modules.items())
+                                if n.startswith("gekeler"))]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("discriminant_factors", "dedekind", "_saturation"):
+    for name in ("discriminant_factors", "dedekind", "_saturation",
+                 "maximal_order"):
         spy(P, name, lambda ctx, *args: ctx)
     spy(P, "order_discriminant", lambda order: order.ctx)
-    spy(FracIdeal, "__mul__", lambda a, b: a.ctx)
-    with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("__mul__", "index_in"):
+        spy(FracIdeal, name, lambda a, b: a.ctx)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    return calls
+    return calls, out.getvalue()
 
 
 def test_zeta_reads_the_place_at_infinity_at_u_alone(monkeypatch):
     # the model at infinity factors no discriminant, builds one Dedekind
     # record and one saturation, both at U, and no run multiplies lattices
     U = FqPoly.gen(gf(2))
-    calls = _work(monkeypatch, ["zeta", "--q", "2", "--f",
-                                "x^3 + T*x + T^4 + T + 1"])
+    calls, _ = _work(monkeypatch, ["zeta", "--q", "2", "--f",
+                                   "x^3 + T*x + T^4 + T + 1"])
     assert ("discriminant_factors", "U", ()) not in calls
     assert {args for name, tvar, args in calls
             if name == "dedekind" and tvar == "U"} == {(U,)}
@@ -723,13 +730,47 @@ def test_zeta_reads_the_place_at_infinity_at_u_alone(monkeypatch):
 
 
 def test_icm_at_one_prime_reads_that_prime_alone(monkeypatch):
-    # no factorization of disc(f) and no product of saturations; the one
-    # Gram determinant is the saturation's own check
-    calls = _work(monkeypatch, ["icm", "--q", "2", "--f", "x^3 - T^5",
-                                "--prime", "T"])
+    # no factorization of disc(f), no product of saturations, and no Gram
+    # or index determinant: the radical loop certifies the saturation
+    calls, _ = _work(monkeypatch, ["icm", "--q", "2", "--f", "x^3 - T^5",
+                                   "--prime", "T"])
     names = Counter(name for name, _, _ in calls)
     assert names["discriminant_factors"] == names["__mul__"] == 0
-    assert names["order_discriminant"] == 1
+    assert names["order_discriminant"] == names["index_in"] == 0
+
+
+def test_genus_forms_no_maximal_order_at_two_singular_primes(monkeypatch):
+    # the finite part of the genus is the sum of the saturations'
+    # covolumes, so zeta multiplies no lattices even where two primes
+    # are singular
+    import json
+    q, fstr = 3, "x^2 - T^3*(T + 1)^3"
+    assert len(P.singular_primes(make_ctx(q, fstr))) == 2
+    calls, out = _work(monkeypatch, ["zeta", "--q", str(q), "--f", fstr])
+    names = Counter(name for name, _, _ in calls)
+    assert names["__mul__"] == names["maximal_order"] == 0
+    assert names["order_discriminant"] == names["index_in"] == 0
+    report = json.loads(out)
+    assert (report["g"], report["L"]) == (0, [1])
+
+
+def test_power_sums_wait_for_order_discriminant():
+    # a fresh context, and every stage that reads it, computes no power
+    # sums; order_discriminant computes them once per context
+    from gekeler.zeta import genus
+    F = gf(2)
+    T = FqPoly.gen(F)
+    ctx = AlgebraContext(F, parse_bipoly(F, "x^3 - T^5"))
+    key = (P._power_sums.__wrapped__,)
+    assert not hasattr(ctx, "trace_powers")
+    P.primes_above_in_max(ctx, T)
+    genus(ctx)
+    assert key not in ctx.cache
+    R = Order.monogenic(ctx)
+    assert P.order_discriminant(R) == T ** 10
+    sums = ctx.cache[key]
+    assert P.order_discriminant(P.p_saturation(ctx, T)) == T ** 2
+    assert ctx.cache[key] is sums
 
 
 # every pool of curves with a singular prime, finite and at infinity
@@ -742,7 +783,8 @@ def test_each_prime_reads_the_same_whether_or_not_o_k_came_first():
     # (U among them); a context that built O_K first and one that never did
     # read the same saturations and splitting types at the primes of disc(f)
     # among them and at the singular primes, the same places at infinity
-    # and genus, and O_K is the product of the saturations
+    # and genus, and O_K is the product of the saturations, whose
+    # covolumes sum to its own, as genus reads it
     from gekeler.zeta import genus
     curves = singular = 0
     for q, fstr in _POOL_CURVES:
@@ -774,9 +816,13 @@ def test_each_prime_reads_the_same_whether_or_not_o_k_came_first():
         for a, b in pairs:
             for c in (a, b):
                 product = FracIdeal.unit_ideal(c)
+                covolume = 0
                 for p in P.singular_primes(c):
                     product = product * P.p_saturation(c, p).ideal
-                assert P.maximal_order(c).ideal == product
+                    covolume += P.p_saturation(c, p).ideal.covolume()
+                ok = P.maximal_order(c).ideal
+                assert ok == product
+                assert ok.covolume() == covolume
     assert (curves, singular) == (111, 202)
 
 

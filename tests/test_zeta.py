@@ -308,13 +308,10 @@ def test_zeta_checks_name_the_stage_and_instance(monkeypatch):
                               f"at a_1 {where}")
 
 
-def test_zeta_takes_one_gram_determinant_in_the_finite_context_only(
-        monkeypatch, capsys):
-    # maximal_order takes the Gram determinant for its identity check, and
-    # genus reads the discriminant degrees off covolumes instead; at
-    # infinity it reads only the U-saturation, which is R where U is
-    # regular: a zeta run takes the finite context's Gram determinant once
-    # and none at infinity
+def test_zeta_takes_no_gram_determinant(monkeypatch, capsys):
+    # genus reads the discriminant degrees off the covolumes of the
+    # saturations, finite and at infinity, and each saturation is
+    # certified by its radical loop: a zeta run takes no Gram determinant
     from gekeler import primes as P
     from gekeler.cli import main
     real = P.order_discriminant
@@ -325,10 +322,10 @@ def test_zeta_takes_one_gram_determinant_in_the_finite_context_only(
         calls[tvar] = calls.get(tvar, 0) + 1
         return real(order)
 
-    # every module binding of it, so that no second determinant goes uncounted
+    # every module binding of it, so that no determinant goes uncounted
     monkeypatch.setattr(P, "order_discriminant", order_discriminant)
     monkeypatch.setattr(Z, "order_discriminant", order_discriminant,
                         raising=False)
     assert main(["zeta", "--q", "5", "--f", "x^2 - (T^3 + T + 1)"]) == 0
     assert '"g": 1' in capsys.readouterr().out
-    assert calls == {"T": 1}
+    assert calls == {}
