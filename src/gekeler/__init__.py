@@ -20,8 +20,8 @@ from .primes import (PrimeAbove, SplittingReport, kummer_dedekind,
                      discriminant_of_f, order_discriminant, singular_primes,
                      maximal_order, primes_above_in_max)
 from .overorders import POverorderSet, p_overorders
-from .weakeq import (WeakClassRep, LocalICMReport, weak_classes,
-                     locally_weakly_equivalent, local_icm)
+from .weakeq import (LocalICMReport, weak_classes, locally_weakly_equivalent,
+                     local_icm)
 from .zeta import LPolynomial, constant_field_degree, genus, count_places, l_polynomial
 from .ratios import (LocalRatio, ProductReport, gekeler_ratio, gekeler_product,
                      finite_level_ratio, partial_products)

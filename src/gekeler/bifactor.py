@@ -107,8 +107,6 @@ def factor_squarefree_bivariate(f, seed=0):
     subset leaves the pool, and the size is kept, as a subset that
     divided no earlier cofactor divides no later one.
     """
-    if f.deg_x == 1:
-        return [f]
     field = f.field
     p, local = _choose_hensel_prime(f, seed)
     if len(local) == 1:
@@ -144,8 +142,6 @@ def is_irreducible_bivariate(f, seed=0, res=None):
     when the caller already has it."""
     if f.deg_x < 1 or not f.is_monic_in_x():
         raise InputError("irreducibility test needs f monic in x, deg >= 1")
-    if f.deg_x == 1:
-        return True
     fx = f.derivative_x()
     if fx.is_zero():
         raise InseparableError()

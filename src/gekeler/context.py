@@ -107,22 +107,21 @@ class AlgebraContext:
 class KElement:
     __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx, num, den=None, normalize=True):
+    def __init__(self, ctx, num, den=None):
         F = ctx.field
         if den is None:
             den = FqPoly.one(F)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in K")
-        if normalize:
-            lead = den.lead()
-            if lead != 1:
-                c = FqPoly.const(F, F.inv(lead))
-                num = tuple(n * c for n in num)
-                den = den.monic()
-            g = gcd_list([den, *num], F)
-            if not g.is_one() and not g.is_zero():
-                num = tuple(n.exact_div(g) for n in num)
-                den = den.exact_div(g)
+        lead = den.lead()
+        if lead != 1:
+            c = FqPoly.const(F, F.inv(lead))
+            num = tuple(n * c for n in num)
+            den = den.monic()
+        g = gcd_list([den, *num], F)
+        if not g.is_one() and not g.is_zero():
+            num = tuple(n.exact_div(g) for n in num)
+            den = den.exact_div(g)
         self.ctx = ctx
         self.num = tuple(num)
         self.den = den
@@ -132,13 +131,13 @@ class KElement:
         F = ctx.field
         vec = [FqPoly.zero(F)] * ctx.r
         vec[0] = FqPoly.one(F)
-        return KElement(ctx, tuple(vec), normalize=False)
+        return KElement(ctx, tuple(vec))
 
     @staticmethod
     def gen(ctx):
         """pi, the class of x."""
         x = (ctx.ring.zero(), ctx.ring.one())
-        return KElement(ctx, ctx.eval_at_pi(x), normalize=False)
+        return KElement(ctx, ctx.eval_at_pi(x))
 
     @staticmethod
     def from_fqpoly(ctx, c):

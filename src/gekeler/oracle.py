@@ -101,8 +101,6 @@ def _target_charpoly(ctx, ring):
 def _ring_charpoly_coeffs(ring, mat, r):
     """Coefficients c_0..c_{r-1} of det(xI - M) (x^r implied monic)."""
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    if r == 1:
-        return (neg[mat[0][0]],)
     if r == 2:
         a, b, c, d = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
         tr = add[a][d]
@@ -175,33 +173,26 @@ def _budgeted_ring(p, n, r, budget):
 def count_matrices_with_charpoly(ctx, p, n, budget=DEFAULT_BUDGET):
     """|{M in Mat_r(A/p^n) : charpoly(M) = f mod p^n}| by exhaustion."""
     r = ctx.r
+    if r != 2:
+        return len(_matching_matrices(ctx, p, n, budget)[1])
     ring = _budgeted_ring(p, n, r, budget)
     target = _target_charpoly(ctx, ring)
     s = ring.size
-    if r == 1:
-        return 1
-    if r == 2:
-        add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-        want_tr = neg[target[1]]
-        want_det = target[0]
-        count = 0
-        for a in range(s):
-            row_a = mul[a]
-            for d in range(s):
-                if add[a][d] != want_tr:
-                    continue
-                ad = row_a[d]
-                for b in range(s):
-                    row_b = mul[b]
-                    for c in range(s):
-                        if add[ad][neg[row_b[c]]] == want_det:
-                            count += 1
-        return count
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    want_tr = neg[target[1]]
+    want_det = target[0]
     count = 0
-    for entries in iter_product(range(s), repeat=r * r):
-        mat = [entries[i * r:(i + 1) * r] for i in range(r)]
-        if _ring_charpoly_coeffs(ring, mat, r) == target:
-            count += 1
+    for a in range(s):
+        row_a = mul[a]
+        for d in range(s):
+            if add[a][d] != want_tr:
+                continue
+            ad = row_a[d]
+            for b in range(s):
+                row_b = mul[b]
+                for c in range(s):
+                    if add[ad][neg[row_b[c]]] == want_det:
+                        count += 1
     return count
 
 
@@ -299,13 +290,7 @@ def brute_sl_count(r, p, n, budget=DEFAULT_BUDGET):
     units = set(ring.units)
     sl = 0
     gl = 0
-    if r == 1:
-        for a in range(ring.size):
-            if a in units:
-                gl += 1
-                if a == ring.one:
-                    sl += 1
-    elif r == 2:
+    if r == 2:
         for a, b, c, d in iter_product(range(ring.size), repeat=4):
             det = add[mul[a][d]][neg[mul[b][c]]]
             if det in units:

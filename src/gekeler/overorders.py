@@ -50,7 +50,7 @@ def p_overorders(ctx, p):
                 (KElement.from_fqpoly(ctx, t), KElement.gen(ctx))]
         nil = (mats[0] if p == t
                else quo.action_matrix(KElement.from_fqpoly(ctx, p)))
-        subs = invariant_subspaces(ctx.field, quo.dim, mats, nil)
+        subs = invariant_subspaces(ctx.field, mats, nil)
         table = quo.product_table()
     if subs[0] or len(subs[-1]) != quo.dim:
         raise _internal(ctx, "p_overorders", "enumeration lost an endpoint order", p)

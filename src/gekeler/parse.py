@@ -1,10 +1,9 @@
 """Parser for the shared polynomial text grammar.
 
-Accepts integer coefficients, the variables T and x (or U and y for the
-model at infinity), the extension-field generator a, the operators
-+ - * ^ and parentheses, with juxtaposition read as multiplication
-(e.g. ``2T^3``) and exponents up to MAX_EXPONENT.  Errors carry the
-offending column.
+Accepts integer coefficients, the variables T and x, the extension-field
+generator a, the operators + - * ^ and parentheses, with juxtaposition
+read as multiplication (e.g. ``2T^3``) and exponents up to MAX_EXPONENT.
+Errors carry the offending column.
 """
 
 from .errors import InputError
@@ -29,7 +28,7 @@ class _Tok:
         self.pos = pos
 
 
-def _tokenize(text, tvar, xvar):
+def _tokenize(text):
     toks = []
     i = 0
     while i < len(text):
@@ -44,11 +43,11 @@ def _tokenize(text, tvar, xvar):
             toks.append(_Tok("int", int(text[i:j]), i))
             i = j
             continue
-        if ch == tvar:
+        if ch == "T":
             toks.append(_Tok("T", None, i))
             i += 1
             continue
-        if ch == xvar:
+        if ch == "x":
             toks.append(_Tok("x", None, i))
             i += 1
             continue
@@ -146,9 +145,9 @@ class _Parser:
         raise ParseError("expected a term", t.pos)
 
 
-def parse_bipoly(field, text, tvar="T", xvar="x"):
+def parse_bipoly(field, text):
     """Parse text into a BiPoly over the given field."""
-    toks = _tokenize(text, tvar, xvar)
+    toks = _tokenize(text)
     p = _Parser(field, toks, allow_x=True)
     out = p.expr()
     t = p.peek()
@@ -157,9 +156,9 @@ def parse_bipoly(field, text, tvar="T", xvar="x"):
     return out
 
 
-def parse_fqpoly(field, text, tvar="T"):
+def parse_fqpoly(field, text):
     """Parse text with no x into an element of A = F_q[T]."""
-    toks = _tokenize(text, tvar, "x")
+    toks = _tokenize(text)
     p = _Parser(field, toks, allow_x=False)
     out = p.expr()
     t = p.peek()

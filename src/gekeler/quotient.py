@@ -183,16 +183,17 @@ def _is_scalar(field, mat):
                for i, row in enumerate(mat) for j, e in enumerate(row))
 
 
-def _cover_lines(field, dim, nil, basis, pivots):
+def _cover_lines(field, nil, basis, pivots):
     """One vector per line of {v : nil*v in W}/W, for W the span of an
-    RREF basis."""
+    RREF basis; F_q is listed only when that space has dimension >= 2."""
     cols = [klinalg.reduce(field, basis, pivots, [row[j] for row in nil])
-            for j in range(dim)]
+            for j in range(len(nil))]
     kernel = klinalg.kernel(field, list(zip(*cols)))
     comp = klinalg.span_basis(
         field, [klinalg.reduce(field, basis, pivots, u) for u in kernel])
     # the coefficients of one vector per line end in 1 and then zeros
-    elems, rows = list(field.elements()), list(zip(*comp))
+    elems = list(field.elements()) if len(comp) > 1 else ()
+    rows = list(zip(*comp))
     for k in range(len(comp)):
         tail = (field.one(),) + (field.zero(),) * (len(comp) - 1 - k)
         for head in itertools.product(elems, repeat=k):
@@ -211,12 +212,13 @@ def _closure(field, mats, basis, pivots, vec):
     return basis, pivots
 
 
-def invariant_subspaces(field, dim, mats, nil, start=()):
-    """All subspaces of F_q^dim invariant under the given matrices that
+def invariant_subspaces(field, mats, nil, start=()):
+    """All subspaces of F_q^n invariant under the given matrices that
     contain the invariant subspace `start` (an RREF row tuple; empty by
-    default), for a nilpotent `nil` that commutes with the matrices.  A
-    matrix in the F_q-span of the identity fixes every subspace and stays
-    out of the walk.
+    default), for a nilpotent n x n matrix `nil` that commutes with the
+    matrices; n = 0 gives the zero subspace alone.  A matrix in the
+    F_q-span of the identity fixes every subspace and stays out of the
+    walk.
 
     A breadth-first walk up by covers from `start`.  A cover of an
     invariant W is W + U with U simple modulo W; nil acts on U as 0, so U
@@ -229,7 +231,7 @@ def invariant_subspaces(field, dim, mats, nil, start=()):
     seen = {start}
     walk = [(start, klinalg.rref(field, start)[1])]
     for basis, pivots in walk:   # the walk grows while it is read
-        for v in _cover_lines(field, dim, nil, basis, pivots):
+        for v in _cover_lines(field, nil, basis, pivots):
             nb, np_ = _closure(field, mats, basis, pivots, v)
             if tuple(nb) not in seen:
                 seen.add(tuple(nb))

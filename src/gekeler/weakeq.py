@@ -34,11 +34,13 @@ and of S's A-basis, with p nilpotent on V ([O:f] is a power of p):
   hence S/f.  So when c <= q the walk starts at S/f, and U maps the kept
   W above S/f onto their whole orbits.
 
-[S] is the orbit of S/f and comes first, represented by S; every other
-class is represented by the canonically first pullback of its orbit, in
+A weak class is its representative lattice, a FracIdeal.  [S] is the
+orbit of S/f and comes first, represented by S; every other class is
+represented by the canonically first pullback of its orbit, in
 canonical order.  The local class monoid at p is the disjoint union of
 the weak classes over the p-overorders, since local Picard groups are
-trivial.  Two lattices that equal R away from p are weakly equivalent at
+trivial; where R is maximal at p, R is its one p-overorder and [R] the
+one class.  Two lattices that equal R away from p are weakly equivalent at
 p exactly when 1 in (I:J)(J:I) (`globally_weakly_equivalent`).
 """
 
@@ -51,25 +53,17 @@ from .quotient import LatticeQuotient, invariant_subspaces
 from . import kalgebra
 from . import klinalg
 from .context import KElement, _internal, _naming, memoized
-from .primes import (_is_singular, _require_prime, kummer_dedekind,
-                     p_saturation, primes_above_in_max)
+from .primes import (_require_prime, kummer_dedekind, p_saturation,
+                     primes_above_in_max)
 from .overorders import p_overorders
 
 ORBIT_LIMIT = 10 ** 8   # entries the unit transversal's matrices may hold
 
 
-class WeakClassRep(namedtuple("WeakClassRep", "ideal mult_ring")):
-    """A weak class, by a representative ideal and its multiplicator ring."""
-    __slots__ = ()
-
-    def to_json_dict(self):
-        return self.ideal.to_json_dict()
-
-
 class LocalICMReport(namedtuple("LocalICMReport", "p by_overorder m_p")):
     """The local ideal class monoid at p: `by_overorder` holds the pairs
-    (Order, tuple of WeakClassRep) per p-overorder, and m_p counts the
-    classes."""
+    (S, the FracIdeal representatives of the weak classes with
+    multiplicator ring S) per p-overorder S, and m_p counts the classes."""
     __slots__ = ()
 
     def to_json_dict(self):
@@ -133,10 +127,10 @@ def _weak_classes(ctx, p, s_order):
                         + s_order.basis_elements()]
                 nil = (mats[0] if p == t else alg.mult_matrix(
                     quo.vector(KElement.from_fqpoly(ctx, p))))
-                subs = invariant_subspaces(ctx.field, quo.dim, mats, nil,
+                subs = invariant_subspaces(ctx.field, mats, nil,
                                            s_sub if interval else ())
                 reps += _orbit_representatives(quo, alg, s_sub, subs, p)
-    return tuple(WeakClassRep(rep, s_order) for rep in reps)
+    return tuple(reps)
 
 
 def _gorenstein_by_lengths(o, s, f):
@@ -229,12 +223,11 @@ def locally_weakly_equivalent(i, j, p):
 
 
 def local_icm(ctx, p):
-    """ICM of the completion at p as a disjoint union of local weak classes."""
+    """ICM of the completion at p as a disjoint union of local weak classes.
+
+    Every p takes the one path: at a p where R is maximal, R is its one
+    p-overorder and [R] its one class, so m_p = 1."""
     _require_prime(ctx, p)
-    base = Order.monogenic(ctx)
-    if not _is_singular(ctx, p):
-        cls = WeakClassRep(base.ideal, base)
-        return LocalICMReport(p, ((base, (cls,)),), 1)
     groups = []
     total = 0
     for s_order in p_overorders(ctx, p).orders:

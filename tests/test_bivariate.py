@@ -20,6 +20,11 @@ def test_irreducibility_examples():
     assert is_irreducible_bivariate(parse_bipoly(F, "1 - x + x^3"))
     # constant-field extensions stay irreducible over the base
     assert is_irreducible_bivariate(parse_bipoly(F, "x^2 + 1"))
+    # a linear f is its own one factor
+    for fstr in ("x - T", "x - T^2"):
+        f = parse_bipoly(F, fstr)
+        assert is_irreducible_bivariate(f)
+        assert bifactor.factor_squarefree_bivariate(f) == [f]
 
 
 def test_irreducibility_inseparable_branch():

@@ -315,8 +315,8 @@ def test_lost_endpoint_order_is_an_internal_failure(monkeypatch):
     from gekeler import overorders
     real = overorders.invariant_subspaces
 
-    def drop_top(field, dim, mats, nil):
-        return [w for w in real(field, dim, mats, nil) if len(w) != dim]
+    def drop_top(field, mats, nil):
+        return [w for w in real(field, mats, nil) if len(w) != len(nil)]
 
     monkeypatch.setattr(overorders, "invariant_subspaces", drop_top)
     code, out, err = run_cli(["overorders", "--q", "2", "--f", "x^3 - T^5",
@@ -374,6 +374,43 @@ def test_oversized_unit_transversal_is_refused_before_it_is_listed():
     assert proc.stderr.startswith("error: weak_classes: the unit transversal "
                                   "would hold 531441 matrices of size 22x22")
     assert proc.stderr.endswith("for q = 3, f = x^6 + (T^6)*x + 1, p = T\n")
+
+
+def _m_p(rep):
+    """m_p as each report gives it: the count of p-overorders for
+    `overorders` (two orders, two classes here), the one singular prime's
+    for `product`."""
+    if "orders" in rep:
+        return len(rep["orders"])
+    if "singular" in rep:
+        return rep["singular"][0]["m_p"]
+    return rep["m_p"]
+
+
+@pytest.mark.parametrize("argv, m_p", [
+    (["overorders", "--f", "x^2 - T^3", "--prime", "T"], 2),
+    (["icm", "--f", "x^2 - T^3", "--prime", "T"], 2),
+    (["ratio", "--f", "x^2 - T^3", "--prime", "T"], 2),
+    (["product", "--f", "x^2 - T^3"], 2),
+    (["icm", "--f", "x^2 - T^5", "--prime", "T"], 3),
+    (["icm", "--f", "x^2 - T", "--prime", "T + 1"], 1)])
+def test_windows_over_a_huge_prime_field_list_no_field(argv, m_p):
+    # over F_q, q = 10^9 + 7, every cover space of these windows is at most
+    # a line, so the walk lists no element of F_q; here under an 800 MB
+    # address space set only in the child
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gekeler.__file__).resolve().parents[1]))
+    cap = 800 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "gekeler", argv[0], "--q",
+                           "1000000007", *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert _m_p(json.loads(proc.stdout)) == m_p
 
 
 def test_rationals_are_reduced_with_positive_denominator():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import make_ctx
@@ -24,10 +26,11 @@ def test_companion_matrix_has_charpoly_f():
 
 
 def test_count_r1_is_one():
-    ctx = make_ctx(3, "x - T")
-    T = FqPoly.gen(ctx.field)
-    assert O.count_matrices_with_charpoly(ctx, T, 1) == 1
-    assert O.count_matrices_with_charpoly(ctx, T, 2) == 1
+    for fstr in ("x - T", "x - T^2"):
+        ctx = make_ctx(3, fstr)
+        T = FqPoly.gen(ctx.field)
+        assert O.count_matrices_with_charpoly(ctx, T, 1) == 1
+        assert O.count_matrices_with_charpoly(ctx, T, 2) == 1
 
 
 def test_count_cusp_level1_cross_check():
@@ -123,7 +126,7 @@ def test_projected_class_orbits_realize_the_bijection():
     mats = []
     for _, classes in rep.by_overorder:
         for c in classes:
-            lat = c.ideal
+            lat = c
             num = [list(row) for row in lat.num]
             cols_out = []
             for col in lat.basis_columns():
@@ -153,12 +156,13 @@ def test_projected_class_orbits_realize_the_bijection():
 
 def test_sl_counts_and_closed_form():
     F2, F3 = gf(2), gf(3)
-    for field, n in [(F2, 1), (F3, 1), (F2, 2), (F3, 2)]:
+    for (field, n), r in itertools.product(
+            [(F2, 1), (F3, 1), (F2, 2), (F3, 2)], (1, 2)):
         p = FqPoly.gen(field)
-        sl, gl, units = O.brute_sl_count(2, p, n)
+        sl, gl, units = O.brute_sl_count(r, p, n)
         big_q = field.q
-        assert sl == O.sl_order_closed_form(2, big_q, n)
-        assert gl == gl_order_closed_form(2, big_q, n)
+        assert sl == O.sl_order_closed_form(r, big_q, n)
+        assert gl == gl_order_closed_form(r, big_q, n)
         assert gl == units * sl
     assert O.brute_sl_count(2, FqPoly.gen(F3), 1)[:2] == (24, 48)
     # closed form at a degree-2 prime: Q = 9

@@ -94,7 +94,7 @@ def test_subspace_count_of_trivial_module_is_q_plus_3():
     for q in (2, 3, 4, 9):
         field = gf_of_order(q)
         zero_mat = [tuple(0 for _ in range(2)) for _ in range(2)]
-        subs = invariant_subspaces(field, 2, [zero_mat], zero_mat)
+        subs = invariant_subspaces(field, [zero_mat], zero_mat)
         assert len(subs) == q + 3
 
 
@@ -103,7 +103,7 @@ def test_nilpotent_jordan_block_has_a_chain_of_subspaces():
     # ker N^2 and the whole space invariant
     field = gf_of_order(9)
     jordan = [(0, 1, 0), (0, 0, 1), (0, 0, 0)]
-    subs = invariant_subspaces(field, 3, [jordan], jordan)
+    subs = invariant_subspaces(field, [jordan], jordan)
     assert subs == [(), ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)),
                     ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
@@ -239,7 +239,7 @@ def test_walk_matches_line_sweep_on_random_commuting_pairs():
         for dim in range(1, max_dim + 1):
             for _ in range(3):
                 n, s = _commuting_pair(field, dim, rng)
-                assert (invariant_subspaces(field, dim, [n, s], n)
+                assert (invariant_subspaces(field, [n, s], n)
                         == _oracle_invariant_subspaces(field, dim, [n, s]))
 
 
@@ -267,7 +267,7 @@ def test_walk_matches_line_sweep_on_pipeline_quotients(q, fstr):
             mats = [quo.action_matrix(z)
                     for z in [t_el] + ring.basis_elements()]
             nil = quo.action_matrix(KElement.from_fqpoly(ctx, p))
-            assert (invariant_subspaces(ctx.field, quo.dim, mats, nil)
+            assert (invariant_subspaces(ctx.field, mats, nil)
                     == _oracle_invariant_subspaces(ctx.field, quo.dim, mats))
 
 
